@@ -6,14 +6,18 @@ elimination with a min-fill ordering. Probabilities stay in plain binary
 floating point: the quantities of interest (down to ~1e-16) are well inside
 double range, and products over a few dozen factors cannot underflow, so a
 log-space transform would only cost reproducibility against brute-force
-enumeration.
+enumeration. The min-fill order and the einsum contraction plan depend only
+on the network's structure, the query and the set of evidence variables, so
+each is computed once per such triple and reused across parameter values and
+observed states.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -21,6 +25,9 @@ from .errors import ValidationError, ZeroEvidenceError
 
 #: Observed states, keyed by variable id.
 Evidence = Mapping[str, str]
+
+#: Structure of a net: ``(variable id, parents)`` in variable order.
+Signature = tuple[tuple[str, tuple[str, ...]], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -89,18 +96,20 @@ class BayesNet:
     concurrent queries against one net are safe.
     """
 
-    __slots__ = ("variables", "cpts", "_by_id", "_tables", "_topo")
+    __slots__ = ("variables", "cpts", "signature", "_by_id", "_tables", "_topo")
 
     def __init__(
         self,
         variables: tuple[Variable, ...],
         cpts: Mapping[str, Cpt],
+        signature: Signature,
         by_id: Mapping[str, Variable],
         tables: Mapping[str, np.ndarray],
         topo: tuple[str, ...],
     ) -> None:
         self.variables = variables
         self.cpts = dict(cpts)
+        self.signature = signature
         self._by_id = dict(by_id)
         self._tables = dict(tables)
         self._topo = topo
@@ -171,7 +180,8 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
 
     topo = _topological_order(by_id, cpt_map)
     tables = {child: _dense_table(cpt, by_id) for child, cpt in cpt_map.items()}
-    return BayesNet(vars_, cpt_map, by_id, tables, topo)
+    signature = tuple((var.id, cpt_map[var.id].parents) for var in vars_)
+    return BayesNet(vars_, cpt_map, signature, by_id, tables, topo)
 
 
 def _topological_order(by_id: Mapping[str, Variable], cpt_map: Mapping[str, Cpt]) -> tuple[str, ...]:
@@ -247,45 +257,24 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
 
 # --- variable elimination ---------------------------------------------------
 
+#: Bound on the number of cached min-fill orders, and of cached plans.
+PLAN_CACHE_SIZE = 128
 
-@dataclass
-class _Factor:
-    vars: tuple[str, ...]
-    table: np.ndarray
-
-
-def _restricted_factors(net: BayesNet, evidence: Evidence) -> list[_Factor]:
-    ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
-    factors: list[_Factor] = []
-    for var in net.variables:
-        cpt = net.cpts[var.id]
-        scope = cpt.parents + (var.id,)
-        table = net._tables[var.id]
-        kept: list[str] = []
-        slicer: list[object] = []
-        for vid in scope:
-            if vid in ev_idx:
-                slicer.append(ev_idx[vid])
-            else:
-                kept.append(vid)
-                slicer.append(slice(None))
-        factors.append(_Factor(tuple(kept), table[tuple(slicer)]))
-    return factors
+_ALL = slice(None)
 
 
-def _contract(factors: Sequence[_Factor], out_vars: tuple[str, ...]) -> _Factor:
-    """Multiply factors and project onto ``out_vars`` in a single einsum."""
-    letters: dict[str, str] = {}
-    for factor in factors:
-        for vid in factor.vars:
-            if vid not in letters:
-                letters[vid] = chr(ord("a") + len(letters))
-    if len(letters) > 26:
-        raise ValidationError("factor contraction exceeds 26 distinct variables")
-    spec = ",".join("".join(letters[v] for v in f.vars) for f in factors)
-    out = "".join(letters[v] for v in out_vars)
-    table = np.einsum(f"{spec}->{out}", *[f.table for f in factors])
-    return _Factor(out_vars, table)
+@dataclass(frozen=True)
+class _Plan:
+    """Variable elimination for one (structure, target, evidence variables).
+
+    Slots ``0..n-1`` hold the CPT tables, sliced by evidence, in variable
+    order. Each step is an einsum spec and the slots it reads; its result
+    takes the next slot. The last step yields the unnormalised target
+    vector, or the evidence probability when there is no target.
+    """
+
+    order: tuple[str, ...]
+    steps: tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def elimination_order(
@@ -300,16 +289,22 @@ def elimination_order(
     query_set = {query} if isinstance(query, str) else set(query)
     for vid in itertools.chain(query_set, evidence):
         net.variable(vid)
+    return _min_fill(net.signature, frozenset(query_set), frozenset(evidence))
 
-    nodes = [vid for vid in net.variable_ids if vid not in evidence]
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _min_fill(
+    signature: Signature, query: frozenset[str], evidence: frozenset[str]
+) -> tuple[str, ...]:
+    nodes = [vid for vid, _ in signature if vid not in evidence]
     neighbours: dict[str, set[str]] = {vid: set() for vid in nodes}
-    for var in net.variables:
-        scope = [v for v in net.cpts[var.id].parents + (var.id,) if v not in evidence]
+    for vid, parents in signature:
+        scope = [v for v in parents + (vid,) if v not in evidence]
         for a, b in itertools.combinations(scope, 2):
             neighbours[a].add(b)
             neighbours[b].add(a)
 
-    to_eliminate = {vid for vid in nodes if vid not in query_set}
+    to_eliminate = {vid for vid in nodes if vid not in query}
     order: list[str] = []
     while to_eliminate:
         def fill(vid: str) -> int:
@@ -331,18 +326,49 @@ def elimination_order(
     return tuple(order)
 
 
-def _eliminate_all(factors: list[_Factor], order: Sequence[str]) -> list[_Factor]:
-    for vid in order:
-        related = [f for f in factors if vid in f.vars]
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(signature: Signature, target: str | None, evidence: frozenset[str]) -> _Plan:
+    query = () if target is None else (target,)
+    order = _min_fill(signature, frozenset(query), evidence)
+    # (slot, variables) of each live factor; a merged factor goes last
+    factors = [
+        (slot, tuple(v for v in parents + (vid,) if v not in evidence))
+        for slot, (vid, parents) in enumerate(signature)
+    ]
+    steps: list[tuple[str, tuple[int, ...]]] = []
+    for vid in order + (None,):  # None: the final contraction onto the query
+        related = [f for f in factors if vid is None or vid in f[1]]
         if not related:
             continue
-        out_vars = tuple(
-            dict.fromkeys(v for f in related for v in f.vars if v != vid)
+        out_vars = query if vid is None else tuple(
+            dict.fromkeys(v for _, vars_ in related for v in vars_ if v != vid)
         )
-        merged = _contract(related, out_vars)
-        factors = [f for f in factors if vid not in f.vars]
-        factors.append(merged)
-    return factors
+        # one einsum multiplies the related factors and projects onto out_vars
+        letters: dict[str, str] = {}
+        for _, vars_ in related:
+            for v in vars_:
+                letters.setdefault(v, chr(ord("a") + len(letters)))
+        if len(letters) > 26:
+            raise ValidationError("factor contraction exceeds 26 distinct variables")
+        spec = ",".join("".join(letters[v] for v in vars_) for _, vars_ in related)
+        steps.append((f"{spec}->{''.join(letters[v] for v in out_vars)}",
+                      tuple(slot for slot, _ in related)))
+        factors = [f for f in factors if f not in related]
+        factors.append((len(signature) + len(steps) - 1, out_vars))
+    return _Plan(order, tuple(steps))
+
+
+def _eliminate(net: BayesNet, target: str | None, ev_idx: Mapping[str, int]) -> np.ndarray:
+    plan = _plan(net.signature, target, frozenset(ev_idx))
+    tables = [net._tables[vid] for vid, _ in net.signature]
+    if ev_idx:
+        tables = [
+            table[tuple(ev_idx.get(v, _ALL) for v in parents + (vid,))]
+            for table, (vid, parents) in zip(tables, net.signature)
+        ]
+    for spec, slots in plan.steps:
+        tables.append(np.einsum(spec, *[tables[s] for s in slots]))
+    return tables[-1]
 
 
 def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Distribution:
@@ -355,25 +381,17 @@ def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Di
     """
     evidence = dict(evidence or {})
     var = net.variable(target)
-    for vid, state in evidence.items():
-        net.state_index(vid, state)
+    ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
 
-    factors = _restricted_factors(net, evidence)
-    if target in evidence:
-        # still charge for the evidence check so impossible observations fail
-        remaining = _eliminate_all(factors, elimination_order(net, (), evidence))
-        z = float(_contract(remaining, ()).table)
-        if z <= 0.0:
-            raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
-        probs = {s: (1.0 if s == evidence[target] else 0.0) for s in var.states}
-        return Distribution(target, probs)
-
-    order = elimination_order(net, target, evidence)
-    remaining = _eliminate_all(factors, order)
-    vector = _contract(remaining, (target,)).table
+    # an observed target still pays for the evidence probability, so that
+    # impossible observations fail
+    observed = target in evidence
+    vector = _eliminate(net, None if observed else target, ev_idx)
     z = float(vector.sum())
     if z <= 0.0:
         raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
+    if observed:
+        return Distribution(target, {s: float(s == evidence[target]) for s in var.states})
     return Distribution(target, dict(zip(var.states, (vector / z).tolist())))
 
 

@@ -97,6 +97,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     code = EXIT_OK
     if args.threshold is not None:
         value = result.exports[metric]
+        if value < 0.0:  # run_workflow has already rejected non-finite figures
+            raise SolverError(f"verdict metric {metric} is {value!r}; a rate cannot be negative")
         rep.threshold = args.threshold
         rep.verdict_metric = metric
         rep.verdict = "PASS" if value <= args.threshold else "FAIL"

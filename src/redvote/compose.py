@@ -15,6 +15,7 @@ is any coupling through shared states or actions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -508,6 +509,12 @@ def _solve_instance(
     raise ValidationError(f"instance {inst.name!r} has an unsolvable template")
 
 
+def _require_finite(what: str, values: Mapping[str, float]) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise SolverError(f"{what} {name!r} is {value!r}; figures must be finite")
+
+
 def run_workflow(
     workflow: Workflow | ValidatedWorkflow,
     order: Sequence[str] | None = None,
@@ -515,7 +522,8 @@ def run_workflow(
     """Solve all instances in topological order and evaluate the exports.
 
     The result is fully deterministic, and identical for every admissible
-    topological order. ``order`` overrides the cached order, mainly so that
+    topological order. A non-finite instance output or export raises
+    :class:`SolverError`. ``order`` overrides the cached order, mainly so that
     order-independence can be exercised; it must be a valid topological
     order of the instance dependency graph.
     """
@@ -552,12 +560,14 @@ def run_workflow(
             outputs, note = _solve_instance(inst, cls, values)
         except RedvoteError as exc:
             raise SolverError(f"instance {inst.name!r}: {exc}") from exc
+        _require_finite(f"instance {inst.name!r} output", outputs)
         solved[name] = outputs
         notes.append(note)
 
     exports = {
         export.name: eval_expr(export.expr, lookup) for export in wf.exports
     }
+    _require_finite("export", exports)
     return SolveResult(instances=solved, exports=exports, provenance=tuple(notes))
 
 

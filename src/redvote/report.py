@@ -11,7 +11,6 @@ deliberately excluded from the digest-checked region.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field
@@ -29,6 +28,8 @@ def sci(value: float) -> str:
 
 
 def input_digest(data: bytes) -> str:
+    import hashlib  # loads OpenSSL; only digesting needs it, not every import
+
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -69,7 +70,7 @@ def timestamp() -> str:
 
 
 def to_json(report: AnalysisReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2, allow_nan=False) + "\n"
 
 
 def from_json(text: str) -> AnalysisReport:
@@ -157,7 +158,7 @@ class SweepReport:
 
 
 def sweep_to_json(report: SweepReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2, allow_nan=False) + "\n"
 
 
 def render_sweep_csv(report: SweepReport) -> str:

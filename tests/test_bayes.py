@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redvote import bayes
+from redvote import bayes, nmr
 from redvote.errors import ValidationError, ZeroEvidenceError
 
-from oracles import enum_marginal, random_evidence, random_net
+from oracles import (
+    enum_marginal,
+    random_evidence,
+    random_net,
+    uncorr_probability,
+    unsafe_probability,
+)
 
 B = ("False", "True")
 
@@ -231,3 +237,92 @@ class TestEliminationOrder:
         net = random_net(rng)
         order = bayes.elimination_order(net, net.variable_ids[0])
         assert set(order) == set(net.variable_ids[1:])
+
+    @pytest.mark.parametrize("query, evidence, expected", [
+        ("A", {}, ("C", "B")),
+        ("B", {}, ("A", "C")),
+        ("C", {}, ("A", "B")),
+        ("A", {"C": "True"}, ("B",)),
+        ("C", {"B": "False"}, ("A",)),
+        ((), {"A": "True"}, ("B", "C")),
+    ])
+    def test_chain_orders_pinned(self, query, evidence, expected):
+        assert bayes.elimination_order(_chain_abc(), query, evidence) == expected
+
+    def test_random_net_order_pinned(self):
+        net = random_net(random.Random(3))
+        assert bayes.elimination_order(net, net.variable_ids[0]) == ("V1", "V2", "V3")
+
+    def test_failure_net_order_pinned(self):
+        net = nmr.build_failure_bn(nmr.FailureParams(1.6666e-5, 0.1, 0.1))
+        assert bayes.elimination_order(net, "UNSAFE_OUTPUT") == (
+            "Excl_A", "Excl_B", "Fault_detectability_A", "Fault_detectability_B",
+            "Same_output_alterations", "Detectable_Fault_A", "Non_detectable_Fault_A",
+            "Detectable_Fault_B", "Non_detectable_Fault_B", "Fault_A", "Fault_type_A",
+            "Fault_B", "Fault_type_B", "Permanent_Fault_A", "Transient_Fault_A",
+            "Error_due_to_Transient_A", "Undetected_permanent_A", "UNCORR_A",
+            "Permanent_Fault_B", "Transient_Fault_B", "Error_due_to_Transient_B",
+            "Undetected_permanent_B", "UNCORR_B",
+        )
+
+
+def _child_of(parents, cpt):
+    """Roots A (P(True) 0.2) and B (0.7) and a child C with the given parents;
+    ``cpt`` is C's flat table, rows in parent-state order."""
+    rows = dict(zip(itertools.product(B, repeat=len(parents)), cpt))
+    return bayes.build_net(
+        [bayes.Variable(v, B) for v in "ABC"],
+        [
+            bayes.Cpt("A", (), {(): (0.8, 0.2)}),
+            bayes.Cpt("B", (), {(): (0.3, 0.7)}),
+            bayes.Cpt("C", parents, rows),
+        ],
+    )
+
+
+class TestPlanCache:
+    """Plans are shared across nets and queries; each test fails if the
+    cache key left out something the plan depends on."""
+
+    def _assert_enumeration(self, net, target, evidence):
+        got = bayes.marginal(net, target, evidence)
+        want = enum_marginal(net, target, evidence)
+        for state, p in zip(net.variable(target).states, want):
+            assert abs(got[state] - p) <= 1e-12
+        return [got[state] for state in net.variable(target).states]
+
+    def test_parameters_stay_out_of_the_plan(self):
+        params = [nmr.FailureParams(1.6666e-5, 0.1, 0.1), nmr.FailureParams(3e-4, 0.4, 0.02)]
+        for p in params + params:
+            net = nmr.build_failure_bn(p)
+            u = uncorr_probability(p)
+            assert bayes.marginal(net, "UNCORR_A")["True"] == pytest.approx(u, rel=1e-12)
+            assert bayes.marginal(net, "UNSAFE_OUTPUT")["True"] == pytest.approx(
+                unsafe_probability(u, p.par3, p.excl_fail), rel=1e-12
+            )
+
+    def test_observed_states_stay_out_of_the_plan(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            net = random_net(rng)
+            target = rng.choice(net.variable_ids)
+            observed = random_evidence(rng, net, spare=target)
+            for states in itertools.product(B, repeat=len(observed)):
+                self._assert_enumeration(net, target, dict(zip(observed, states)))
+
+    def test_parent_order_is_in_the_key(self):
+        cpt = ((0.9, 0.1), (0.6, 0.4), (0.25, 0.75), (0.05, 0.95))
+        ab, ba = _child_of(("A", "B"), cpt), _child_of(("B", "A"), cpt)
+        for evidence in ({}, {"A": "True"}):
+            first = self._assert_enumeration(ab, "C", evidence)
+            second = self._assert_enumeration(ba, "C", evidence)
+            assert first != second
+
+    def test_parent_set_is_in_the_key(self):
+        cpt = ((0.9, 0.1), (0.2, 0.8))
+        on_a, on_b = _child_of(("A",), cpt), _child_of(("B",), cpt)
+        for evidence in ({}, {"C": "True"}):
+            target = "C" if not evidence else "A"
+            first = self._assert_enumeration(on_a, target, evidence)
+            second = self._assert_enumeration(on_b, target, evidence)
+            assert first != second

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import redvote
 from redvote import cli, report
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -78,6 +81,30 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(broken))
         assert code == 4
         assert "mu" in err
+
+    def test_non_finite_figure_exits_4_without_bare_nan(self, capsys, tmp_path):
+        # repair and restore rates near the double limit overflow inside GTH
+        text = Path(CASE_STUDY).read_text()
+        text = text.replace("PAR_6 = 1;", "PAR_6 = 1e308;").replace("PAR_9 = 3;", "PAR_9 = 1e308;")
+        overflowing = tmp_path / "overflow.rvm"
+        overflowing.write_text(text)
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run(capsys, "solve", str(overflowing), "--format", "json",
+                                 "--threshold", "1e-9")
+        assert code == 4
+        assert out == ""
+        assert "PAR_10" in err and "finite" in err
+
+    def test_negative_verdict_metric_exits_4(self, capsys, tmp_path):
+        text = Path(CASE_STUDY).read_text().replace(
+            "output HFR_2oo3 = 3 * mu.PAR_10;", "output HFR_2oo3 = phi.PAR_5 - phi.PAR_4;"
+        )
+        negative = tmp_path / "negative.rvm"
+        negative.write_text(text)
+        code, out, err = run(capsys, "solve", str(negative), "--threshold", "1e-9")
+        assert code == 4
+        assert "verdict" not in out
+        assert "HFR_2oo3" in err and "negative" in err
 
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json",
@@ -250,3 +277,13 @@ class TestValidate:
         bad.write_text("not a workflow at all")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+
+def test_import_does_not_load_hashlib():
+    # hashlib pulls in OpenSSL; only the input digest needs it
+    src = str(Path(redvote.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, redvote; print('hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
