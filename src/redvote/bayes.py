@@ -6,10 +6,16 @@ elimination with a min-fill ordering. Probabilities stay in plain binary
 floating point: the quantities of interest (down to ~1e-16) are well inside
 double range, and products over a few dozen factors cannot underflow, so a
 log-space transform would only cost reproducibility against brute-force
-enumeration. The min-fill order and the einsum contraction plan depend only
-on the network's structure, the query and the set of evidence variables, so
-each is computed once per such triple and reused across parameter values and
-observed states.
+enumeration.
+
+Tables are flat row-major Python lists with the child's state varying
+fastest. At this size no factor has more than a few dozen entries, so the
+fixed cost of each call dominates, and plain lists beat array routines, whose
+per-call overhead (and import) costs more than the arithmetic. The min-fill
+order and the elimination plan, which reads every factor through precomputed
+gather indices, depend only on the network's structure, the query and the set
+of evidence variables, so each is computed once per such triple and reused
+across parameter values and observed states.
 """
 
 from __future__ import annotations
@@ -17,17 +23,16 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError, ZeroEvidenceError
 
 #: Observed states, keyed by variable id.
 Evidence = Mapping[str, str]
 
-#: Structure of a net: ``(variable id, parents)`` in variable order.
-Signature = tuple[tuple[str, tuple[str, ...]], ...]
+#: Structure of a net: ``(variable id, parents, state count)`` in variable order.
+Signature = tuple[tuple[str, tuple[str, ...], int], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -104,14 +109,14 @@ class BayesNet:
         cpts: Mapping[str, Cpt],
         signature: Signature,
         by_id: Mapping[str, Variable],
-        tables: Mapping[str, np.ndarray],
+        tables: Sequence[list[float]],
         topo: tuple[str, ...],
     ) -> None:
         self.variables = variables
         self.cpts = dict(cpts)
         self.signature = signature
         self._by_id = dict(by_id)
-        self._tables = dict(tables)
+        self._tables = tuple(tables)  # flat CPT tables, in variable order
         self._topo = topo
 
     @property
@@ -179,8 +184,8 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
             seen.add(parent)
 
     topo = _topological_order(by_id, cpt_map)
-    tables = {child: _dense_table(cpt, by_id) for child, cpt in cpt_map.items()}
-    signature = tuple((var.id, cpt_map[var.id].parents) for var in vars_)
+    tables = [_dense_table(cpt_map[var.id], by_id) for var in vars_]
+    signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
     return BayesNet(vars_, cpt_map, signature, by_id, tables, topo)
 
 
@@ -207,7 +212,8 @@ def _topological_order(by_id: Mapping[str, Variable], cpt_map: Mapping[str, Cpt]
     return tuple(order)
 
 
-def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> np.ndarray:
+def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
+    """The CPT as one flat row-major list: parents in order, child state fastest."""
     child = by_id[cpt.child]
     parent_states = [by_id[p].states for p in cpt.parents]
     expected = set(itertools.product(*parent_states))
@@ -219,8 +225,6 @@ def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> np.ndarray:
         sample = next(iter(sorted(expected - got)))
         raise ValidationError(f"CPT for {cpt.child!r} is missing the row for {sample!r}")
 
-    shape = tuple(len(states) for states in parent_states) + (child.cardinality,)
-    table = np.empty(shape, dtype=float)
     for key, dist in cpt.rows.items():
         if len(dist) != child.cardinality:
             raise ValidationError(
@@ -233,9 +237,7 @@ def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> np.ndarray:
             raise ValidationError(
                 f"CPT row {key!r} for {cpt.child!r} sums to {sum(dist)!r}, not 1"
             )
-        index = tuple(states.index(state) for states, state in zip(parent_states, key))
-        table[index] = dist
-    return table
+    return [p for key in itertools.product(*parent_states) for p in cpt.rows[key]]
 
 
 def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
@@ -246,12 +248,11 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
     if missing:
         raise ValidationError(f"assignment is incomplete, missing: {', '.join(missing)}")
     product = 1.0
-    for var in net.variables:
-        cpt = net.cpts[var.id]
-        index = tuple(
-            net.state_index(parent, assignment[parent]) for parent in cpt.parents
-        ) + (net.state_index(var.id, assignment[var.id]),)
-        product *= net._tables[var.id][index]
+    for table, (vid, parents, _) in zip(net._tables, net.signature):
+        index = 0
+        for v in parents + (vid,):
+            index = index * net.variable(v).cardinality + net.state_index(v, assignment[v])
+        product *= table[index]
     return product
 
 
@@ -260,21 +261,29 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
 #: Bound on the number of cached min-fill orders, and of cached plans.
 PLAN_CACHE_SIZE = 128
 
-_ALL = slice(None)
+#: Gathers a flat table's entries at fixed indices.
+_Read = Callable[[Sequence[float]], Sequence[float]]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """Variable elimination for one (structure, target, evidence variables).
 
-    Slots ``0..n-1`` hold the CPT tables, sliced by evidence, in variable
-    order. Each step is an einsum spec and the slots it reads; its result
-    takes the next slot. The last step yields the unnormalised target
-    vector, or the evidence probability when there is no target.
+    Slots ``0..n-1`` hold the flat CPT tables in variable order. Each slice
+    ``(slot, evidence strides, read)`` first cuts a table that mentions
+    evidence down to its unobserved variables: ``read`` gathers precomputed
+    offsets from ``base``, the sum of stride times observed state index.
+    Each step ``(reads, group)`` then gathers every factor it multiplies at
+    precomputed indices enumerated over the step's scope, row-major with the
+    eliminated variable innermost, multiplies elementwise and sums
+    consecutive runs of ``group`` products; its result takes the next slot.
+    The last step yields the unnormalised target vector, or the evidence
+    probability when there is no target.
     """
 
     order: tuple[str, ...]
-    steps: tuple[tuple[str, tuple[int, ...]], ...]
+    slices: tuple[tuple[int, tuple[tuple[str, int], ...], _Read], ...]
+    steps: tuple[tuple[tuple[tuple[int, _Read], ...], int], ...]
 
 
 def elimination_order(
@@ -296,78 +305,116 @@ def elimination_order(
 def _min_fill(
     signature: Signature, query: frozenset[str], evidence: frozenset[str]
 ) -> tuple[str, ...]:
-    nodes = [vid for vid, _ in signature if vid not in evidence]
-    neighbours: dict[str, set[str]] = {vid: set() for vid in nodes}
-    for vid, parents in signature:
+    neighbours: dict[str, set[str]] = {
+        vid: set() for vid, _, _ in signature if vid not in evidence
+    }
+    for vid, parents, _ in signature:
         scope = [v for v in parents + (vid,) if v not in evidence]
         for a, b in itertools.combinations(scope, 2):
             neighbours[a].add(b)
             neighbours[b].add(a)
 
-    to_eliminate = {vid for vid in nodes if vid not in query}
-    order: list[str] = []
-    while to_eliminate:
-        def fill(vid: str) -> int:
-            around = neighbours[vid]
-            return sum(
-                1 for a, b in itertools.combinations(sorted(around), 2)
-                if b not in neighbours[a]
-            )
+    def fill(vid: str) -> int:
+        around = neighbours[vid]
+        # each missing edge is seen from both ends, and ``a`` is never its own neighbour
+        return (sum(len(around - neighbours[a]) for a in around) - len(around)) // 2
 
-        chosen = min(to_eliminate, key=lambda vid: (fill(vid), vid))
+    fills = {vid: fill(vid) for vid in neighbours if vid not in query}
+    order: list[str] = []
+    while fills:
+        chosen = min(fills, key=lambda vid: (fills[vid], vid))
+        del fills[chosen]
         order.append(chosen)
         around = neighbours.pop(chosen)
         for a in around:
             neighbours[a].discard(chosen)
-        for a, b in itertools.combinations(sorted(around), 2):
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-        to_eliminate.remove(chosen)
+            neighbours[a].update(around)
+            neighbours[a].discard(a)
+        # only vertices within two hops of the eliminated one can change fill
+        for vid in around.union(*(neighbours[a] for a in around)):
+            if vid in fills:
+                fills[vid] = fill(vid)
     return tuple(order)
+
+
+def _strides(vars_: Sequence[str], card: Mapping[str, int]) -> dict[str, int]:
+    """Row-major strides of a flat table over ``vars_``, the last one fastest."""
+    strides, size = {}, 1
+    for v in reversed(vars_):
+        strides[v] = size
+        size *= card[v]
+    return strides
+
+
+@functools.lru_cache(maxsize=8 * PLAN_CACHE_SIZE)  # a handful of layouts per plan
+def _gather(layout: tuple[tuple[int, int], ...]) -> _Read:
+    """Reader of a flat table's entries at each row-major assignment of a
+    scope whose variables have ``(state count, stride in the table)``; a
+    scope variable the table lacks has stride 0. Nets of mostly binary
+    variables share few layouts, so the cache spares most of a cold plan's
+    index building."""
+    index = [0]
+    for count, stride in layout:
+        offsets = range(0, count * stride, stride) if stride else (0,) * count
+        index = [i + o for i in index for o in offsets]
+    if len(index) == 1:  # itemgetter of a single index returns the bare entry
+        return itemgetter(slice(index[0], index[0] + 1))
+    return itemgetter(*index)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(signature: Signature, target: str | None, evidence: frozenset[str]) -> _Plan:
     query = () if target is None else (target,)
     order = _min_fill(signature, frozenset(query), evidence)
-    # (slot, variables) of each live factor; a merged factor goes last
-    factors = [
-        (slot, tuple(v for v in parents + (vid,) if v not in evidence))
-        for slot, (vid, parents) in enumerate(signature)
-    ]
-    steps: list[tuple[str, tuple[int, ...]]] = []
-    for vid in order + (None,):  # None: the final contraction onto the query
-        related = [f for f in factors if vid is None or vid in f[1]]
+    card = {vid: n for vid, _, n in signature}
+    # slot -> (variables, strides) of each live factor; a merged factor goes last
+    live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
+    slices = []
+    for slot, (vid, parents, _) in enumerate(signature):
+        scope = parents + (vid,)
+        kept = tuple(v for v in scope if v not in evidence)
+        strides = _strides(scope, card)
+        if len(kept) < len(scope):
+            observed = tuple((v, strides[v]) for v in scope if v in evidence)
+            slices.append((slot, observed, _gather(tuple((card[v], strides[v]) for v in kept))))
+            strides = _strides(kept, card)
+        live[slot] = (kept, strides)
+    steps = []
+    for vid in order + (None,):  # None: the final product onto the query
+        related = [slot for slot, (vars_, _) in live.items() if vid is None or vid in vars_]
         if not related:
             continue
-        out_vars = query if vid is None else tuple(
-            dict.fromkeys(v for _, vars_ in related for v in vars_ if v != vid)
-        )
-        # one einsum multiplies the related factors and projects onto out_vars
-        letters: dict[str, str] = {}
-        for _, vars_ in related:
-            for v in vars_:
-                letters.setdefault(v, chr(ord("a") + len(letters)))
-        if len(letters) > 26:
-            raise ValidationError("factor contraction exceeds 26 distinct variables")
-        spec = ",".join("".join(letters[v] for v in vars_) for _, vars_ in related)
-        steps.append((f"{spec}->{''.join(letters[v] for v in out_vars)}",
-                      tuple(slot for slot, _ in related)))
-        factors = [f for f in factors if f not in related]
-        factors.append((len(signature) + len(steps) - 1, out_vars))
-    return _Plan(order, tuple(steps))
+        if vid is None:
+            # every other variable is eliminated or observed by now
+            out_vars, scope, group = query, query, 1
+        else:
+            out_vars = tuple(dict.fromkeys(v for s in related for v in live[s][0] if v != vid))
+            scope, group = out_vars + (vid,), card[vid]
+        reads = []
+        for s in related:
+            strides = live.pop(s)[1]
+            reads.append((s, _gather(tuple((card[v], strides.get(v, 0)) for v in scope))))
+        steps.append((tuple(reads), group))
+        live[len(signature) + len(steps) - 1] = (out_vars, _strides(out_vars, card))
+    return _Plan(order, tuple(slices), tuple(steps))
 
 
-def _eliminate(net: BayesNet, target: str | None, ev_idx: Mapping[str, int]) -> np.ndarray:
+def _eliminate(net: BayesNet, target: str | None, ev_idx: Mapping[str, int]) -> Sequence[float]:
     plan = _plan(net.signature, target, frozenset(ev_idx))
-    tables = [net._tables[vid] for vid, _ in net.signature]
-    if ev_idx:
-        tables = [
-            table[tuple(ev_idx.get(v, _ALL) for v in parents + (vid,))]
-            for table, (vid, parents) in zip(tables, net.signature)
-        ]
-    for spec, slots in plan.steps:
-        tables.append(np.einsum(spec, *[tables[s] for s in slots]))
+    tables: list[Sequence[float]] = list(net._tables)
+    for slot, observed, read in plan.slices:
+        base = sum(stride * ev_idx[v] for v, stride in observed)
+        tables[slot] = read(tables[slot][base:])
+    for reads, group in plan.steps:
+        (slot, read), *rest = reads
+        product = read(tables[slot])
+        for slot, read in rest:
+            product = map(mul, product, read(tables[slot]))
+        product = list(product)
+        summed = product[::group]
+        for j in range(1, group):
+            summed = list(map(add, summed, product[j::group]))
+        tables.append(summed)
     return tables[-1]
 
 
@@ -387,12 +434,12 @@ def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Di
     # impossible observations fail
     observed = target in evidence
     vector = _eliminate(net, None if observed else target, ev_idx)
-    z = float(vector.sum())
+    z = sum(vector)
     if z <= 0.0:
         raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
     if observed:
         return Distribution(target, {s: float(s == evidence[target]) for s in var.states})
-    return Distribution(target, dict(zip(var.states, (vector / z).tolist())))
+    return Distribution(target, {s: p / z for s, p in zip(var.states, vector)})
 
 
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:

@@ -356,16 +356,21 @@ def _check_bindings(
                     f"{decl.kind}, but {ref.instance}.{ref.output} is a {src_kind}"
                 )
         if isinstance(expr, Literal):
-            if decl.kind in ("probability", "ratio") and not 0.0 <= expr.value <= 1.0:
-                raise ValidationError(
-                    f"instance {instance.name!r}: {decl.kind} input {pname!r} "
-                    f"must lie in [0, 1], got {expr.value!r}"
-                )
-            if decl.kind == "rate" and expr.value < 0.0:
-                raise ValidationError(
-                    f"instance {instance.name!r}: rate input {pname!r} "
-                    f"must be non-negative, got {expr.value!r}"
-                )
+            _check_literal(instance.name, decl, expr.value)
+
+
+def _check_literal(instance: str, decl: ParamDecl, value: float) -> None:
+    """The range of a literal bound to an input of kind ``decl.kind``."""
+    if decl.kind in ("probability", "ratio") and not 0.0 <= value <= 1.0:
+        raise ValidationError(
+            f"instance {instance!r}: {decl.kind} input {decl.name!r} "
+            f"must lie in [0, 1], got {value!r}"
+        )
+    if decl.kind == "rate" and value < 0.0:
+        raise ValidationError(
+            f"instance {instance!r}: rate input {decl.name!r} "
+            f"must be non-negative, got {value!r}"
+        )
 
 
 def _topological_order(workflow: Workflow) -> tuple[str, ...]:
@@ -579,7 +584,9 @@ def sweep(
     """Re-run the workflow with a literal-bound input scaled by each factor.
 
     ``parameter`` is an ``instance.input`` path. Reference-bound inputs are
-    derived values and cannot be swept; asking for one is an error.
+    derived values and cannot be swept; asking for one is an error. The
+    workflow is validated once; at each point only the scaled literal's
+    range is checked again, since nothing else changes.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
     wf = validated.workflow
@@ -602,12 +609,13 @@ def sweep(
             f"{parameter} is not literal-bound; a derived value cannot be swept"
         )
 
+    decl = next(p for p in validated.instance_class(inst).inputs if p.name == pname)
+
     results: list[SolveResult] = []
     for factor in factors:
-        bindings = dict(inst.bindings)
-        bindings[pname] = Literal(binding.value * float(factor))
-        new_inst = replace(inst, bindings=bindings)
+        value = binding.value * float(factor)
+        _check_literal(inst_name, decl, value)
+        new_inst = replace(inst, bindings={**inst.bindings, pname: Literal(value)})
         instances = tuple(new_inst if i.name == inst_name else i for i in wf.instances)
-        scaled = replace(wf, instances=instances)
-        results.append(run_workflow(scaled))
+        results.append(run_workflow(replace(validated, workflow=replace(wf, instances=instances))))
     return results

@@ -4,19 +4,23 @@ Steady states are computed with Grassmann-Taksar-Heyman (GTH) state
 reduction. GTH performs no subtractions, only sums and ratios of positive
 rates, so it keeps full relative accuracy even when transition rates span
 a dozen orders of magnitude, which is routine for the maintenance chains
-this package targets. A trajectory simulator is included as an independent
-cross-check of the solver.
+this package targets. The chains have a handful of states, so the solver
+works on plain lists of rows: at this size array routines cost more in
+per-call overhead than the O(n^3) arithmetic. A trajectory simulator is
+included as an independent cross-check of the solver; it and
+:func:`generator` are the only users of numpy, which they import on call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import SolverError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENERATOR_ROW_SUM_TOLERANCE = 1e-12
 
@@ -74,19 +78,19 @@ class Ctmc:
 
 def generator(chain: Ctmc) -> np.ndarray:
     """Infinitesimal generator: off-diagonals are rates, diagonal negates the row sum."""
-    n = len(chain.states)
-    q = np.zeros((n, n), dtype=float)
-    for tr in chain.transitions:
-        q[chain.index(tr.src), chain.index(tr.dst)] = tr.rate
+    import numpy as np  # only this array result and the simulator need numpy
+
+    q = np.array(_rate_matrix(chain), dtype=float)
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
 
-def _rate_matrix(chain: Ctmc) -> np.ndarray:
-    n = len(chain.states)
-    r = np.zeros((n, n), dtype=float)
+def _rate_matrix(chain: Ctmc) -> list[list[float]]:
+    """Transition rates as rows of a dense matrix; absent transitions are 0."""
+    index = {state: i for i, state in enumerate(chain.states)}
+    r = [[0.0] * len(index) for _ in index]
     for tr in chain.transitions:
-        r[chain.index(tr.src), chain.index(tr.dst)] = tr.rate
+        r[index[tr.src]][index[tr.dst]] = tr.rate
     return r
 
 
@@ -99,22 +103,20 @@ def reachable_closed_class(chain: Ctmc) -> tuple[str, ...]:
     for a maintenance model is a modeling bug rather than a solvable input.
     """
     rates = _rate_matrix(chain)
-    n = len(chain.states)
     start = chain.index(chain.initial)
 
-    def closure(adjacency: np.ndarray) -> set[int]:
+    def closure(adjacency: Sequence[Sequence[float]]) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
-            node = stack.pop()
-            for nxt in np.flatnonzero(adjacency[node]):
-                if int(nxt) not in seen:
-                    seen.add(int(nxt))
-                    stack.append(int(nxt))
+            for nxt, rate in enumerate(adjacency[stack.pop()]):
+                if rate > 0.0 and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         return seen
 
-    forward = closure(rates > 0)
-    backward = closure(rates.T > 0)
+    forward = closure(rates)
+    backward = closure(list(zip(*rates)))
     stranded = forward - backward
     if stranded:
         names = ", ".join(chain.states[i] for i in sorted(stranded))
@@ -125,24 +127,27 @@ def reachable_closed_class(chain: Ctmc) -> tuple[str, ...]:
     return tuple(s for i, s in enumerate(chain.states) if i in forward)
 
 
-def _gth(rates: np.ndarray) -> np.ndarray:
+def _gth(rates: list[list[float]]) -> list[float]:
     """Stationary vector of an irreducible rate matrix by GTH reduction.
 
     Works on off-diagonal rates only; subtraction-free throughout.
     """
-    r = rates.astype(float).copy()
-    n = r.shape[0]
+    r = [list(row) for row in rates]
+    n = len(r)
     for k in range(n - 1, 0, -1):
-        s = r[k, :k].sum()
+        exits = r[k][:k]
+        s = sum(exits)
         # irreducibility of the reduced chain guarantees an exit downward
         if s <= 0.0:
             raise SolverError("GTH reduction hit a state with no exit; chain is not irreducible")
-        r[:k, k] /= s
-        r[:k, :k] += np.outer(r[:k, k], r[k, :k])
-    pi = np.ones(n, dtype=float)
+        for row in r[:k]:
+            f = row[k] = row[k] / s
+            row[:k] = [a + f * b for a, b in zip(row, exits)]
+    pi = [1.0] * n
     for k in range(1, n):
-        pi[k] = pi[:k] @ r[:k, k]
-    return pi / pi.sum()
+        pi[k] = sum(pi[i] * r[i][k] for i in range(k))
+    total = sum(pi)
+    return [p / total for p in pi]
 
 
 def steady_state(chain: Ctmc) -> dict[str, float]:
@@ -159,9 +164,9 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
         result[closed[0]] = 1.0
         return result
     idx = [chain.index(s) for s in closed]
-    rates = _rate_matrix(chain)[np.ix_(idx, idx)]
-    pi = _gth(rates)
-    for state, value in zip(closed, pi.tolist()):
+    rates = _rate_matrix(chain)
+    pi = _gth([[rates[i][j] for j in idx] for i in idx])
+    for state, value in zip(closed, pi):
         result[state] = value
     return result
 
@@ -191,8 +196,10 @@ def simulate(chain: Ctmc, horizon: float, seed: int, batches: int = 20) -> Simul
     if batches < 2:
         raise ValidationError("need at least two batches for a standard error")
 
+    import numpy as np  # the seeded stream is numpy's generator
+
     n = len(chain.states)
-    rates = _rate_matrix(chain)
+    rates = np.array(_rate_matrix(chain), dtype=float)
     # compact per-state jump tables so a boundary draw can never select a
     # zero-rate target
     targets: list[np.ndarray] = []

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's solver code paths:
 marginals come from a dense full-joint tensor, steady states from a plain
-linear solve, and the five-state chain from a hand-derived closed form.
+linear solve or a 50-digit one, and the five-state chain from a hand-derived
+closed form.
 """
 
 from __future__ import annotations
@@ -95,6 +96,31 @@ def dense_steady_state(chain: ctmc.Ctmc) -> np.ndarray:
     rhs = np.zeros(len(chain.states))
     rhs[-1] = 1.0
     return np.linalg.solve(a, rhs)
+
+
+def mpmath_steady_state(chain: ctmc.Ctmc, digits: int = 50) -> list:
+    """Solve pi.Q = 0, sum(pi) = 1 by LU in ``digits``-digit arithmetic.
+
+    The rates are exact in mpmath, so with 50 digits even a chain whose
+    rates span fifteen orders of magnitude comes out correct to well past
+    double precision in every component. Needs mpmath, which redvote
+    does not declare; callers skip without it.
+    """
+    import mpmath
+
+    index = {state: i for i, state in enumerate(chain.states)}
+    n = len(index)
+    with mpmath.workdps(digits):
+        a = mpmath.zeros(n)  # the transposed generator, last row replaced by ones
+        for tr in chain.transitions:
+            a[index[tr.dst], index[tr.src]] += mpmath.mpf(tr.rate)
+            a[index[tr.src], index[tr.src]] -= mpmath.mpf(tr.rate)
+        rhs = mpmath.zeros(n, 1)
+        for j in range(n):
+            a[n - 1, j] = 1
+        rhs[n - 1] = 1
+        pi = mpmath.lu_solve(a, rhs)
+        return [pi[i] for i in range(n)]
 
 
 def random_irreducible_chain(rng: random.Random, max_states: int = 10) -> ctmc.Ctmc:

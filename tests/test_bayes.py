@@ -318,6 +318,25 @@ class TestPlanCache:
             second = self._assert_enumeration(ba, "C", evidence)
             assert first != second
 
+    def test_state_counts_are_in_the_key(self):
+        # same ids and parents; only the number of A's states differs
+        nets = [
+            bayes.build_net(
+                [bayes.Variable("A", states), bayes.Variable("B", B)],
+                [
+                    bayes.Cpt("A", (), {(): prior}),
+                    bayes.Cpt("B", ("A",), dict(zip(itertools.product(states), rows))),
+                ],
+            )
+            for states, prior, rows in (
+                (B, (0.4, 0.6), ((0.9, 0.1), (0.3, 0.7))),
+                (("lo", "mid", "hi"), (0.2, 0.5, 0.3), ((0.9, 0.1), (0.3, 0.7), (0.05, 0.95))),
+            )
+        ]
+        for net in nets + nets:
+            for target, evidence in (("B", {}), ("A", {}), ("A", {"B": "True"})):
+                self._assert_enumeration(net, target, evidence)
+
     def test_parent_set_is_in_the_key(self):
         cpt = ((0.9, 0.1), (0.2, 0.8))
         on_a, on_b = _child_of(("A",), cpt), _child_of(("B",), cpt)

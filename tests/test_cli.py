@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,8 @@ class TestSolve:
         text = text.replace("PAR_6 = 1;", "PAR_6 = 1e308;").replace("PAR_9 = 3;", "PAR_9 = 1e308;")
         overflowing = tmp_path / "overflow.rvm"
         overflowing.write_text(text)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may escape to stderr
             code, out, err = run(capsys, "solve", str(overflowing), "--format", "json",
                                  "--threshold", "1e-9")
         assert code == 4
@@ -286,4 +288,25 @@ def test_import_does_not_load_hashlib():
     probe = "import sys, redvote; print('hashlib' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
+def test_solve_does_not_load_numpy():
+    # variable elimination and GTH run on plain lists; only simulate and
+    # generator need numpy
+    src = str(Path(redvote.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from redvote import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['solve', path, '--format', 'json', '--threshold', '1e-9'])\n"
+        "    assert code in (0, 5), (path, code)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    models = sorted(str(p) for p in MODELS.glob("*.rvm"))
+    assert len(models) == 3
+    done = subprocess.run([sys.executable, "-c", probe, *models], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"

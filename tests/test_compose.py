@@ -1,5 +1,7 @@
 """Workflow validation, execution, sweeps, and composition invariants."""
 
+import re
+
 import pytest
 
 from redvote import compose, nmr
@@ -347,3 +349,25 @@ class TestSweep:
             compose.sweep(case_study_workflow(), "phi.PAR_9", [1.0])
         with pytest.raises(ValidationError, match="instance>.<input"):
             compose.sweep(case_study_workflow(), "PAR_1", [1.0])
+
+    @pytest.mark.parametrize("path, factor, message", [
+        ("phi.PAR_1", 1e5, "probability input 'PAR_1' must lie in [0, 1]"),
+        ("mu.PAR_6", -1.0, "rate input 'PAR_6' must be non-negative"),
+    ])
+    def test_out_of_range_point_raises_the_validation_error(self, path, factor, message):
+        # the sweep validates once, then re-checks only the scaled literal
+        workflow = case_study_workflow()
+        inst_name, pname = path.split(".")
+        instances = tuple(
+            compose.ModelInstance(i.name, i.class_name, {
+                **i.bindings, pname: compose.Literal(i.bindings[pname].value * factor),
+            }) if i.name == inst_name else i
+            for i in workflow.instances
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)) as direct:
+            compose.validate_workflow(
+                compose.Workflow(workflow.name, (), instances, workflow.exports)
+            )
+        with pytest.raises(ValidationError) as swept:
+            compose.sweep(workflow, path, [1.0, factor])
+        assert str(swept.value) == str(direct.value)

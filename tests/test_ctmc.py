@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redvote import ctmc
 from redvote.errors import SolverError, ValidationError
 
-from oracles import dense_steady_state, random_irreducible_chain
+from oracles import dense_steady_state, mpmath_steady_state, random_irreducible_chain
 
 
 def _two_state(r01=2.0, r10=6.0):
@@ -16,6 +18,22 @@ def _two_state(r01=2.0, r10=6.0):
         ("S0", "S1"), "S0",
         (ctmc.Transition("S0", "S1", r01), ctmc.Transition("S1", "S0", r10)),
     )
+
+
+@st.composite
+def stiff_chains(draw):
+    """Irreducible chains (a full cycle plus random extra transitions) of
+    2-8 states with rates log-uniform in 1e-12..1e3."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    states = tuple(f"S{i}" for i in range(n))
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs.update(draw(st.lists(extra, max_size=n * (n - 1))))
+    exponents = draw(st.lists(st.floats(-12.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
+    return ctmc.Ctmc(states, states[0], tuple(
+        ctmc.Transition(states[i], states[j], 10.0 ** e)
+        for (i, j), e in zip(sorted(pairs), exponents)
+    ))
 
 
 class TestCtmcInvariants:
@@ -151,6 +169,16 @@ class TestSteadyState:
         pi_scaled = ctmc.steady_state(scaled)
         for state in chain.states:
             assert abs(pi[state] - pi_scaled[state]) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(stiff_chains())
+    def test_relative_accuracy_against_mpmath(self, chain):
+        # a dense solve's absolute error hides relative error in tiny
+        # probabilities, which are exactly the hazard figures
+        pytest.importorskip("mpmath")
+        pi = ctmc.steady_state(chain)
+        for state, want in zip(chain.states, mpmath_steady_state(chain)):
+            assert abs(pi[state] - want) <= 1e-13 * want, state
 
     def test_single_state_chain(self):
         pi = ctmc.steady_state(ctmc.Ctmc(("S0",), "S0", ()))
