@@ -13,9 +13,10 @@ fastest. At this size no factor has more than a few dozen entries, so the
 fixed cost of each call dominates, and plain lists beat array routines, whose
 per-call overhead (and import) costs more than the arithmetic. The min-fill
 order and the elimination plan, which reads every factor through precomputed
-gather indices, depend only on the network's structure, the query and the set
-of evidence variables, so each is computed once per such triple and reused
-across parameter values and observed states.
+gather indices, depend only on the network's structure and the target, so each
+is computed once per (structure, target) pair and reused across parameter
+values and evidence. An observation enters as an indicator on its variable's
+own table (Darwiche 2003), not as a change of plan.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
                 f"CPT row {key!r} for {cpt.child!r} has {len(dist)} entries, "
                 f"expected {child.cardinality}"
             )
-        if any(p < 0.0 or p > 1.0 for p in dist):
+        if any(not 0.0 <= p <= 1.0 for p in dist):  # NaN fails every comparison
             raise ValidationError(f"CPT row {key!r} for {cpt.child!r} has entries outside [0, 1]")
         if abs(sum(dist) - 1.0) > ROW_SUM_TOLERANCE:
             raise ValidationError(
@@ -267,22 +268,19 @@ _Read = Callable[[Sequence[float]], Sequence[float]]
 
 @dataclass(frozen=True)
 class _Plan:
-    """Variable elimination for one (structure, target, evidence variables).
+    """Variable elimination of every variable but the target, for one
+    (structure, target).
 
-    Slots ``0..n-1`` hold the flat CPT tables in variable order. Each slice
-    ``(slot, evidence strides, read)`` first cuts a table that mentions
-    evidence down to its unobserved variables: ``read`` gathers precomputed
-    offsets from ``base``, the sum of stride times observed state index.
-    Each step ``(reads, group)`` then gathers every factor it multiplies at
+    Slots ``0..n-1`` hold the flat CPT tables in variable order, each
+    observed variable's table already multiplied by its evidence indicator.
+    Each step ``(reads, group)`` gathers every factor it multiplies at
     precomputed indices enumerated over the step's scope, row-major with the
     eliminated variable innermost, multiplies elementwise and sums
     consecutive runs of ``group`` products; its result takes the next slot.
-    The last step yields the unnormalised target vector, or the evidence
-    probability when there is no target.
+    The last step yields ``P(target, evidence)`` over the target's states.
     """
 
     order: tuple[str, ...]
-    slices: tuple[tuple[int, tuple[tuple[str, int], ...], _Read], ...]
     steps: tuple[tuple[tuple[tuple[int, _Read], ...], int], ...]
 
 
@@ -293,6 +291,8 @@ def elimination_order(
 
     Ties on fill count break in variable-id order, which makes the order,
     and therefore every inference result, fully deterministic.
+    :func:`marginal` eliminates in ``elimination_order(net, target)``
+    whatever the evidence, since observations enter as indicators.
     """
     evidence = dict(evidence or {})
     query_set = {query} if isinstance(query, str) else set(query)
@@ -349,44 +349,31 @@ def _strides(vars_: Sequence[str], card: Mapping[str, int]) -> dict[str, int]:
 @functools.lru_cache(maxsize=8 * PLAN_CACHE_SIZE)  # a handful of layouts per plan
 def _gather(layout: tuple[tuple[int, int], ...]) -> _Read:
     """Reader of a flat table's entries at each row-major assignment of a
-    scope whose variables have ``(state count, stride in the table)``; a
-    scope variable the table lacks has stride 0. Nets of mostly binary
-    variables share few layouts, so the cache spares most of a cold plan's
-    index building."""
+    non-empty scope whose variables have ``(state count, stride in the
+    table)``; a scope variable the table lacks has stride 0. Nets of mostly
+    binary variables share few layouts, so the cache spares most of a cold
+    plan's index building."""
     index = [0]
     for count, stride in layout:
         offsets = range(0, count * stride, stride) if stride else (0,) * count
         index = [i + o for i in index for o in offsets]
-    if len(index) == 1:  # itemgetter of a single index returns the bare entry
-        return itemgetter(slice(index[0], index[0] + 1))
     return itemgetter(*index)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(signature: Signature, target: str | None, evidence: frozenset[str]) -> _Plan:
-    query = () if target is None else (target,)
-    order = _min_fill(signature, frozenset(query), evidence)
+def _plan(signature: Signature, target: str) -> _Plan:
+    order = _min_fill(signature, frozenset((target,)), frozenset())
     card = {vid: n for vid, _, n in signature}
     # slot -> (variables, strides) of each live factor; a merged factor goes last
     live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
-    slices = []
     for slot, (vid, parents, _) in enumerate(signature):
-        scope = parents + (vid,)
-        kept = tuple(v for v in scope if v not in evidence)
-        strides = _strides(scope, card)
-        if len(kept) < len(scope):
-            observed = tuple((v, strides[v]) for v in scope if v in evidence)
-            slices.append((slot, observed, _gather(tuple((card[v], strides[v]) for v in kept))))
-            strides = _strides(kept, card)
-        live[slot] = (kept, strides)
+        live[slot] = (parents + (vid,), _strides(parents + (vid,), card))
     steps = []
-    for vid in order + (None,):  # None: the final product onto the query
+    for vid in order + (None,):  # None: the final product onto the target
         related = [slot for slot, (vars_, _) in live.items() if vid is None or vid in vars_]
-        if not related:
-            continue
         if vid is None:
-            # every other variable is eliminated or observed by now
-            out_vars, scope, group = query, query, 1
+            # every other variable is eliminated by now
+            out_vars, scope, group = (target,), (target,), 1
         else:
             out_vars = tuple(dict.fromkeys(v for s in related for v in live[s][0] if v != vid))
             scope, group = out_vars + (vid,), card[vid]
@@ -396,16 +383,18 @@ def _plan(signature: Signature, target: str | None, evidence: frozenset[str]) ->
             reads.append((s, _gather(tuple((card[v], strides.get(v, 0)) for v in scope))))
         steps.append((tuple(reads), group))
         live[len(signature) + len(steps) - 1] = (out_vars, _strides(out_vars, card))
-    return _Plan(order, tuple(slices), tuple(steps))
+    return _Plan(order, tuple(steps))
 
 
-def _eliminate(net: BayesNet, target: str | None, ev_idx: Mapping[str, int]) -> Sequence[float]:
-    plan = _plan(net.signature, target, frozenset(ev_idx))
+def _eliminate(net: BayesNet, target: str, ev_idx: Mapping[str, int]) -> Sequence[float]:
     tables: list[Sequence[float]] = list(net._tables)
-    for slot, observed, read in plan.slices:
-        base = sum(stride * ev_idx[v] for v, stride in observed)
-        tables[slot] = read(tables[slot][base:])
-    for reads, group in plan.steps:
+    for slot, (vid, _, count) in enumerate(net.signature):
+        if vid in ev_idx:
+            # the indicator of ``vid = k``: keep the entries whose child state is k
+            k, table = ev_idx[vid], tables[slot]
+            tables[slot] = [0.0] * len(table)
+            tables[slot][k::count] = table[k::count]
+    for reads, group in _plan(net.signature, target).steps:
         (slot, read), *rest = reads
         product = read(tables[slot])
         for slot, read in rest:
@@ -421,24 +410,23 @@ def _eliminate(net: BayesNet, target: str | None, ev_idx: Mapping[str, int]) -> 
 def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Distribution:
     """Exact ``P(target | evidence)`` by variable elimination.
 
-    With empty evidence this is the prior marginal. Evidence whose own
-    probability is zero raises :class:`ZeroEvidenceError` instead of
-    returning an all-zero distribution: silently propagating an impossible
-    observation would corrupt downstream safety figures.
+    The plan eliminates ``elimination_order(net, target)`` and does not
+    depend on the evidence. Each observation ``v = k`` enters as the
+    indicator of ``k``: the entries of ``v``'s own table for any other state
+    of ``v`` are zeroed, so the plan yields ``P(target, evidence)`` and its
+    sum is the evidence probability. An observed target therefore comes out
+    as a point mass. Evidence whose own probability is zero raises
+    :class:`ZeroEvidenceError` instead of returning an all-zero
+    distribution: silently propagating an impossible observation would
+    corrupt downstream safety figures.
     """
     evidence = dict(evidence or {})
     var = net.variable(target)
     ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
-
-    # an observed target still pays for the evidence probability, so that
-    # impossible observations fail
-    observed = target in evidence
-    vector = _eliminate(net, None if observed else target, ev_idx)
+    vector = _eliminate(net, target, ev_idx)
     z = sum(vector)
-    if z <= 0.0:
+    if not z > 0.0:  # NaN fails too
         raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
-    if observed:
-        return Distribution(target, {s: float(s == evidence[target]) for s in var.states})
     return Distribution(target, {s: p / z for s, p in zip(var.states, vector)})
 
 

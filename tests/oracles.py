@@ -60,8 +60,10 @@ def enum_marginal(
     return vector / vector.sum()
 
 
-def random_net(rng: random.Random, max_nodes: int = 8) -> bayes.BayesNet:
-    """A random binary-variable DAG with strictly positive CPT entries."""
+def random_net(rng: random.Random, max_nodes: int = 8, gates: float = 0.0) -> bayes.BayesNet:
+    """A random binary-variable DAG with strictly positive CPT entries,
+    except that each row of a non-root is, with probability ``gates``, a
+    deterministic 0/1 row like the failure network's logic gates."""
     n = rng.randint(1, max_nodes)
     ids = [f"V{i}" for i in range(n)]
     variables = [bayes.Variable(vid, ("False", "True")) for vid in ids]
@@ -72,7 +74,10 @@ def random_net(rng: random.Random, max_nodes: int = 8) -> bayes.BayesNet:
         rows = {}
         parent_states = [("False", "True")] * len(parents)
         for combo in itertools.product(*parent_states):
-            p = rng.uniform(0.05, 0.95)
+            if gates and parents and rng.random() < gates:
+                p = float(rng.random() < 0.5)
+            else:
+                p = rng.uniform(0.05, 0.95)
             rows[combo] = (1.0 - p, p)
         cpts.append(bayes.Cpt(vid, parents, rows))
     return bayes.build_net(variables, cpts)
@@ -103,8 +108,8 @@ def mpmath_steady_state(chain: ctmc.Ctmc, digits: int = 50) -> list:
 
     The rates are exact in mpmath, so with 50 digits even a chain whose
     rates span fifteen orders of magnitude comes out correct to well past
-    double precision in every component. Needs mpmath, which redvote
-    does not declare; callers skip without it.
+    double precision in every component. Needs mpmath, which only
+    redvote's ``test`` extra declares; callers skip without it.
     """
     import mpmath
 

@@ -13,6 +13,7 @@ from redvote.errors import ValidationError, ZeroEvidenceError
 
 from oracles import (
     enum_marginal,
+    full_joint,
     random_evidence,
     random_net,
     uncorr_probability,
@@ -91,6 +92,11 @@ class TestBuildNet:
         cpt = bayes.Cpt("A", (), {(): (0.5, 0.5)})
         with pytest.raises(ValidationError, match="more than one CPT"):
             bayes.build_net([bayes.Variable("A", B)], [cpt, cpt])
+
+    def test_nan_entry_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError, match="outside"):
+            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): (nan, nan)})])
 
     def test_variable_invariants(self):
         with pytest.raises(ValidationError, match="at least two states"):
@@ -175,6 +181,40 @@ class TestMarginal:
             bayes.marginal(net, "Nope")
         with pytest.raises(ValidationError, match="no state"):
             bayes.marginal(net, "A", {"B": "Maybe"})
+
+    def test_indicators_on_deterministic_gates(self):
+        # evidence enters as zeroed table entries, so 0/1 gate rows must not
+        # turn an impossible observation into a finite posterior
+        rng = random.Random(23)
+        impossible = 0
+        for _ in range(25):
+            net = random_net(rng, max_nodes=6, gates=0.5)
+            ids = net.variable_ids
+            joint = full_joint(net)
+            for observed in itertools.chain(
+                itertools.combinations(ids, 1), itertools.combinations(ids, 2)
+            ):
+                for states in itertools.product(B, repeat=len(observed)):
+                    evidence = dict(zip(observed, states))
+                    index = tuple(
+                        net.state_index(v, evidence[v]) if v in evidence else slice(None)
+                        for v in ids
+                    )
+                    if joint[index].sum() == 0.0:
+                        impossible += 1
+                        for target in (ids[0], observed[0]):
+                            with pytest.raises(ZeroEvidenceError):
+                                bayes.marginal(net, target, evidence)
+                        continue
+                    for target in ids:
+                        got = bayes.marginal(net, target, evidence)
+                        if target in evidence:
+                            want = [float(s == evidence[target]) for s in B]
+                        else:
+                            want = enum_marginal(net, target, evidence)
+                        for state, p in zip(B, want):
+                            assert abs(got[state] - p) <= 1e-12
+        assert impossible > 0
 
     def test_target_in_evidence_is_point_mass(self):
         net = _chain_abc()
@@ -345,3 +385,26 @@ class TestPlanCache:
             first = self._assert_enumeration(on_a, target, evidence)
             second = self._assert_enumeration(on_b, target, evidence)
             assert first != second
+
+    def test_plan_does_not_depend_on_the_evidence(self):
+        # unit A's transient fault activates, escapes, and its exclusion fails
+        hazard = {
+            "Fault_A": "True", "Fault_type_A": "Transient",
+            "Fault_detectability_A": "Detectable", "Transient_Fault_A": "True",
+            "Permanent_Fault_A": "False", "Detectable_Fault_A": "False",
+            "Non_detectable_Fault_A": "False", "Error_due_to_Transient_A": "True",
+            "Undetected_permanent_A": "False", "UNCORR_A": "True", "Excl_A": "True",
+            "Fault_B": "False", "Fault_type_B": "Transient",
+            "Fault_detectability_B": "Detectable", "Transient_Fault_B": "False",
+            "Permanent_Fault_B": "False", "Detectable_Fault_B": "False",
+            "Non_detectable_Fault_B": "False", "Error_due_to_Transient_B": "False",
+            "Undetected_permanent_B": "False", "UNCORR_B": "False", "Excl_B": "False",
+            "Same_output_alterations": "False", "UNSAFE_OUTPUT": "True",
+        }
+        net = nmr.build_failure_bn(nmr.FailureParams(1.6666e-5, 0.1, 0.1))
+        assert set(hazard) == set(net.variable_ids)
+        assert bayes.joint_probability(net, hazard) > 0.0
+        bayes._plan.cache_clear()
+        for vid, state in hazard.items():
+            bayes.posterior_report(net, {"UNSAFE_OUTPUT": "True", vid: state})
+        assert bayes._plan.cache_info().misses <= len(net)
