@@ -22,6 +22,7 @@ own table (Darwiche 2003), not as a change of plan.
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 from dataclasses import dataclass
 from operator import add, itemgetter, mul
@@ -36,6 +37,9 @@ Evidence = Mapping[str, str]
 Signature = tuple[tuple[str, tuple[str, ...], int], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
+
+#: Bound on the number of cached acyclicity checks, min-fill orders and plans.
+PLAN_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class BayesNet:
     concurrent queries against one net are safe.
     """
 
-    __slots__ = ("variables", "cpts", "signature", "_by_id", "_tables", "_topo")
+    __slots__ = ("variables", "cpts", "signature", "_by_id", "_tables")
 
     def __init__(
         self,
@@ -111,22 +115,16 @@ class BayesNet:
         signature: Signature,
         by_id: Mapping[str, Variable],
         tables: Sequence[list[float]],
-        topo: tuple[str, ...],
     ) -> None:
         self.variables = variables
         self.cpts = dict(cpts)
         self.signature = signature
         self._by_id = dict(by_id)
         self._tables = tuple(tables)  # flat CPT tables, in variable order
-        self._topo = topo
 
     @property
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)
-
-    @property
-    def topological_order(self) -> tuple[str, ...]:
-        return self._topo
 
     def variable(self, var_id: str) -> Variable:
         try:
@@ -184,33 +182,18 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
                 raise ValidationError(f"CPT for {cpt.child!r} repeats parent {parent!r}")
             seen.add(parent)
 
-    topo = _topological_order(by_id, cpt_map)
-    tables = [_dense_table(cpt_map[var.id], by_id) for var in vars_]
     signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
-    return BayesNet(vars_, cpt_map, signature, by_id, tables, topo)
+    _check_acyclic(signature)  # before the tables, so a cycle is reported first
+    tables = [_dense_table(cpt_map[var.id], by_id) for var in vars_]
+    return BayesNet(vars_, cpt_map, signature, by_id, tables)
 
 
-def _topological_order(by_id: Mapping[str, Variable], cpt_map: Mapping[str, Cpt]) -> tuple[str, ...]:
-    remaining_parents = {child: set(cpt.parents) for child, cpt in cpt_map.items()}
-    children: dict[str, list[str]] = {vid: [] for vid in by_id}
-    for child, cpt in cpt_map.items():
-        for parent in cpt.parents:
-            children[parent].append(child)
-    ready = sorted(vid for vid, parents in remaining_parents.items() if not parents)
-    order: list[str] = []
-    while ready:
-        vid = ready.pop(0)
-        order.append(vid)
-        for child in children[vid]:
-            remaining_parents[child].discard(vid)
-            if not remaining_parents[child]:
-                # keep the scan order deterministic
-                ready.append(child)
-                ready.sort()
-    if len(order) != len(by_id):
-        cyclic = sorted(vid for vid, parents in remaining_parents.items() if parents)
-        raise ValidationError(f"cycle detected in the parent graph among: {', '.join(cyclic)}")
-    return tuple(order)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)  # a sweep rebuilds one structure per point
+def _check_acyclic(signature: Signature) -> None:
+    try:
+        graphlib.TopologicalSorter({vid: parents for vid, parents, _ in signature}).prepare()
+    except graphlib.CycleError as exc:
+        raise ValidationError(f"cycle in the parent graph: {' -> '.join(exc.args[1])}") from None
 
 
 def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
@@ -258,9 +241,6 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
 
 
 # --- variable elimination ---------------------------------------------------
-
-#: Bound on the number of cached min-fill orders, and of cached plans.
-PLAN_CACHE_SIZE = 128
 
 #: Gathers a flat table's entries at fixed indices.
 _Read = Callable[[Sequence[float]], Sequence[float]]

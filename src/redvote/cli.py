@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, bayes, compose, dsl, nmr, report
+from . import __version__, bayes, compose, dsl, report
 from .errors import SolverError, ValidationError, ZeroEvidenceError
 
 EXIT_OK = 0
@@ -22,6 +22,13 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_VERDICT = 5
 
+#: Per ``--format``: the ``report`` renderers of an analysis and of a sweep report.
+_RENDERERS = {
+    "text": ("render_text", "render_sweep_text"),
+    "json": ("to_json", "sweep_to_json"),
+    "csv": ("render_csv", "render_sweep_csv"),
+}
+
 
 def _use_color(stream) -> bool:
     if os.environ.get("REDVOTE_NO_COLOR"):
@@ -29,9 +36,16 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+def _write_report(
+    rep: report.AnalysisReport | report.SweepReport, args: argparse.Namespace
+) -> None:
+    """Render ``rep`` in ``args.format`` to ``args.out``, or to stdout."""
+    name = _RENDERERS[args.format][isinstance(rep, report.SweepReport)]
+    options = {"color": _use_color(sys.stdout) and not args.out} if name == "render_text" else {}
+    # looked up at call time, so that wrappers installed on ``report`` see the call
+    text = getattr(report, name)(rep, **options)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -82,12 +96,7 @@ def _base_report(
     )
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    data, workflow = loaded
-
+def cmd_solve(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
     validated = compose.validate_workflow(workflow)
     if args.threshold is not None:
         metric = _verdict_metric(workflow)  # fail fast before solving
@@ -105,51 +114,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rep.sil_note = report.sil_band_note(value)
         if rep.verdict == "FAIL":
             code = EXIT_VERDICT
-
-    if args.format == "json":
-        _emit(report.to_json(rep), args.out)
-    elif args.format == "csv":
-        _emit(report.render_csv(rep), args.out)
-    else:
-        _emit(report.render_text(rep, color=_use_color(sys.stdout) and not args.out), args.out)
+    _write_report(rep, args)
     return code
 
 
-def _failure_net_for_instance(
-    validated: compose.ValidatedWorkflow,
-    result: compose.SolveResult,
-    instance_name: str,
-) -> bayes.BayesNet:
-    by_name = {inst.name: inst for inst in validated.workflow.instances}
-    if instance_name not in by_name:
-        raise ValidationError(f"unknown instance {instance_name!r}")
-    inst = by_name[instance_name]
-    cls = validated.instance_class(inst)
-    if cls.formalism != "BAYES":
-        raise ValidationError(
-            f"instance {instance_name!r} is a {cls.formalism} model; "
-            "posteriors need a BAYES instance"
-        )
-
-    def lookup(leaf: compose.Expr) -> float:
-        assert isinstance(leaf, compose.Ref)
-        return result.instances[leaf.instance][leaf.output]
-
-    values = {
-        pname: compose.eval_expr(expr, lookup) for pname, expr in inst.bindings.items()
-    }
-    if isinstance(cls.template, compose.InlineBayes):
-        return compose.inline_bayes_net(cls.template)
-    params = nmr.FailureParams(values["PAR_1"], values["PAR_2"], values["PAR_3"])
-    return nmr.build_failure_bn(params)
-
-
-def cmd_posteriors(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    data, workflow = loaded
-
+def cmd_posteriors(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
     evidence: dict[str, str] = {}
     for item in args.evidence or []:
         if "=" not in item:
@@ -160,30 +129,20 @@ def cmd_posteriors(args: argparse.Namespace) -> int:
 
     validated = compose.validate_workflow(workflow)
     result = compose.run_workflow(validated)
-    net = _failure_net_for_instance(validated, result, args.instance)
+    net = compose.instance_net(validated, result, args.instance)
 
-    table: dict[str, dict[str, float]] = {}
-    for var_id in sorted(net.variable_ids):
-        dist = bayes.marginal(net, var_id, evidence)
-        table[var_id] = dict(dist.probabilities)
-
+    # observed variables are listed too, as point masses on their observed state
+    dists = bayes.posterior_report(net, evidence)
+    dists += [bayes.marginal(net, var_id, evidence) for var_id in evidence]
     rep = _base_report(workflow, data, result)
-    rep.posteriors = table
-    if args.format == "json":
-        _emit(report.to_json(rep), args.out)
-    elif args.format == "csv":
-        _emit(report.render_csv(rep), args.out)
-    else:
-        _emit(report.render_text(rep, color=_use_color(sys.stdout) and not args.out), args.out)
+    rep.posteriors = {
+        d.variable: dict(d.probabilities) for d in sorted(dists, key=lambda d: d.variable)
+    }
+    _write_report(rep, args)
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    data, workflow = loaded
-
+def cmd_sweep(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip()]
     except ValueError:
@@ -209,20 +168,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for factor, result in zip(factors, results)
         ],
     )
-    if args.format == "json":
-        _emit(report.sweep_to_json(rep), args.out)
-    elif args.format == "csv":
-        _emit(report.render_sweep_csv(rep), args.out)
-    else:
-        _emit(report.render_sweep_text(rep), args.out)
+    _write_report(rep, args)
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    _, workflow = loaded
+def cmd_validate(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
     compose.validate_workflow(workflow)
     return EXIT_OK
 
@@ -275,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        loaded = _load(args.file)
+        if isinstance(loaded, int):
+            return loaded
+        return args.func(args, *loaded)
     except ZeroEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -14,8 +14,10 @@ is any coupling through shared states or actions.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -360,7 +362,11 @@ def _check_bindings(
 
 
 def _check_literal(instance: str, decl: ParamDecl, value: float) -> None:
-    """The range of a literal bound to an input of kind ``decl.kind``."""
+    """A literal bound to an input must be finite and lie in the range of ``decl.kind``."""
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"instance {instance!r}: input {decl.name!r} must be finite, got {value!r}"
+        )
     if decl.kind in ("probability", "ratio") and not 0.0 <= value <= 1.0:
         raise ValidationError(
             f"instance {instance!r}: {decl.kind} input {decl.name!r} "
@@ -374,52 +380,25 @@ def _check_literal(instance: str, decl: ParamDecl, value: float) -> None:
 
 
 def _topological_order(workflow: Workflow) -> tuple[str, ...]:
-    names = [inst.name for inst in workflow.instances]
-    deps: dict[str, set[str]] = {name: set() for name in names}
+    """Solve order: first in, first out over the ready instances, and the
+    instances that one solve makes ready queue up in declaration order."""
+    position = {inst.name: i for i, inst in enumerate(workflow.instances)}
+    sorter = graphlib.TopologicalSorter()
     for inst in workflow.instances:
-        for expr in inst.bindings.values():
-            for ref in expr_refs(expr):
-                deps[inst.name].add(ref.instance)
+        sorter.add(inst.name, *(ref.instance for expr in inst.bindings.values()
+                                for ref in expr_refs(expr)))
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise ValidationError(f"binding cycle: {' -> '.join(exc.args[1])}") from None
     order: list[str] = []
-    ready = [name for name in names if not deps[name]]
-    remaining = {name: set(d) for name, d in deps.items()}
+    ready = deque(sorted(sorter.get_ready(), key=position.__getitem__))
     while ready:
-        name = ready.pop(0)
+        name = ready.popleft()
         order.append(name)
-        for other in names:
-            if name in remaining.get(other, ()):
-                remaining[other].discard(name)
-                if not remaining[other] and other not in order and other not in ready:
-                    ready.append(other)
-    if len(order) != len(names):
-        cycle = _find_cycle(deps)
-        raise ValidationError(f"binding cycle: {' -> '.join(cycle)}")
+        sorter.done(name)
+        ready.extend(sorted(sorter.get_ready(), key=position.__getitem__))
     return tuple(order)
-
-
-def _find_cycle(deps: Mapping[str, set[str]]) -> list[str]:
-    visiting: list[str] = []
-    done: set[str] = set()
-
-    def walk(node: str) -> list[str] | None:
-        if node in visiting:
-            return visiting[visiting.index(node):] + [node]
-        if node in done:
-            return None
-        visiting.append(node)
-        for dep in sorted(deps.get(node, ())):
-            found = walk(dep)
-            if found:
-                return found
-        visiting.pop()
-        done.add(node)
-        return None
-
-    for name in sorted(deps):
-        found = walk(name)
-        if found:
-            return found
-    return ["<unknown>"]
 
 
 def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
@@ -491,9 +470,9 @@ def _solve_instance(
         transitions = []
         for src, dst, expr in template.rates:
             rate = eval_expr(expr, lambda leaf: values[leaf.name])
-            if rate < 0.0:
+            if not rate >= 0.0:  # NaN fails too
                 raise SolverError(
-                    f"rate {src} -> {dst} evaluated to {rate!r}; rates must not be negative"
+                    f"rate {src} -> {dst} evaluated to {rate!r}; rates must be non-negative numbers"
                 )
             if rate > 0.0:
                 transitions.append(ctmc.Transition(src, dst, rate))
@@ -512,6 +491,11 @@ def _solve_instance(
             f"{inst.name}: inline network {cls.template.name} via variable elimination"
         )
     raise ValidationError(f"instance {inst.name!r} has an unsolvable template")
+
+
+def _evaluate(expr: Expr, solved: Mapping[str, Mapping[str, float]]) -> float:
+    """Evaluate a binding or export expression over solved instance outputs."""
+    return eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
 
 
 def _require_finite(what: str, values: Mapping[str, float]) -> None:
@@ -552,15 +536,10 @@ def run_workflow(
 
     solved: dict[str, dict[str, float]] = {}
     notes: list[str] = []
-
-    def lookup(leaf: Expr) -> float:
-        assert isinstance(leaf, Ref)
-        return solved[leaf.instance][leaf.output]
-
     for name in solve_order:
         inst = by_name[name]
         cls = validated.instance_class(inst)
-        values = {pname: eval_expr(expr, lookup) for pname, expr in inst.bindings.items()}
+        values = {pname: _evaluate(expr, solved) for pname, expr in inst.bindings.items()}
         try:
             outputs, note = _solve_instance(inst, cls, values)
         except RedvoteError as exc:
@@ -569,11 +548,27 @@ def run_workflow(
         solved[name] = outputs
         notes.append(note)
 
-    exports = {
-        export.name: eval_expr(export.expr, lookup) for export in wf.exports
-    }
+    exports = {export.name: _evaluate(export.expr, solved) for export in wf.exports}
     _require_finite("export", exports)
     return SolveResult(instances=solved, exports=exports, provenance=tuple(notes))
+
+
+def instance_net(validated: ValidatedWorkflow, result: SolveResult, name: str) -> bayes.BayesNet:
+    """The network of the BAYES instance ``name``, its inputs evaluated over
+    ``result``, the outputs of ``run_workflow(validated)``."""
+    by_name = {inst.name: inst for inst in validated.workflow.instances}
+    if name not in by_name:
+        raise ValidationError(f"unknown instance {name!r}")
+    inst = by_name[name]
+    cls = validated.instance_class(inst)
+    if cls.formalism != "BAYES":
+        raise ValidationError(
+            f"instance {name!r} is a {cls.formalism} model; posteriors need a BAYES instance"
+        )
+    if isinstance(cls.template, InlineBayes):
+        return inline_bayes_net(cls.template)
+    values = {pname: _evaluate(expr, result.instances) for pname, expr in inst.bindings.items()}
+    return nmr.build_failure_bn(nmr.failure_params(values))
 
 
 def sweep(

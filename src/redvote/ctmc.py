@@ -67,7 +67,11 @@ class Ctmc:
                 # almost certainly a typo in a model file, so refuse to sum
                 raise ValidationError(f"duplicate transition {tr.src!r} -> {tr.dst!r}")
             seen.add(key)
-            if not (tr.rate > 0.0) or not math.isfinite(tr.rate):
+            if not math.isfinite(tr.rate):
+                raise ValidationError(
+                    f"transition {tr.src!r} -> {tr.dst!r}: rate {tr.rate!r} must be finite"
+                )
+            if not tr.rate > 0.0:
                 raise ValidationError(
                     f"transition {tr.src!r} -> {tr.dst!r} has non-positive rate {tr.rate!r}"
                 )

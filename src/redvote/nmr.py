@@ -18,9 +18,10 @@ published hazard figures; swapping either direction does not.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import bayes, ctmc
 from .errors import ValidationError
@@ -120,7 +121,6 @@ class InterfaceValues:
     par10: float | None = None
     hr_2oo2: float | None = None
     hfr_2oo3: float | None = None
-    mtbhe_2oo2: float | None = None
     mtbhe_2oo3: float | None = None
 
 
@@ -250,10 +250,62 @@ def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
 DEFAULT_FAILURE_PARAMS = FailureParams(par1=1.6666e-5, par2=0.1, par3=0.1)
 
 
-def _add_rate(transitions: list[ctmc.Transition], src: str, dst: str, rate: float) -> None:
-    # zero-valued rates denote an absent transition, not a zero-rate edge
-    if rate > 0.0:
-        transitions.append(ctmc.Transition(src, dst, rate))
+#: Per level: states, initial state, and ``(src, dst, rate name)`` rows in transition
+#: order; each rate name is a key of the rates :func:`build_maintenance_ctmc` derives.
+_CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str, str], ...]]] = {
+    MaintenanceLevel.FOUR_STATE: (
+        ("S0", "S1", "S2", "S3"),
+        "S0",
+        (
+            ("S0", "S1", "safe_shutdown"),
+            ("S0", "S3", "unsafe"),
+            ("S1", "S0", "repair"),
+            ("S1", "S2", "unsafe"),
+            ("S2", "S0", "repair_ok"),
+            ("S2", "S3", "repair_bad_or_power_cycle"),
+            ("S3", "S2", "safe_shutdown"),
+        ),
+    ),
+    MaintenanceLevel.FIVE_STATE: (
+        ("S0", "S1", "S2", "S3", "S4"),
+        "S0",
+        (
+            ("S0", "S1", "safe_shutdown"),
+            ("S0", "S3", "unsafe"),
+            ("S1", "S0", "repair"),
+            ("S1", "S2", "unsafe"),
+            ("S2", "S0", "repair_ok"),
+            ("S2", "S3", "repair_bad"),
+            ("S2", "S4", "power_loss"),
+            ("S3", "S2", "safe_shutdown"),
+            ("S3", "S4", "power_loss"),
+            ("S4", "S3", "power_restore"),
+        ),
+    ),
+    MaintenanceLevel.EIGHT_STATE: (
+        ("S0p", "S0s", "S1", "S2", "S3", "S4", "S5", "S6"),
+        "S0p",
+        (
+            ("S0p", "S3", "unsafe"),
+            ("S0s", "S3", "unsafe"),
+            ("S0p", "S1", "safe_shutdown"),
+            ("S0p", "S0s", "diag_fault"),
+            ("S0s", "S5", "safe_shutdown"),
+            ("S1", "S0p", "repair"),
+            ("S1", "S2", "unsafe"),
+            ("S2", "S0p", "repair_ok"),
+            ("S2", "S3", "repair_bad"),
+            ("S2", "S4", "power_loss"),
+            ("S3", "S2", "safe_shutdown"),
+            ("S3", "S4", "power_loss"),
+            ("S4", "S3", "power_restore"),
+            ("S5", "S0p", "repair_ok"),
+            ("S5", "S0s", "repair_bad"),
+            ("S5", "S6", "power_loss"),
+            ("S6", "S5", "power_restore"),
+        ),
+    ),
+}
 
 
 def build_maintenance_ctmc(
@@ -274,67 +326,34 @@ def build_maintenance_ctmc(
     mirroring S2/S4); its transition set is a documented reconstruction and
     needs the fault-occurrence parameters, supplied via ``failure``
     (reference defaults when omitted). No published figure depends on the
-    eight-state variant.
+    eight-state variant. A rate of zero denotes an absent transition, so
+    its row is left out of the chain.
     """
     safe_shutdown = 2.0 * params.par4 - params.par5
     if not safe_shutdown > 0.0:
         raise ValidationError(
             f"safe-shutdown rate 2*par4 - par5 must be positive, got {safe_shutdown!r}"
         )
-    unsafe = params.par5
-    repair_ok = (1.0 - params.par7) * params.par6
+    if level not in _CHAINS:
+        raise ValidationError(f"unknown maintenance level {level!r}")
+    fp = failure if failure is not None else DEFAULT_FAILURE_PARAMS
     repair_bad = params.par7 * params.par6
-
-    transitions: list[ctmc.Transition] = []
-    if level is MaintenanceLevel.FIVE_STATE:
-        states = ("S0", "S1", "S2", "S3", "S4")
-        _add_rate(transitions, "S0", "S1", safe_shutdown)
-        _add_rate(transitions, "S0", "S3", unsafe)
-        _add_rate(transitions, "S1", "S0", params.par6)
-        _add_rate(transitions, "S1", "S2", unsafe)
-        _add_rate(transitions, "S2", "S0", repair_ok)
-        _add_rate(transitions, "S2", "S3", repair_bad)
-        _add_rate(transitions, "S2", "S4", params.par8)
-        _add_rate(transitions, "S3", "S2", safe_shutdown)
-        _add_rate(transitions, "S3", "S4", params.par8)
-        _add_rate(transitions, "S4", "S3", params.par9)
-        return ctmc.Ctmc(states, "S0", tuple(transitions))
-
-    if level is MaintenanceLevel.FOUR_STATE:
-        states = ("S0", "S1", "S2", "S3")
-        _add_rate(transitions, "S0", "S1", safe_shutdown)
-        _add_rate(transitions, "S0", "S3", unsafe)
-        _add_rate(transitions, "S1", "S0", params.par6)
-        _add_rate(transitions, "S1", "S2", unsafe)
-        _add_rate(transitions, "S2", "S0", repair_ok)
-        _add_rate(transitions, "S2", "S3", repair_bad + params.par8)
-        _add_rate(transitions, "S3", "S2", safe_shutdown)
-        return ctmc.Ctmc(states, "S0", tuple(transitions))
-
-    if level is MaintenanceLevel.EIGHT_STATE:
-        fp = failure if failure is not None else DEFAULT_FAILURE_PARAMS
-        diag_fault = 2.0 * fp.par1 * (1.0 - fp.transient_ratio) * (1.0 - fp.par2)
-        states = ("S0p", "S0s", "S1", "S2", "S3", "S4", "S5", "S6")
-        for up in ("S0p", "S0s"):
-            _add_rate(transitions, up, "S3", unsafe)
-        _add_rate(transitions, "S0p", "S1", safe_shutdown)
-        _add_rate(transitions, "S0p", "S0s", diag_fault)
-        _add_rate(transitions, "S0s", "S5", safe_shutdown)
-        _add_rate(transitions, "S1", "S0p", params.par6)
-        _add_rate(transitions, "S1", "S2", unsafe)
-        _add_rate(transitions, "S2", "S0p", repair_ok)
-        _add_rate(transitions, "S2", "S3", repair_bad)
-        _add_rate(transitions, "S2", "S4", params.par8)
-        _add_rate(transitions, "S3", "S2", safe_shutdown)
-        _add_rate(transitions, "S3", "S4", params.par8)
-        _add_rate(transitions, "S4", "S3", params.par9)
-        _add_rate(transitions, "S5", "S0p", repair_ok)
-        _add_rate(transitions, "S5", "S0s", repair_bad)
-        _add_rate(transitions, "S5", "S6", params.par8)
-        _add_rate(transitions, "S6", "S5", params.par9)
-        return ctmc.Ctmc(states, "S0p", tuple(transitions))
-
-    raise ValidationError(f"unknown maintenance level {level!r}")
+    rates = {
+        "safe_shutdown": safe_shutdown,
+        "unsafe": params.par5,
+        "repair": params.par6,
+        "repair_ok": (1.0 - params.par7) * params.par6,
+        "repair_bad": repair_bad,
+        "repair_bad_or_power_cycle": repair_bad + params.par8,
+        "power_loss": params.par8,
+        "power_restore": params.par9,
+        "diag_fault": 2.0 * fp.par1 * (1.0 - fp.transient_ratio) * (1.0 - fp.par2),
+    }
+    states, initial, rows = _CHAINS[level]
+    transitions = tuple(
+        ctmc.Transition(src, dst, rates[name]) for src, dst, name in rows if rates[name] > 0.0
+    )
+    return ctmc.Ctmc(states, initial, transitions)
 
 
 def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> InterfaceValues:
@@ -355,8 +374,7 @@ def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> InterfaceVal
 # --- workflow templates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateSpec:
+class TemplateSpec(NamedTuple):
     """A solvable model template exposed to the workflow layer."""
 
     name: str
@@ -364,73 +382,59 @@ class TemplateSpec:
     inputs: tuple[tuple[str, str], ...]  # (parameter name, kind)
     outputs: tuple[tuple[str, str], ...]
     description: str
-
-    def solve(self, values: Mapping[str, float]) -> dict[str, float]:
-        raise NotImplementedError
+    solve: Callable[[Mapping[str, float]], dict[str, float]]
 
 
-@dataclass(frozen=True)
-class _FailureTemplate(TemplateSpec):
-    def solve(self, values: Mapping[str, float]) -> dict[str, float]:
-        params = FailureParams(values["PAR_1"], values["PAR_2"], values["PAR_3"])
-        iface = failure_interface(params)
-        return {"PAR_4": iface.par4, "PAR_5": iface.par5}
+def failure_params(values: Mapping[str, float]) -> FailureParams:
+    """The failure-network inputs of a ``failure2oo2`` instance."""
+    return FailureParams(values["PAR_1"], values["PAR_2"], values["PAR_3"])
 
 
-@dataclass(frozen=True)
-class _MaintenanceTemplate(TemplateSpec):
-    level: MaintenanceLevel = MaintenanceLevel.FIVE_STATE
-
-    def solve(self, values: Mapping[str, float]) -> dict[str, float]:
-        params = MaintenanceParams(
-            par4=values["PAR_4"], par5=values["PAR_5"], par6=values["PAR_6"],
-            par7=values["PAR_7"], par8=values["PAR_8"], par9=values["PAR_9"],
-        )
-        chain = build_maintenance_ctmc(self.level, params)
-        pi = ctmc.steady_state(chain)
-        return {"PAR_10": pi["S3"]}
+# the solvers call ``failure_interface``, ``build_maintenance_ctmc`` and
+# ``ctmc.steady_state`` through their modules, so wrappers installed there see them
+def _solve_failure(values: Mapping[str, float]) -> dict[str, float]:
+    iface = failure_interface(failure_params(values))
+    return {"PAR_4": iface.par4, "PAR_5": iface.par5}
 
 
-_MM_INPUTS = (
-    ("PAR_4", "probability"),
-    ("PAR_5", "probability"),
-    ("PAR_6", "rate"),
-    ("PAR_7", "ratio"),
-    ("PAR_8", "rate"),
-    ("PAR_9", "rate"),
-)
+def _solve_maintenance(level: MaintenanceLevel, values: Mapping[str, float]) -> dict[str, float]:
+    params = MaintenanceParams(
+        par4=values["PAR_4"], par5=values["PAR_5"], par6=values["PAR_6"],
+        par7=values["PAR_7"], par8=values["PAR_8"], par9=values["PAR_9"],
+    )
+    pi = ctmc.steady_state(build_maintenance_ctmc(level, params))
+    return {"PAR_10": pi["S3"]}
+
+
+def _maintenance_template(name: str, level: MaintenanceLevel) -> TemplateSpec:
+    return TemplateSpec(
+        name=name,
+        formalism="CTMC",
+        inputs=(
+            ("PAR_4", "probability"),
+            ("PAR_5", "probability"),
+            ("PAR_6", "rate"),
+            ("PAR_7", "ratio"),
+            ("PAR_8", "rate"),
+            ("PAR_9", "rate"),
+        ),
+        outputs=(("PAR_10", "probability"),),
+        description=f"{level.value}-state maintenance chain, solved by GTH steady state",
+        solve=functools.partial(_solve_maintenance, level),
+    )
+
 
 #: Stable template names for workflow files and the library API.
 BUILTIN_TEMPLATES: dict[str, TemplateSpec] = {
-    "failure2oo2": _FailureTemplate(
+    "failure2oo2": TemplateSpec(
         name="failure2oo2",
         formalism="BAYES",
         inputs=(("PAR_1", "probability"), ("PAR_2", "ratio"), ("PAR_3", "probability")),
         outputs=(("PAR_4", "probability"), ("PAR_5", "probability")),
         description="two-unit failure network, solved by variable elimination",
+        solve=_solve_failure,
     ),
-    "maintenance4": _MaintenanceTemplate(
-        name="maintenance4",
-        formalism="CTMC",
-        inputs=_MM_INPUTS,
-        outputs=(("PAR_10", "probability"),),
-        description="four-state maintenance chain, solved by GTH steady state",
-        level=MaintenanceLevel.FOUR_STATE,
-    ),
-    "maintenance5": _MaintenanceTemplate(
-        name="maintenance5",
-        formalism="CTMC",
-        inputs=_MM_INPUTS,
-        outputs=(("PAR_10", "probability"),),
-        description="five-state maintenance chain, solved by GTH steady state",
-        level=MaintenanceLevel.FIVE_STATE,
-    ),
-    "maintenance8": _MaintenanceTemplate(
-        name="maintenance8",
-        formalism="CTMC",
-        inputs=_MM_INPUTS,
-        outputs=(("PAR_10", "probability"),),
-        description="eight-state maintenance chain, solved by GTH steady state",
-        level=MaintenanceLevel.EIGHT_STATE,
-    ),
+    "maintenance4": _maintenance_template("maintenance4", MaintenanceLevel.FOUR_STATE),
+    "maintenance5": _maintenance_template("maintenance5", MaintenanceLevel.FIVE_STATE),
+    "maintenance8": _maintenance_template("maintenance8", MaintenanceLevel.EIGHT_STATE),
 }

@@ -57,6 +57,18 @@ class TestBuildNet:
         with pytest.raises(ValidationError, match="cycle"):
             bayes.build_net(variables, cpts)
 
+    def test_cycle_error_names_the_path_before_table_errors(self):
+        rows = {("False",): (0.5, 0.5), ("True",): (0.5, 0.5)}
+        variables = [bayes.Variable(v, B) for v in ("A", "B", "C", "D")]
+        cpts = [
+            bayes.Cpt("A", ("C",), rows),
+            bayes.Cpt("B", ("A",), rows),
+            bayes.Cpt("C", ("B",), {("False",): (0.5, 0.5)}),  # also missing a row
+            bayes.Cpt("D", ("A",), rows),
+        ]
+        with pytest.raises(ValidationError, match="cycle in the parent graph: A -> B -> C -> A$"):
+            bayes.build_net(variables, cpts)
+
     def test_missing_row_rejected(self):
         variables = [bayes.Variable("A", B), bayes.Variable("B", B)]
         cpts = [

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import redvote
-from redvote import cli, report
+from redvote import bayes, cli, nmr, report
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 CASE_STUDY = str(MODELS / "case-study.rvm")
 CASE_STUDY_2 = str(MODELS / "case-study-2.rvm")
+INLINE_MAINTENANCE = str(MODELS / "inline-maintenance.rvm")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -96,6 +97,29 @@ class TestSolve:
         assert code == 4
         assert out == ""
         assert "PAR_10" in err and "finite" in err
+
+    def test_nan_rate_exits_4_naming_the_rate(self, capsys, tmp_path):
+        # Y * Y overflows, so the rate A -> B is inf - inf + 1 = nan
+        chain = tmp_path / "nan-rate.rvm"
+        chain.write_text(
+            'workflow "w" {\n'
+            "  ctmc c { state A init; state B;\n"
+            "    rate A -> B : Y * Y - Y * Y + 1; rate B -> A : 2; }\n"
+            "  instance m : c { Y = 1e200; }\n"
+            "  output P = m.pi_A;\n}"
+        )
+        code, out, err = run(capsys, "solve", str(chain))
+        assert code == 4
+        assert out == ""
+        assert "rate A -> B evaluated to nan" in err
+
+    def test_infinite_literal_exits_3_naming_the_input(self, capsys, tmp_path):
+        infinite = tmp_path / "infinite.rvm"
+        infinite.write_text(Path(CASE_STUDY).read_text().replace("PAR_6 = 1;", "PAR_6 = 1e400;"))
+        code, out, err = run(capsys, "solve", str(infinite))
+        assert code == 3
+        assert out == ""
+        assert "'PAR_6' must be finite, got inf" in err
 
     def test_negative_verdict_metric_exits_4(self, capsys, tmp_path):
         text = Path(CASE_STUDY).read_text().replace(
@@ -177,6 +201,21 @@ class TestPosteriors:
         rep = report.from_json(out)
         assert rep.posteriors["Excl_A"]["True"] == 1.0
 
+    def test_table_is_posterior_report_plus_point_masses(self, capsys):
+        evidence = {"UNSAFE_OUTPUT": "True", "Excl_A": "True"}
+        argv = [arg for vid, state in evidence.items() for arg in ("--evidence", f"{vid}={state}")]
+        code, out, _ = run(
+            capsys, "posteriors", CASE_STUDY, "--instance", "phi", "--format", "json", *argv
+        )
+        assert code == 0
+        net = nmr.build_failure_bn(nmr.FailureParams(1.666e-5, 0.1, 0.1))
+        want = {d.variable: dict(d.probabilities) for d in bayes.posterior_report(net, evidence)}
+        for vid, state in evidence.items():
+            want[vid] = {s: float(s == state) for s in net.variable(vid).states}
+        rep = report.from_json(out)
+        assert list(rep.posteriors) == sorted(want)
+        assert rep.posteriors == want
+
     def test_rows_sorted_by_variable_id(self, capsys):
         code, out, _ = run(
             capsys, "posteriors", CASE_STUDY, "--instance", "phi",
@@ -241,6 +280,15 @@ class TestSweep:
         )
         assert code == 3
         assert "cannot be swept" in err
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_non_finite_factor_exits_3_naming_the_input(self, capsys, factor):
+        code, out, err = run(
+            capsys, "sweep", INLINE_MAINTENANCE, "--param", "mu.PAR_6", "--factors", f"1,{factor}",
+        )
+        assert code == 3
+        assert out == ""
+        assert f"'PAR_6' must be finite, got {factor}" in err
 
     def test_bad_factors_exit_2(self, capsys):
         code, _, err = run(

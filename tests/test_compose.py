@@ -66,6 +66,31 @@ class TestValidation:
         validated = compose.validate_workflow(case_study_workflow())
         assert validated.order == ("phi", "mu")
 
+    def test_solve_order_is_first_in_first_out(self):
+        # X needs B and Y needs A: Y became ready first, so it runs first;
+        # sorting each wave of ready instances would give A, B, X, Y
+        def failure(name):
+            return compose.ModelInstance(
+                name, "failure2oo2",
+                {p: compose.Literal(v) for p, v in (("PAR_1", 1e-5), ("PAR_2", 0.1), ("PAR_3", 0.1))},
+            )
+
+        def maintenance(name, upstream):
+            return compose.ModelInstance(
+                name, "maintenance5",
+                {
+                    "PAR_4": compose.Ref(upstream, "PAR_4"),
+                    "PAR_5": compose.Ref(upstream, "PAR_5"),
+                    **MAINT_LITERALS,
+                },
+            )
+
+        instances = (failure("A"), failure("B"), maintenance("X", "B"), maintenance("Y", "A"))
+        validated = compose.validate_workflow(compose.Workflow("w", (), instances, ()))
+        assert validated.order == ("A", "B", "Y", "X")
+        notes = compose.run_workflow(validated).provenance
+        assert [note.split(":")[0] for note in notes] == ["A", "B", "Y", "X"]
+
     def test_empty_workflow_valid(self):
         validated = compose.validate_workflow(compose.Workflow("empty"))
         assert validated.order == ()

@@ -52,6 +52,11 @@ class TestCtmcInvariants:
         with pytest.raises(ValidationError, match="non-positive rate"):
             ctmc.Ctmc(("S0", "S1"), "S0", (ctmc.Transition("S0", "S1", 0.0),))
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_rate_rejected_as_non_finite(self, rate):
+        with pytest.raises(ValidationError, match="'S0' -> 'S1': rate (inf|nan) must be finite"):
+            ctmc.Ctmc(("S0", "S1"), "S0", (ctmc.Transition("S0", "S1", rate),))
+
     def test_unknown_initial_rejected(self):
         with pytest.raises(ValidationError, match="initial state"):
             ctmc.Ctmc(("S0",), "S9", ())
