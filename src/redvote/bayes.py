@@ -38,7 +38,7 @@ Signature = tuple[tuple[str, tuple[str, ...], int], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
-#: Bound on the number of cached acyclicity checks, min-fill orders and plans.
+#: Bound on the number of cached graph checks, min-fill orders and plans.
 PLAN_CACHE_SIZE = 128
 
 
@@ -154,12 +154,7 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
             cyclic parent graph.
     """
     vars_ = tuple(variables)
-    by_id: dict[str, Variable] = {}
-    for var in vars_:
-        if var.id in by_id:
-            raise ValidationError(f"duplicate variable id {var.id!r}")
-        by_id[var.id] = var
-
+    by_id = {var.id: var for var in vars_}
     cpt_map: dict[str, Cpt] = {}
     for cpt in cpts:
         if cpt.child not in by_id:
@@ -171,25 +166,36 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
     if missing:
         raise ValidationError(f"missing CPT for: {', '.join(missing)}")
 
-    for cpt in cpt_map.values():
-        seen: set[str] = set()
-        for parent in cpt.parents:
-            if parent not in by_id:
-                raise ValidationError(
-                    f"CPT for {cpt.child!r} references unknown parent {parent!r}"
-                )
-            if parent in seen:
-                raise ValidationError(f"CPT for {cpt.child!r} repeats parent {parent!r}")
-            seen.add(parent)
-
     signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
-    _check_acyclic(signature)  # before the tables, so a cycle is reported first
+    _check_graph(signature)  # before the tables, so a cycle is reported first
     tables = [_dense_table(cpt_map[var.id], by_id) for var in vars_]
     return BayesNet(vars_, cpt_map, signature, by_id, tables)
 
 
+def check_nodes(signature: Signature) -> None:
+    """Check a structure's nodes: unique ids, and parents of each node that
+    are distinct declared nodes.
+
+    A failure's ``element`` is ``(j,)`` for the node ``signature[j]``.
+    """
+    declared: set[str] = set()
+    for j, (vid, _, _) in enumerate(signature):
+        if vid in declared:
+            raise ValidationError(f"duplicate node {vid!r}", (j,))
+        declared.add(vid)
+    for j, (vid, node_parents, _) in enumerate(signature):
+        seen: set[str] = set()
+        for parent in node_parents:
+            if parent not in declared:
+                raise ValidationError(f"node {vid!r} references unknown parent {parent!r}", (j,))
+            if parent in seen:
+                raise ValidationError(f"node {vid!r} repeats parent {parent!r}", (j,))
+            seen.add(parent)
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)  # a sweep rebuilds one structure per point
-def _check_acyclic(signature: Signature) -> None:
+def _check_graph(signature: Signature) -> None:
+    check_nodes(signature)
     try:
         graphlib.TopologicalSorter({vid: parents for vid, parents, _ in signature}).prepare()
     except graphlib.CycleError as exc:

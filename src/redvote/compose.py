@@ -156,11 +156,6 @@ class ModelClass:
     params: tuple[ParamDecl, ...]
     template: str | InlineCtmc | InlineBayes
 
-    def __post_init__(self) -> None:
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"model class {self.name!r} repeats a parameter name")
-
     @property
     def inputs(self) -> tuple[ParamDecl, ...]:
         return tuple(p for p in self.params if p.direction == "input")
@@ -239,13 +234,7 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
     params: list[ParamDecl] = []
     if isinstance(template, InlineCtmc):
         seen: dict[str, None] = {}
-        for src, dst, expr in template.rates:
-            for ref in expr_refs(expr):
-                raise ValidationError(
-                    f"inline model {template.name!r}: rate {src} -> {dst} references "
-                    f"{ref.instance}.{ref.output}; rate expressions may only use "
-                    "the model's own parameters"
-                )
+        for _, _, expr in template.rates:
             for p in expr_params(expr):
                 seen.setdefault(p.name, None)
         params.extend(ParamDecl(name, "input", None) for name in seen)
@@ -265,31 +254,96 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
 
 def inline_bayes_net(template: InlineBayes) -> bayes.BayesNet:
     """Instantiate an inline network definition; raises on malformed tables."""
-    variables = []
-    cpts = []
+    variables = _inline_variables(template)
     node_states = {node.id: node.states for node in template.nodes}
+    cpts = []
     for node in template.nodes:
-        variables.append(bayes.Variable(node.id, node.states))
-        for parent in node.parents:
-            if parent not in node_states:
-                raise ValidationError(
-                    f"inline model {template.name!r}: node {node.id!r} references "
-                    f"unknown parent {parent!r}"
-                )
-        parent_states = [node_states[p] for p in node.parents]
-        combos = list(itertools.product(*parent_states))
-        expected = len(combos) * len(node.states)
-        if len(node.cpt) != expected:
-            raise ValidationError(
-                f"inline model {template.name!r}: node {node.id!r} needs {expected} "
-                f"table entries, got {len(node.cpt)}"
-            )
-        rows = {}
+        combos = itertools.product(*(node_states[p] for p in node.parents))
         width = len(node.states)
-        for i, combo in enumerate(combos):
-            rows[combo] = tuple(node.cpt[i * width:(i + 1) * width])
+        rows = {combo: node.cpt[i * width:(i + 1) * width] for i, combo in enumerate(combos)}
         cpts.append(bayes.Cpt(node.id, node.parents, rows))
     return bayes.build_net(variables, cpts)
+
+
+def _inline_variables(template: InlineBayes) -> list[bayes.Variable]:
+    """The network's variables, once its nodes are known to be well formed:
+    valid state labels, unique ids, declared parents, and one table entry
+    per state and parent-state combination."""
+    variables = []
+    for j, node in enumerate(template.nodes):
+        try:
+            variables.append(bayes.Variable(node.id, node.states))
+        except ValidationError as exc:
+            raise ValidationError(str(exc), ("nodes", j)) from None
+    try:
+        bayes.check_nodes(tuple((n.id, n.parents, len(n.states)) for n in template.nodes))
+    except ValidationError as exc:
+        raise ValidationError(str(exc), ("nodes", *exc.element)) from None
+    cards = {node.id: len(node.states) for node in template.nodes}
+    for j, node in enumerate(template.nodes):
+        expected = math.prod(cards[p] for p in node.parents) * len(node.states)
+        if len(node.cpt) != expected:
+            raise ValidationError(
+                f"node {node.id!r} needs {expected} table entries, got {len(node.cpt)}",
+                ("nodes", j),
+            )
+    return variables
+
+
+def _check_chain(template: InlineCtmc) -> None:
+    """An inline chain's shape, every rate pair counted whatever its rate,
+    and rate expressions that use only the model's own parameters."""
+    try:
+        ctmc.check_structure(
+            template.states, template.initial, [(src, dst) for src, dst, _ in template.rates]
+        )
+    except ValidationError as exc:
+        # the chain's j-th transition is the template's j-th rate
+        element = tuple("rates" if part == "transitions" else part for part in exc.element)
+        raise ValidationError(str(exc), element) from None
+    for j, (src, dst, expr) in enumerate(template.rates):
+        for ref in expr_refs(expr):
+            raise ValidationError(
+                f"rate {src} -> {dst} references {ref.instance}.{ref.output}; "
+                "rate expressions may only use the model's own parameters",
+                ("rates", j),
+            )
+
+
+def _check_class(cls: ModelClass) -> None:
+    if isinstance(cls.template, InlineCtmc):
+        _check_chain(cls.template)
+    elif isinstance(cls.template, InlineBayes):
+        _inline_variables(cls.template)
+    declared: set[str] = set()
+    for param in cls.params:
+        if param.name in declared:
+            raise ValidationError(f"parameter {param.name!r} is declared twice")
+        declared.add(param.name)
+
+
+def check_records(workflow: Workflow) -> None:
+    """Check the facts that the workflow's own records settle: unique model,
+    instance and export names, and well-formed model classes.
+
+    :func:`validate_workflow` runs this first, and the `.rvm` parser runs it
+    on the records it builds. A failure's ``element`` is the path of the
+    failing record in ``workflow``, such as ``("classes", 0, "rates", 2)``.
+    """
+    for field_name, what in (("classes", "model"), ("instances", "instance"),
+                             ("exports", "export")):
+        seen: set[str] = set()
+        for i, item in enumerate(getattr(workflow, field_name)):
+            if item.name in seen:
+                raise ValidationError(f"duplicate {what} name {item.name!r}", (field_name, i))
+            seen.add(item.name)
+    for i, cls in enumerate(workflow.classes):
+        try:
+            _check_class(cls)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"model {cls.name!r}: {exc}", ("classes", i, *exc.element)
+            ) from None
 
 
 # --- validation ---------------------------------------------------------------
@@ -309,7 +363,7 @@ class ValidatedWorkflow:
 
 def _resolve_classes(workflow: Workflow) -> dict[str, ModelClass]:
     classes = builtin_classes()
-    for cls in workflow.classes:
+    for cls in workflow.classes:  # names are unique, as check_records made sure
         if cls.name in classes:
             raise ValidationError(
                 f"model {cls.name!r} shadows a builtin template of the same name"
@@ -405,18 +459,16 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
     """Check every workflow invariant and cache the topological solve order.
 
     Raises:
-        ValidationError: duplicate names, unknown classes or templates,
-            unbound or unknown inputs, kind mismatches on direct
-            output-to-input references, dangling export references, or a
-            cyclic binding graph.
+        ValidationError: a fault :func:`check_records` finds, an inline
+            model that shadows a builtin, unknown classes or templates,
+            malformed inline network tables, unbound or unknown inputs, kind
+            mismatches on direct output-to-input references, dangling export
+            references, or a cyclic binding graph.
     """
+    check_records(workflow)
     classes = _resolve_classes(workflow)
 
-    by_name: dict[str, ModelInstance] = {}
-    for inst in workflow.instances:
-        if inst.name in by_name:
-            raise ValidationError(f"duplicate instance name {inst.name!r}")
-        by_name[inst.name] = inst
+    by_name = {inst.name: inst for inst in workflow.instances}
     for inst in workflow.instances:
         if inst.class_name not in classes:
             raise ValidationError(
@@ -432,11 +484,7 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
     for inst in workflow.instances:
         _check_bindings(inst, classes[inst.class_name], by_name, classes)
 
-    seen_exports: set[str] = set()
     for export in workflow.exports:
-        if export.name in seen_exports:
-            raise ValidationError(f"duplicate export name {export.name!r}")
-        seen_exports.add(export.name)
         for param in expr_params(export.expr):
             raise ValidationError(
                 f"export {export.name!r} uses bare name {param.name!r}; exports "

@@ -38,8 +38,8 @@ class Transition:
 class Ctmc:
     """A labeled-state chain with a designated initial state.
 
-    Invariants enforced at construction: unique state labels, no self-loops,
-    at most one transition per ordered state pair, all rates finite and > 0.
+    Invariants enforced at construction: those of :func:`check_structure`,
+    and all rates finite and > 0.
     Instances are immutable; solving and simulating are pure functions.
     """
 
@@ -50,23 +50,8 @@ class Ctmc:
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if not self.states:
-            raise ValidationError("a chain needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError("state labels must be unique")
-        if self.initial not in self.states:
-            raise ValidationError(f"initial state {self.initial!r} is not a declared state")
-        seen: set[tuple[str, str]] = set()
+        check_structure(self.states, self.initial, [(tr.src, tr.dst) for tr in self.transitions])
         for tr in self.transitions:
-            if tr.src not in self.states or tr.dst not in self.states:
-                raise ValidationError(f"transition {tr.src!r} -> {tr.dst!r} leaves the state set")
-            if tr.src == tr.dst:
-                raise ValidationError(f"self-loop transition on {tr.src!r}")
-            key = (tr.src, tr.dst)
-            if key in seen:
-                # almost certainly a typo in a model file, so refuse to sum
-                raise ValidationError(f"duplicate transition {tr.src!r} -> {tr.dst!r}")
-            seen.add(key)
             if not math.isfinite(tr.rate):
                 raise ValidationError(
                     f"transition {tr.src!r} -> {tr.dst!r}: rate {tr.rate!r} must be finite"
@@ -78,6 +63,45 @@ class Ctmc:
 
     def index(self, state: str) -> int:
         return self.states.index(state)
+
+
+def check_structure(
+    states: Sequence[str], initial: str, pairs: Sequence[tuple[str, str]]
+) -> None:
+    """Check a chain's shape: at least one state, unique state labels, a
+    declared initial state, and transitions ``(src, dst)`` between two
+    distinct declared states, at most one per ordered pair.
+
+    Rates are not looked at, so a pair is checked whatever its rate. A
+    failure's ``element`` is ``("states", j)`` or ``("transitions", j)``
+    for the offending state or pair, or empty for the other faults.
+    """
+    if not states:
+        raise ValidationError("the chain declares no states")
+    declared: set[str] = set()
+    for j, state in enumerate(states):
+        if state in declared:
+            raise ValidationError(
+                f"duplicate state {state!r}; state labels must be unique", ("states", j)
+            )
+        declared.add(state)
+    if initial not in declared:
+        raise ValidationError(f"initial state {initial!r} is not a declared state")
+    seen: set[tuple[str, str]] = set()
+    for j, pair in enumerate(pairs):
+        src, dst = pair
+        for end in pair:
+            if end not in declared:
+                raise ValidationError(
+                    f"transition {src!r} -> {dst!r} references undeclared state {end!r}",
+                    ("transitions", j),
+                )
+        if src == dst:
+            raise ValidationError(f"self-loop transition on {src!r}", ("transitions", j))
+        if pair in seen:
+            # almost certainly a typo in a model file, so refuse to sum
+            raise ValidationError(f"duplicate transition {src!r} -> {dst!r}", ("transitions", j))
+        seen.add(pair)
 
 
 def generator(chain: Ctmc) -> np.ndarray:

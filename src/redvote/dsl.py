@@ -30,9 +30,15 @@ model's input parameters; bindings and exports reference solved values as
 parent-state combination (first parent varying slowest), each row in the
 node's own state order.
 
-Parsing never raises for bad input: it returns diagnostics with line and
-column instead. Printing is deterministic, and `parse(print(w))` yields a
-structurally equal workflow.
+Parsing never raises for bad input: it returns a diagnostic with line and
+column instead. The parser builds the `compose` records directly and checks
+only the facts that exist in the text alone: the syntax, a parameter bound
+twice in one instance, a chain with more than one `init` state or none, and
+a reference without the `builtin.` prefix to a model the file does not
+define. Every other check on the records is `compose.check_records`, the
+same one `compose.validate_workflow` runs first; the parser positions its
+failure at the element it names. Printing is deterministic, and
+`parse(print(w))` yields a structurally equal workflow.
 """
 
 from __future__ import annotations
@@ -63,13 +69,12 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" or "warning"
     message: str
     line: int
     column: int
 
     def render(self, origin: str) -> str:
-        return f"{origin}:{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{origin}:{self.line}:{self.column}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,14 @@ class _Token:
 
 
 class _ParseAbort(Exception):
-    """Internal: unwinds the parser after a diagnostic has been recorded."""
+    """Internal: unwinds the parser with the diagnostic that stopped it."""
+
+    def __init__(self, diagnostic: ParseDiagnostic) -> None:
+        super().__init__(diagnostic.message)
+        self.diagnostic = diagnostic
 
 
-def _lex(text: str) -> tuple[list[_Token], ParseDiagnostic | None]:
+def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
     line = 1
@@ -106,9 +115,9 @@ def _lex(text: str) -> tuple[list[_Token], ParseDiagnostic | None]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            return tokens, ParseDiagnostic(
-                "error", f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+            raise _ParseAbort(ParseDiagnostic(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            ))
         column = pos - line_start + 1
         kind = match.lastgroup
         value = match.group()
@@ -129,97 +138,22 @@ def _lex(text: str) -> tuple[list[_Token], ParseDiagnostic | None]:
             line_start = match.start() + value.rindex("\n") + 1
         pos = match.end()
     tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens, None
-
-
-# --- raw syntax tree (keeps positions for the semantic pass) -----------------
-
-
-@dataclass
-class _RawBinding:
-    name: str
-    expr: compose.Expr
-    line: int
-    column: int
-
-
-@dataclass
-class _RawInstance:
-    name: str
-    is_builtin: bool
-    class_name: str
-    bindings: list[_RawBinding]
-    line: int
-    column: int
-    ref_line: int
-    ref_column: int
-
-
-@dataclass
-class _RawExport:
-    name: str
-    expr: compose.Expr
-    line: int
-    column: int
-
-
-@dataclass
-class _RawState:
-    name: str
-    init: bool
-    line: int
-    column: int
-
-
-@dataclass
-class _RawRate:
-    src: str
-    dst: str
-    expr: compose.Expr
-    line: int
-    column: int
-
-
-@dataclass
-class _RawCtmc:
-    name: str
-    states: list[_RawState]
-    rates: list[_RawRate]
-    line: int
-    column: int
-
-
-@dataclass
-class _RawNode:
-    name: str
-    states: list[str]
-    parents: list[str]
-    cpt: list[float]
-    line: int
-    column: int
-
-
-@dataclass
-class _RawBayes:
-    name: str
-    nodes: list[_RawNode]
-    line: int
-    column: int
-
-
-@dataclass
-class _RawWorkflow:
-    name: str
-    items: list[object]
-    line: int
-    column: int
+    return tokens
 
 
 class _Parser:
+    """Builds the `compose` records of a file, and the position of each
+    element, keyed by its path in the record."""
+
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.diagnostics: list[ParseDiagnostic] = []
+        self.positions: dict[tuple[str | int, ...], _Token] = {}
+        self.templates: list[compose.InlineCtmc | compose.InlineBayes] = []
+        self.instances: list[compose.ModelInstance] = []
+        self.exports: list[compose.Export] = []
+        self.local_refs: list[_Token] = []  # model references without 'builtin.'
+        self.faults: list[_ParseAbort] = []  # reported once the syntax is known good
 
     # token plumbing
 
@@ -229,8 +163,7 @@ class _Parser:
 
     def error(self, message: str, token: _Token | None = None) -> _ParseAbort:
         tok = token or self.current
-        self.diagnostics.append(ParseDiagnostic("error", message, tok.line, tok.column))
-        return _ParseAbort()
+        return _ParseAbort(ParseDiagnostic(message, tok.line, tok.column))
 
     def advance(self) -> _Token:
         tok = self.current
@@ -261,7 +194,7 @@ class _Parser:
 
     # grammar
 
-    def parse_file(self) -> _RawWorkflow:
+    def parse_file(self) -> compose.Workflow:
         if self.keyword() == "version":
             version_tok = self.advance()
             number = self.expect("NUMBER", "a version number")
@@ -273,20 +206,19 @@ class _Parser:
                 )
         if self.keyword() != "workflow":
             raise self.error("expected 'workflow'")
-        tok = self.advance()
+        self.positions[()] = self.advance()
         name = self.expect("STRING", "a quoted workflow name")
         self.expect("{", "'{'")
-        items: list[object] = []
         while self.current.kind != "}":
             kw = self.keyword()
             if kw == "instance":
-                items.append(self.parse_instance())
+                self.parse_instance()
             elif kw == "output":
-                items.append(self.parse_export())
+                self.parse_export()
             elif kw == "ctmc":
-                items.append(self.parse_ctmc())
+                self.parse_ctmc()
             elif kw == "bayes":
-                items.append(self.parse_bayes())
+                self.parse_bayes()
             else:
                 found = self.current.text or "end of file"
                 raise self.error(
@@ -295,9 +227,33 @@ class _Parser:
         self.expect("}", "'}'")
         if self.current.kind != "EOF":
             raise self.error(f"unexpected trailing input {self.current.text!r}")
-        return _RawWorkflow(name.text, items, tok.line, tok.column)
+        defined = {template.name for template in self.templates}
+        self.faults += [
+            self.error(
+                f"unknown model {ref.text!r}: not defined in this file "
+                "(builtin templates need the 'builtin.' prefix)",
+                ref,
+            )
+            for ref in self.local_refs if ref.text not in defined
+        ]
+        if self.faults:
+            raise min(self.faults, key=lambda f: (f.diagnostic.line, f.diagnostic.column))
+        workflow = compose.Workflow(
+            name.text,
+            tuple(compose.class_from_inline(template) for template in self.templates),
+            tuple(self.instances),
+            tuple(self.exports),
+        )
+        try:
+            compose.check_records(workflow)
+        except ValidationError as exc:
+            path = exc.element
+            while path not in self.positions:  # () is always there: the 'workflow' keyword
+                path = path[:-1]
+            raise self.error(str(exc), self.positions[path]) from None
+        return workflow
 
-    def parse_instance(self) -> _RawInstance:
+    def parse_instance(self) -> None:
         self.advance()  # instance
         name = self.expect_ident("an instance")
         self.expect(":", "':'")
@@ -311,65 +267,80 @@ class _Parser:
             found = ref.text or "end of file"
             raise self.error(f"expected a model class name, found {found!r}")
         self.advance()
+        if not is_builtin:
+            self.local_refs.append(ref)
         self.expect("{", "'{'")
-        bindings: list[_RawBinding] = []
+        bindings: dict[str, compose.Expr] = {}
         while self.current.kind != "}":
             pname = self.expect_ident("a parameter")
+            if pname.text in bindings:
+                self.faults.append(self.error(
+                    f"duplicate binding for {pname.text!r} in instance {name.text!r}", pname
+                ))
             self.expect("=", "'='")
-            expr = self.parse_expr()
+            bindings[pname.text] = self.parse_expr()
             self.expect(";", "';'")
-            bindings.append(_RawBinding(pname.text, expr, pname.line, pname.column))
         self.expect("}", "'}'")
-        return _RawInstance(
-            name.text, is_builtin, ref.text, bindings,
-            name.line, name.column, ref.line, ref.column,
-        )
+        self.positions["instances", len(self.instances)] = name
+        self.instances.append(compose.ModelInstance(name.text, ref.text, bindings))
 
-    def parse_export(self) -> _RawExport:
+    def parse_export(self) -> None:
         self.advance()  # output
         name = self.expect_ident("an output")
         self.expect("=", "'='")
         expr = self.parse_expr()
         self.expect(";", "';'")
-        return _RawExport(name.text, expr, name.line, name.column)
+        self.positions["exports", len(self.exports)] = name
+        self.exports.append(compose.Export(name.text, expr))
 
-    def parse_ctmc(self) -> _RawCtmc:
-        tok = self.advance()  # ctmc
+    def parse_ctmc(self) -> None:
+        path = ("classes", len(self.templates))
+        self.positions[path] = self.advance()  # ctmc
         name = self.expect_ident("a model")
         self.expect("{", "'{'")
-        states: list[_RawState] = []
-        rates: list[_RawRate] = []
+        states: list[str] = []
+        initial: str | None = None
+        rates: list[tuple[str, str, compose.Expr]] = []
         while self.current.kind != "}":
             kw = self.keyword()
             if kw == "state":
                 self.advance()
                 sname = self.expect_ident("a state")
-                init = False
                 if self.keyword() == "init":
+                    if initial is not None:
+                        self.faults.append(self.error("more than one state marked 'init'", sname))
                     self.advance()
-                    init = True
+                    initial = sname.text
                 self.expect(";", "';'")
-                states.append(_RawState(sname.text, init, sname.line, sname.column))
+                self.positions[(*path, "states", len(states))] = sname
+                states.append(sname.text)
             elif kw == "rate":
-                rate_tok = self.advance()
+                self.positions[(*path, "rates", len(rates))] = self.advance()
                 src = self.expect_ident("a state")
                 self.expect("->", "'->'")
                 dst = self.expect_ident("a state")
                 self.expect(":", "':'")
                 expr = self.parse_expr()
                 self.expect(";", "';'")
-                rates.append(_RawRate(src.text, dst.text, expr, rate_tok.line, rate_tok.column))
+                rates.append((src.text, dst.text, expr))
             else:
                 found = self.current.text or "end of file"
                 raise self.error(f"expected 'state', 'rate' or '}}', found {found!r}")
         self.expect("}", "'}'")
-        return _RawCtmc(name.text, states, rates, tok.line, tok.column)
+        if states and initial is None:  # a chain without states is compose's to reject
+            self.faults.append(self.error(
+                f"model {name.text!r} has no state marked 'init'", self.positions[path]
+            ))
+        self.templates.append(
+            compose.InlineCtmc(name.text, tuple(states), initial or "", tuple(rates))
+        )
 
-    def parse_bayes(self) -> _RawBayes:
-        tok = self.advance()  # bayes
+    def parse_bayes(self) -> None:
+        path = ("classes", len(self.templates))
+        self.positions[path] = self.advance()  # bayes
         name = self.expect_ident("a model")
         self.expect("{", "'{'")
-        nodes: list[_RawNode] = []
+        nodes: list[compose.InlineNode] = []
         while self.current.kind != "}":
             if self.keyword() != "node":
                 found = self.current.text or "end of file"
@@ -380,7 +351,7 @@ class _Parser:
                 raise self.error("expected 'states'")
             self.advance()
             states = self.parse_ident_list("a state label")
-            parents: list[str] = []
+            parents: tuple[str, ...] = ()
             if self.keyword() == "parents":
                 self.advance()
                 parents = self.parse_ident_list("a parent node")
@@ -389,27 +360,28 @@ class _Parser:
             self.advance()
             cpt = self.parse_number_list()
             self.expect(";", "';'")
-            nodes.append(_RawNode(nname.text, states, parents, cpt, nname.line, nname.column))
+            self.positions[(*path, "nodes", len(nodes))] = nname
+            nodes.append(compose.InlineNode(nname.text, states, parents, cpt))
         self.expect("}", "'}'")
-        return _RawBayes(name.text, nodes, tok.line, tok.column)
+        self.templates.append(compose.InlineBayes(name.text, tuple(nodes)))
 
-    def parse_ident_list(self, what: str) -> list[str]:
+    def parse_ident_list(self, what: str) -> tuple[str, ...]:
         self.expect("(", "'('")
         names = [self.expect_ident(what).text]
         while self.current.kind == ",":
             self.advance()
             names.append(self.expect_ident(what).text)
         self.expect(")", "')'")
-        return names
+        return tuple(names)
 
-    def parse_number_list(self) -> list[float]:
+    def parse_number_list(self) -> tuple[float, ...]:
         self.expect("(", "'('")
         numbers = [float(self.expect("NUMBER", "a probability").text)]
         while self.current.kind == ",":
             self.advance()
             numbers.append(float(self.expect("NUMBER", "a probability").text))
         self.expect(")", "')'")
-        return numbers
+        return tuple(numbers)
 
     # expressions: left-associative, * and / bind tighter than + and -
 
@@ -448,188 +420,17 @@ class _Parser:
         raise self.error(f"expected a number, reference or '(', found {found!r}")
 
 
-# --- semantic pass ------------------------------------------------------------
-
-
-def _analyze(raw: _RawWorkflow, diagnostics: list[ParseDiagnostic]) -> compose.Workflow | None:
-    def err(message: str, line: int, column: int) -> None:
-        diagnostics.append(ParseDiagnostic("error", message, line, column))
-
-    classes: list[compose.ModelClass] = []
-    class_names: dict[str, tuple[int, int]] = {}
-    instances: list[compose.ModelInstance] = []
-    instance_names: dict[str, tuple[int, int]] = {}
-    exports: list[compose.Export] = []
-    export_names: set[str] = set()
-
-    inline_defs = [item for item in raw.items if isinstance(item, (_RawCtmc, _RawBayes))]
-    for item in inline_defs:
-        if item.name in class_names:
-            err(f"duplicate model name {item.name!r}", item.line, item.column)
-            continue
-        class_names[item.name] = (item.line, item.column)
-
-    for item in raw.items:
-        if isinstance(item, _RawCtmc):
-            template = _analyze_ctmc(item, diagnostics)
-            if template is not None:
-                classes.append(compose.class_from_inline(template))
-        elif isinstance(item, _RawBayes):
-            template = _analyze_bayes(item, diagnostics)
-            if template is not None:
-                classes.append(compose.class_from_inline(template))
-        elif isinstance(item, _RawInstance):
-            if item.name in instance_names:
-                err(f"duplicate instance name {item.name!r}", item.line, item.column)
-                continue
-            instance_names[item.name] = (item.line, item.column)
-            if not item.is_builtin and item.class_name not in class_names:
-                err(
-                    f"unknown model {item.class_name!r}: not defined in this file "
-                    "(builtin templates need the 'builtin.' prefix)",
-                    item.ref_line, item.ref_column,
-                )
-                continue
-            bindings: dict[str, compose.Expr] = {}
-            for binding in item.bindings:
-                if binding.name in bindings:
-                    err(
-                        f"duplicate binding for {binding.name!r} in instance {item.name!r}",
-                        binding.line, binding.column,
-                    )
-                    continue
-                bindings[binding.name] = binding.expr
-            instances.append(compose.ModelInstance(item.name, item.class_name, bindings))
-        elif isinstance(item, _RawExport):
-            if item.name in export_names:
-                err(f"duplicate export name {item.name!r}", item.line, item.column)
-                continue
-            export_names.add(item.name)
-            exports.append(compose.Export(item.name, item.expr))
-
-    if any(d.severity == "error" for d in diagnostics):
-        return None
-    return compose.Workflow(raw.name, tuple(classes), tuple(instances), tuple(exports))
-
-
-def _analyze_ctmc(raw: _RawCtmc, diagnostics: list[ParseDiagnostic]) -> compose.InlineCtmc | None:
-    def err(message: str, line: int, column: int) -> None:
-        diagnostics.append(ParseDiagnostic("error", message, line, column))
-
-    ok = True
-    names: list[str] = []
-    initial: str | None = None
-    for state in raw.states:
-        if state.name in names:
-            err(f"duplicate state {state.name!r}", state.line, state.column)
-            ok = False
-            continue
-        names.append(state.name)
-        if state.init:
-            if initial is not None:
-                err("more than one state marked 'init'", state.line, state.column)
-                ok = False
-            initial = state.name
-    if not raw.states:
-        err(f"model {raw.name!r} declares no states", raw.line, raw.column)
-        return None
-    if initial is None:
-        err(f"model {raw.name!r} has no state marked 'init'", raw.line, raw.column)
-        ok = False
-
-    rates: list[tuple[str, str, compose.Expr]] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    for rate in raw.rates:
-        if rate.src not in names or rate.dst not in names:
-            unknown = rate.src if rate.src not in names else rate.dst
-            err(f"rate references undeclared state {unknown!r}", rate.line, rate.column)
-            ok = False
-            continue
-        if rate.src == rate.dst:
-            err(f"self-loop transition on {rate.src!r}", rate.line, rate.column)
-            ok = False
-            continue
-        if (rate.src, rate.dst) in seen_pairs:
-            err(f"duplicate transition {rate.src} -> {rate.dst}", rate.line, rate.column)
-            ok = False
-            continue
-        seen_pairs.add((rate.src, rate.dst))
-        for ref in compose.expr_refs(rate.expr):
-            err(
-                f"rate expressions may only use model parameters, not "
-                f"{ref.instance}.{ref.output}",
-                rate.line, rate.column,
-            )
-            ok = False
-        rates.append((rate.src, rate.dst, rate.expr))
-    if not ok:
-        return None
-    return compose.InlineCtmc(raw.name, tuple(names), initial, tuple(rates))
-
-
-def _analyze_bayes(raw: _RawBayes, diagnostics: list[ParseDiagnostic]) -> compose.InlineBayes | None:
-    def err(message: str, line: int, column: int) -> None:
-        diagnostics.append(ParseDiagnostic("error", message, line, column))
-
-    ok = True
-    ids: set[str] = set()
-    for node in raw.nodes:
-        if node.name in ids:
-            err(f"duplicate node {node.name!r}", node.line, node.column)
-            ok = False
-        ids.add(node.name)
-        if len(set(node.states)) != len(node.states):
-            err(f"node {node.name!r} repeats a state label", node.line, node.column)
-            ok = False
-        if len(node.states) < 2:
-            err(f"node {node.name!r} needs at least two states", node.line, node.column)
-            ok = False
-    cards = {node.name: len(node.states) for node in raw.nodes}
-    for node in raw.nodes:
-        expected = len(node.states)
-        for parent in node.parents:
-            if parent not in cards:
-                err(
-                    f"node {node.name!r} references unknown parent {parent!r}",
-                    node.line, node.column,
-                )
-                ok = False
-                break
-            expected *= cards[parent]
-        else:
-            if len(node.cpt) != expected:
-                err(
-                    f"node {node.name!r} needs {expected} table entries, "
-                    f"got {len(node.cpt)}",
-                    node.line, node.column,
-                )
-                ok = False
-    if not ok:
-        return None
-    nodes = tuple(
-        compose.InlineNode(n.name, tuple(n.states), tuple(n.parents), tuple(n.cpt))
-        for n in raw.nodes
-    )
-    return compose.InlineBayes(raw.name, nodes)
-
-
 def parse(text: str, origin: str = "<string>") -> ParseResult:
     """Parse workflow text; diagnostics instead of exceptions on bad input.
 
-    ``origin`` labels diagnostics (usually the file path). Every rejection
-    carries at least one positioned error diagnostic.
+    ``origin`` labels diagnostics (usually the file path). A rejection
+    carries one positioned error diagnostic.
     """
-    tokens, lex_error = _lex(text)
-    if lex_error is not None:
-        return ParseResult(None, (lex_error,), origin)
-    parser = _Parser(tokens)
     try:
-        raw = parser.parse_file()
-    except _ParseAbort:
-        return ParseResult(None, tuple(parser.diagnostics), origin)
-    diagnostics = list(parser.diagnostics)
-    workflow = _analyze(raw, diagnostics)
-    return ParseResult(workflow, tuple(diagnostics), origin)
+        workflow = _Parser(_lex(text)).parse_file()
+    except _ParseAbort as abort:
+        return ParseResult(None, (abort.diagnostic,), origin)
+    return ParseResult(workflow, (), origin)
 
 
 # --- canonical printing -------------------------------------------------------

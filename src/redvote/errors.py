@@ -6,7 +6,16 @@ class RedvoteError(Exception):
 
 
 class ValidationError(RedvoteError):
-    """A model, parameter set or workflow failed structural validation."""
+    """A model, parameter set or workflow failed structural validation.
+
+    ``element`` is the path of the failing element inside the checked
+    record, for example ``("classes", 0, "rates", 2)``; it is empty when
+    the fault is not tied to one element.
+    """
+
+    def __init__(self, message: str, element: tuple[str | int, ...] = ()) -> None:
+        super().__init__(message)
+        self.element = element
 
 
 class SolverError(RedvoteError):

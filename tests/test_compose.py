@@ -190,6 +190,36 @@ class TestValidation:
         with pytest.raises(ValidationError, match="shadows"):
             compose.validate_workflow(compose.Workflow("w", (cls,), (), ()))
 
+    def test_duplicate_inline_model_names_rejected(self):
+        cls = compose.class_from_inline(compose.InlineCtmc("c", ("S0",), "S0", ()))
+        with pytest.raises(ValidationError, match="duplicate model name 'c'") as info:
+            compose.validate_workflow(compose.Workflow("w", (cls, cls), (), ()))
+        assert info.value.element == ("classes", 1)
+
+    @pytest.mark.parametrize("states, initial, rates, message, element", [
+        (("A", "B"), "A", [("A", "B", 1.0), ("B", "A", 2.0), ("A", "A", 0.0)],
+         "self-loop transition on 'A'", ("classes", 0, "rates", 2)),
+        (("A", "B"), "A", [("A", "B", 1.0), ("B", "A", 2.0), ("A", "Z", 0.0)],
+         "undeclared state 'Z'", ("classes", 0, "rates", 2)),
+        (("A", "B"), "A", [("A", "B", 1.0), ("B", "A", 2.0), ("A", "B", 0.0)],
+         "duplicate transition 'A' -> 'B'", ("classes", 0, "rates", 2)),
+        (("A", "B"), "Z", [("A", "B", 1.0), ("B", "A", 2.0)],
+         "initial state 'Z' is not a declared state", ("classes", 0)),
+    ])
+    def test_malformed_inline_chain_rejected(self, states, initial, rates, message, element):
+        # each pair counts whatever its rate, so a zero rate hides nothing
+        template = compose.InlineCtmc(
+            "c", states, initial,
+            tuple((src, dst, compose.Literal(rate)) for src, dst, rate in rates),
+        )
+        workflow = compose.Workflow(
+            "w", (compose.class_from_inline(template),),
+            (compose.ModelInstance("x", "c", {}),), (),
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)) as info:
+            compose.validate_workflow(workflow)
+        assert info.value.element == element
+
     def test_bare_name_in_binding_rejected(self):
         inst = compose.ModelInstance(
             "phi", "failure2oo2",

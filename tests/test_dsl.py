@@ -11,6 +11,19 @@ from oracles import random_workflow
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
+INLINE_BAYES = """\
+workflow "w" {
+  bayes net {
+    node A states (False, True) cpt (0.9, 0.1);
+    node B states (False, True) parents (A) cpt (0.8, 0.2, 0.3, 0.7);
+    node C states (Low, Mid, High) parents (A, B)
+      cpt (0.5, 0.3, 0.2, 0.4, 0.4, 0.2, 0.3, 0.3, 0.4, 0.1, 0.2, 0.7);
+  }
+  instance n : net { }
+  output pC = n.p_C_High;
+}
+"""
+
 
 def parse_ok(text: str) -> compose.Workflow:
     result = dsl.parse(text)
@@ -147,25 +160,94 @@ class TestParse:
         assert "reserved word" in diag.message
 
     def test_corrupted_input_never_raises_and_always_diagnoses(self):
-        # parse() must degrade to positioned diagnostics on arbitrary damage
+        # parse() must degrade to positioned diagnostics on arbitrary damage,
+        # inline chains and networks included
         rng = random.Random(99)
-        source = (MODELS / "case-study.rvm").read_text()
-        for _ in range(200):
-            text = source
-            for _ in range(rng.randint(1, 3)):
-                pos = rng.randrange(len(text))
-                action = rng.random()
-                if action < 0.4:
-                    text = text[:pos] + text[pos + 1:]
-                elif action < 0.8:
-                    text = text[:pos] + rng.choice("{}();:=.*#\"xyz0") + text[pos:]
-                else:
-                    text = text[:pos] + text[pos:pos + 10] + text[pos:]
-            result = dsl.parse(text)
-            if not result.ok:
-                assert result.diagnostics
-                for diag in result.diagnostics:
-                    assert diag.line >= 1 and diag.column >= 1
+        sources = [
+            (MODELS / "case-study.rvm").read_text(),
+            (MODELS / "inline-maintenance.rvm").read_text(),
+            INLINE_BAYES,
+        ]
+        for source in sources:
+            for _ in range(200):
+                text = source
+                for _ in range(rng.randint(1, 3)):
+                    pos = rng.randrange(len(text))
+                    action = rng.random()
+                    if action < 0.4:
+                        text = text[:pos] + text[pos + 1:]
+                    elif action < 0.8:
+                        text = text[:pos] + rng.choice("{}();:=.*#\"xyz0") + text[pos:]
+                    else:
+                        text = text[:pos] + text[pos:pos + 10] + text[pos:]
+                result = dsl.parse(text)
+                if not result.ok:
+                    assert result.diagnostics
+                    for diag in result.diagnostics:
+                        assert diag.line >= 1 and diag.column >= 1
+
+    def test_colliding_parameter_names_diagnosed(self):
+        # the rate input pi_A and the output of state A share a name
+        text = (
+            'workflow "w" {\n'
+            "  ctmc c {\n    state A init;\n    state B;\n"
+            "    rate A -> B : pi_A;\n    rate B -> A : 1;\n  }\n}"
+        )
+        diag = first_error(text)
+        assert "parameter 'pi_A' is declared twice" in diag.message
+        assert (diag.line, diag.column) == (2, 3)
+
+
+#: One row per semantic diagnostic: the workflow body, the diagnostic's
+#: (line, column) and a part of its message.
+SEMANTIC_DIAGNOSTICS = [
+    ("  ctmc c { state A init; }\n  bayes c { node X states (a, b) cpt (0.5, 0.5); }",
+     (3, 3), "duplicate model name 'c'"),
+    ("  instance x : builtin.failure2oo2 { }\n  instance x : builtin.failure2oo2 { }",
+     (3, 12), "duplicate instance name 'x'"),
+    ("  instance x : nosuch { }",
+     (2, 16), "unknown model 'nosuch'"),
+    ("  instance x : builtin.failure2oo2 {\n    PAR_1 = 0.1;\n    PAR_1 = 0.2;\n  }",
+     (4, 5), "duplicate binding for 'PAR_1'"),
+    ("  output y = 1;\n  output y = 2;",
+     (3, 10), "duplicate export name 'y'"),
+    ("  ctmc c {\n    state A init;\n    state A;\n  }",
+     (4, 11), "duplicate state 'A'"),
+    ("  ctmc c {\n    state A init;\n    state B init;\n  }",
+     (4, 11), "more than one state marked 'init'"),
+    ("  ctmc c { }",
+     (2, 3), "declares no states"),
+    ("  ctmc c {\n    state A;\n  }",
+     (2, 3), "no state marked 'init'"),
+    ("  ctmc c {\n    state A init;\n    rate A -> Z : 1;\n  }",
+     (4, 5), "undeclared state 'Z'"),
+    ("  ctmc c {\n    state A init;\n    rate A -> A : 1;\n  }",
+     (4, 5), "self-loop transition on 'A'"),
+    ("  ctmc c {\n    state A init;\n    state B;\n    rate A -> B : 1;\n    rate A -> B : 2;\n  }",
+     (6, 5), "duplicate transition"),
+    ("  ctmc c {\n    state A init;\n    state B;\n    rate A -> B : x.y;\n  }",
+     (5, 5), "rate expressions may only use"),
+    ("  bayes b {\n    node X states (a, b) cpt (0.5, 0.5);\n"
+     "    node X states (a, b) cpt (0.5, 0.5);\n  }",
+     (4, 10), "duplicate node 'X'"),
+    ("  bayes b {\n    node X states (a, a) cpt (0.5, 0.5);\n  }",
+     (3, 10), "repeats a state label"),
+    ("  bayes b {\n    node X states (a) cpt (1);\n  }",
+     (3, 10), "needs at least two states"),
+    ("  bayes b {\n    node X states (a, b) parents (Z) cpt (0.5, 0.5, 0.5, 0.5);\n  }",
+     (3, 10), "references unknown parent 'Z'"),
+    ("  bayes b {\n    node X states (a, b) cpt (0.5, 0.5);\n"
+     "    node Y states (a, b) parents (X) cpt (0.5, 0.5);\n  }",
+     (4, 10), "needs 4 table entries, got 2"),
+]
+
+
+@pytest.mark.parametrize("body, position, message", SEMANTIC_DIAGNOSTICS,
+                         ids=[row[2] for row in SEMANTIC_DIAGNOSTICS])
+def test_semantic_diagnostic_position_and_message(body, position, message):
+    diag = first_error(f'workflow "w" {{\n{body}\n}}')
+    assert (diag.line, diag.column) == position
+    assert message in diag.message
 
 
 class TestPrint:
