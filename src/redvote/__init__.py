@@ -42,7 +42,6 @@ from .ctmc import (
     Ctmc,
     SimulationResult,
     Transition,
-    generator,
     reachable_closed_class,
     simulate,
     steady_state,
@@ -51,8 +50,9 @@ from .dsl import ParseDiagnostic, ParseResult, parse, print_workflow
 from .errors import RedvoteError, SolverError, ValidationError, ZeroEvidenceError
 from .nmr import (
     BUILTIN_TEMPLATES,
+    FailureInterface,
     FailureParams,
-    InterfaceValues,
+    HazardFigures,
     MaintenanceLevel,
     MaintenanceParams,
     build_failure_bn,
@@ -69,12 +69,13 @@ __all__ = [
     "BayesNet", "Cpt", "Distribution", "Evidence", "Variable", "build_net",
     "elimination_order", "joint_probability", "marginal", "posterior_report",
     # ctmc
-    "Ctmc", "SimulationResult", "Transition", "generator",
-    "reachable_closed_class", "simulate", "steady_state",
+    "Ctmc", "SimulationResult", "Transition", "reachable_closed_class",
+    "simulate", "steady_state",
     # concrete models
-    "BUILTIN_TEMPLATES", "FailureParams", "InterfaceValues", "MaintenanceLevel",
-    "MaintenanceParams", "build_failure_bn", "build_maintenance_ctmc",
-    "failure_interface", "hfr_2oo3_from_maintenance", "mtbhe_conversion",
+    "BUILTIN_TEMPLATES", "FailureInterface", "FailureParams", "HazardFigures",
+    "MaintenanceLevel", "MaintenanceParams", "build_failure_bn",
+    "build_maintenance_ctmc", "failure_interface", "hfr_2oo3_from_maintenance",
+    "mtbhe_conversion",
     # composition
     "BinOp", "Export", "InlineBayes", "InlineCtmc", "InlineNode", "Literal",
     "ModelClass", "ModelInstance", "Param", "ParamDecl", "Ref", "SolveResult",

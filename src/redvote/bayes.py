@@ -48,7 +48,6 @@ class Variable:
 
     id: str
     states: tuple[str, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -58,8 +57,6 @@ class Variable:
             raise ValidationError(f"variable {self.id!r} needs at least two states")
         if len(set(self.states)) != len(self.states):
             raise ValidationError(f"variable {self.id!r} repeats a state label")
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
 
     @property
     def cardinality(self) -> int:

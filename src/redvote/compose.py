@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import bayes, ctmc, nmr
 from .errors import RedvoteError, SolverError, ValidationError
@@ -552,39 +552,20 @@ def _require_finite(what: str, values: Mapping[str, float]) -> None:
             raise SolverError(f"{what} {name!r} is {value!r}; figures must be finite")
 
 
-def run_workflow(
-    workflow: Workflow | ValidatedWorkflow,
-    order: Sequence[str] | None = None,
-) -> SolveResult:
+def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
     """Solve all instances in topological order and evaluate the exports.
 
     The result is fully deterministic, and identical for every admissible
     topological order. A non-finite instance output or export raises
-    :class:`SolverError`. ``order`` overrides the cached order, mainly so that
-    order-independence can be exercised; it must be a valid topological
-    order of the instance dependency graph.
+    :class:`SolverError`.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
     wf = validated.workflow
     by_name = {inst.name: inst for inst in wf.instances}
 
-    solve_order = tuple(order) if order is not None else validated.order
-    if order is not None:
-        if sorted(solve_order) != sorted(validated.order):
-            raise ValidationError("order must be a permutation of the workflow's instances")
-        seen: set[str] = set()
-        for name in solve_order:
-            for expr in by_name[name].bindings.values():
-                for ref in expr_refs(expr):
-                    if ref.instance not in seen:
-                        raise ValidationError(
-                            f"order is not topological: {name!r} runs before {ref.instance!r}"
-                        )
-            seen.add(name)
-
     solved: dict[str, dict[str, float]] = {}
     notes: list[str] = []
-    for name in solve_order:
+    for name in validated.order:
         inst = by_name[name]
         cls = validated.instance_class(inst)
         values = {pname: _evaluate(expr, solved) for pname, expr in inst.bindings.items()}

@@ -6,23 +6,24 @@ rates, so it keeps full relative accuracy even when transition rates span
 a dozen orders of magnitude, which is routine for the maintenance chains
 this package targets. The chains have a handful of states, so the solver
 works on plain lists of rows: at this size array routines cost more in
-per-call overhead than the O(n^3) arithmetic. A trajectory simulator is
-included as an independent cross-check of the solver; it and
-:func:`generator` are the only users of numpy, which they import on call.
+per-call overhead than the O(n^3) arithmetic. A trajectory simulator, driven
+by the standard library's seeded ``random.Random``, is included as an
+independent cross-check of the solver.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SolverError, ValidationError
 
-if TYPE_CHECKING:
-    import numpy as np
-
-GENERATOR_ROW_SUM_TOLERANCE = 1e-12
+#: Equal windows of the horizon whose occupancy means give the standard error.
+SIMULATION_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,6 @@ def check_structure(
             # almost certainly a typo in a model file, so refuse to sum
             raise ValidationError(f"duplicate transition {src!r} -> {dst!r}", ("transitions", j))
         seen.add(pair)
-
-
-def generator(chain: Ctmc) -> np.ndarray:
-    """Infinitesimal generator: off-diagonals are rates, diagonal negates the row sum."""
-    import numpy as np  # only this array result and the simulator need numpy
-
-    q = np.array(_rate_matrix(chain), dtype=float)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return q
 
 
 def _rate_matrix(chain: Ctmc) -> list[list[float]]:
@@ -210,46 +202,43 @@ class SimulationResult:
     jumps: int
 
 
-def simulate(chain: Ctmc, horizon: float, seed: int, batches: int = 20) -> SimulationResult:
+def simulate(chain: Ctmc, horizon: float, seed: int) -> SimulationResult:
     """Simulate one trajectory of exponential sojourns and embedded jumps.
 
     Each jump goes to one of the current state's positive-rate targets, each
     chosen with probability rate / exit rate. Occupancy is time-in-state
     divided by the horizon; standard errors come from batch means over
-    ``batches`` equal windows. Fully determined by ``seed``: the same seed
-    always yields the identical result.
+    :data:`SIMULATION_BATCHES` equal windows. Fully determined by ``seed``:
+    the same seed always yields the identical result.
     """
-    if not horizon > 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
-    if batches < 2:
-        raise ValidationError("need at least two batches for a standard error")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValidationError(f"horizon must be finite and positive, got {horizon!r}")
 
-    import numpy as np  # the seeded stream is numpy's generator
+    # imported on call: it pulls in decimal and fractions, which would add
+    # about 5 ms to every CLI start
+    import statistics
 
     n = len(chain.states)
-    rates = np.array(_rate_matrix(chain), dtype=float)
+    batches = SIMULATION_BATCHES
+    rates = _rate_matrix(chain)
     # compact per-state jump tables so a boundary draw can never select a
     # zero-rate target
-    targets: list[np.ndarray] = []
-    cumulative: list[np.ndarray] = []
-    for i in range(n):
-        nonzero = np.flatnonzero(rates[i])
-        targets.append(nonzero)
-        cumulative.append(np.cumsum(rates[i, nonzero]))
-    exit_rate = [float(c[-1]) if len(c) else 0.0 for c in cumulative]
+    targets = [[j for j, rate in enumerate(row) if rate > 0.0] for row in rates]
+    cumulative = [list(itertools.accumulate(row[j] for j in t)) for row, t in zip(rates, targets)]
+    exit_rate = [c[-1] if c else 0.0 for c in cumulative]
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     batch_len = horizon / batches
-    occupancy = np.zeros((batches, n), dtype=float)
+    occupancy = [[0.0] * n for _ in range(batches)]
 
     def record(state: int, start: float, end: float) -> None:
         first = min(int(start / batch_len), batches - 1)
-        last = min(int(np.nextafter(end, start) / batch_len), batches - 1)
+        last = min(int(math.nextafter(end, start) / batch_len), batches - 1)
         for b in range(first, last + 1):
             lo = max(start, b * batch_len)
             hi = min(end, (b + 1) * batch_len)
             if hi > lo:
-                occupancy[b, state] += hi - lo
+                occupancy[b][state] += hi - lo
 
     now = 0.0
     state = chain.index(chain.initial)
@@ -259,22 +248,23 @@ def simulate(chain: Ctmc, horizon: float, seed: int, batches: int = 20) -> Simul
         if lam <= 0.0:
             record(state, now, horizon)
             break
-        leave = now + rng.exponential(1.0 / lam)
+        leave = now + rng.expovariate(lam)
         end = min(leave, horizon)
         record(state, now, end)
         now = end
         if leave >= horizon:
             break
-        pick = int(np.searchsorted(cumulative[state], rng.random() * lam, side="right"))
-        state = int(targets[state][min(pick, len(targets[state]) - 1)])
+        pick = bisect.bisect_right(cumulative[state], rng.random() * lam)
+        state = targets[state][min(pick, len(targets[state]) - 1)]
         jumps += 1
 
-    fractions = occupancy.sum(axis=0) / horizon
-    per_batch = occupancy / batch_len
-    errors = per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
+    per_state = list(zip(*occupancy))
     return SimulationResult(
-        occupancy=dict(zip(chain.states, fractions.tolist())),
-        standard_error=dict(zip(chain.states, errors.tolist())),
+        occupancy={s: sum(col) / horizon for s, col in zip(chain.states, per_state)},
+        standard_error={
+            s: statistics.stdev(t / batch_len for t in col) / math.sqrt(batches)
+            for s, col in zip(chain.states, per_state)
+        },
         horizon=horizon,
         batches=batches,
         jumps=jumps,

@@ -83,6 +83,9 @@ class MaintenanceParams:
     par7: ratio of maintenance interventions performed incorrectly.
     par8: power line failures per hour (inverse mean time between failures).
     par9: power restores per hour (inverse mean time to restore).
+
+    That the safe-shutdown rate ``2*par4 - par5`` is positive is a fact of
+    the chain, checked once by :func:`build_maintenance_ctmc`.
     """
 
     par4: float
@@ -96,10 +99,6 @@ class MaintenanceParams:
         _check_unit_interval("par4", self.par4)
         _check_unit_interval("par5", self.par5)
         _check_unit_interval("par7", self.par7)
-        if self.par5 > 2.0 * self.par4:
-            raise ValidationError(
-                f"par5 ({self.par5!r}) cannot exceed twice par4 ({self.par4!r})"
-            )
         for name in ("par6", "par8", "par9"):
             _check_nonnegative(name, getattr(self, name))
 
@@ -112,16 +111,28 @@ class MaintenanceLevel(enum.Enum):
     EIGHT_STATE = "eight"
 
 
-@dataclass(frozen=True)
-class InterfaceValues:
-    """Values exchanged between the failure and maintenance models."""
+class FailureInterface(NamedTuple):
+    """What the failure network hands to the maintenance chain.
 
-    par4: float | None = None
-    par5: float | None = None
-    par10: float | None = None
-    hr_2oo2: float | None = None
-    hfr_2oo3: float | None = None
-    mtbhe_2oo3: float | None = None
+    par4: single-unit incorrect-output probability.
+    par5: 2oo2 hazardous-failure probability.
+    """
+
+    par4: float
+    par5: float
+
+
+class HazardFigures(NamedTuple):
+    """2oo3 hazard figures read off a maintenance steady state.
+
+    par10: steady-state probability of the hazardous state S3.
+    hfr_2oo3: hazardous failure rate, three times par10.
+    mtbhe_2oo3: mean time between hazardous events, None when the rate is 0.
+    """
+
+    par10: float
+    hfr_2oo3: float
+    mtbhe_2oo3: float | None
 
 
 # --- failure network ---------------------------------------------------------
@@ -218,7 +229,7 @@ def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
     return bayes.build_net(variables, cpts)
 
 
-def failure_interface(params: FailureParams) -> InterfaceValues:
+def failure_interface(params: FailureParams) -> FailureInterface:
     """Solve the failure network for the two interface probabilities.
 
     par4 is the single-unit incorrect-output probability, par5 the 2oo2
@@ -227,7 +238,7 @@ def failure_interface(params: FailureParams) -> InterfaceValues:
     net = build_failure_bn(params)
     par4 = bayes.marginal(net, "UNCORR_A")["True"]
     par5 = bayes.marginal(net, "UNSAFE_OUTPUT")["True"]
-    return InterfaceValues(par4=par4, par5=par5, hr_2oo2=par5)
+    return FailureInterface(par4=par4, par5=par5)
 
 
 def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
@@ -356,7 +367,7 @@ def build_maintenance_ctmc(
     return ctmc.Ctmc(states, initial, transitions)
 
 
-def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> InterfaceValues:
+def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> HazardFigures:
     """Hazard figures of the 2oo3 system from a maintenance steady state.
 
     The model output is the steady-state probability of the hazardous state
@@ -368,7 +379,7 @@ def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> InterfaceVal
     par10 = float(distribution["S3"])
     hfr = 3.0 * par10
     mtbhe = 1.0 / hfr if hfr > 0.0 else None
-    return InterfaceValues(par10=par10, hfr_2oo3=hfr, mtbhe_2oo3=mtbhe)
+    return HazardFigures(par10=par10, hfr_2oo3=hfr, mtbhe_2oo3=mtbhe)
 
 
 # --- workflow templates ------------------------------------------------------

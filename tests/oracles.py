@@ -93,9 +93,23 @@ def random_evidence(rng: random.Random, net: bayes.BayesNet, spare: str) -> dict
 # --- CTMC oracles ---------------------------------------------------------------
 
 
+def generator(chain: ctmc.Ctmc) -> np.ndarray:
+    """Infinitesimal generator: off-diagonals are rates, diagonal negates the row sum.
+
+    Built from the chain's declared states and transitions, so the dense
+    oracle shares no code with the solver.
+    """
+    index = {state: i for i, state in enumerate(chain.states)}
+    q = np.zeros((len(index), len(index)))
+    for tr in chain.transitions:
+        q[index[tr.src], index[tr.dst]] = tr.rate
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
 def dense_steady_state(chain: ctmc.Ctmc) -> np.ndarray:
     """Solve pi.Q = 0, sum(pi) = 1 with a plain dense linear solve."""
-    q = ctmc.generator(chain)
+    q = generator(chain)
     a = q.T.copy()
     a[-1, :] = 1.0
     rhs = np.zeros(len(chain.states))

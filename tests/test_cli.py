@@ -1,5 +1,6 @@
 """Command-line behavior: reports, formats, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -340,17 +341,24 @@ def test_import_does_not_load_hashlib():
 
 
 def test_solve_does_not_load_numpy():
-    # variable elimination and GTH run on plain lists; only simulate and
-    # generator need numpy
+    # nothing in redvote imports numpy: solving, sweeps, posteriors and the
+    # simulator all run on the standard library
     src = str(Path(redvote.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import contextlib, io, sys\n"
-        "from redvote import cli\n"
+        "from redvote import cli, ctmc, nmr\n"
         "for path in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = cli.main(['solve', path, '--format', 'json', '--threshold', '1e-9'])\n"
-        "    assert code in (0, 5), (path, code)\n"
+        "    for argv in (['solve', path, '--format', 'json', '--threshold', '1e-9'],\n"
+        "                 ['sweep', path, '--param', 'phi.PAR_1', '--factors', '1,0.1'],\n"
+        "                 ['posteriors', path, '--instance', 'phi',\n"
+        "                  '--evidence', 'UNSAFE_OUTPUT=True']):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = cli.main(argv)\n"
+        "        assert code in (0, 5), (argv, code)\n"
+        "params = nmr.MaintenanceParams(2e-3, 1e-3, 1.0, 1e-2, 1e-3, 3.0)\n"
+        "chain = nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)\n"
+        "assert ctmc.simulate(chain, horizon=1e3, seed=1).jumps > 0\n"
         "print('numpy' in sys.modules)\n"
     )
     models = sorted(str(p) for p in MODELS.glob("*.rvm"))
@@ -358,3 +366,20 @@ def test_solve_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", probe, *models], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library():
+    # every import anywhere in the package, including those inside functions
+    allowed = sys.stdlib_module_names | {"redvote"}
+    foreign = []
+    for path in sorted(Path(redvote.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []

@@ -290,16 +290,14 @@ class TestRunWorkflow:
                 "sum", compose.BinOp("+", compose.Ref("a", "PAR_4"), compose.Ref("b", "PAR_4"))
             ),
         )
-        workflow = compose.Workflow("two", (), (phi_a, phi_b), exports)
-        forward = compose.run_workflow(workflow, order=("a", "b"))
-        backward = compose.run_workflow(workflow, order=("b", "a"))
+        # the solve order follows declaration order
+        ab = compose.validate_workflow(compose.Workflow("two", (), (phi_a, phi_b), exports))
+        ba = compose.validate_workflow(compose.Workflow("two", (), (phi_b, phi_a), exports))
+        assert (ab.order, ba.order) == (("a", "b"), ("b", "a"))
+        forward = compose.run_workflow(ab)
+        backward = compose.run_workflow(ba)
         assert forward.exports == backward.exports
         assert forward.instances == backward.instances
-
-    def test_non_topological_order_rejected(self):
-        workflow = case_study_workflow()
-        with pytest.raises(ValidationError, match="not topological"):
-            compose.run_workflow(workflow, order=("mu", "phi"))
 
     def test_solver_error_names_the_instance(self):
         # par5 > 2*par4 violates the maintenance parameter invariant at solve time

