@@ -18,6 +18,7 @@ from .bayes import (
     joint_probability,
     marginal,
     posterior_report,
+    posteriors,
 )
 from .compose import (
     BinOp,
@@ -68,6 +69,7 @@ __all__ = [
     # bayes
     "BayesNet", "Cpt", "Distribution", "Evidence", "Variable", "build_net",
     "elimination_order", "joint_probability", "marginal", "posterior_report",
+    "posteriors",
     # ctmc
     "Ctmc", "SimulationResult", "Transition", "reachable_closed_class",
     "simulate", "steady_state",

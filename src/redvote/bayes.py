@@ -17,6 +17,12 @@ gather indices, depend only on the network's structure and the target, so each
 is computed once per (structure, target) pair and reused across parameter
 values and evidence. An observation enters as an indicator on its variable's
 own table (Darwiche 2003), not as a change of plan.
+
+:func:`marginal` runs the plan of its one target. :func:`posteriors` answers
+every variable at once from one plan per structure, which eliminates every
+variable down to the evidence probability, and one backward pass over that
+plan's steps, which differentiates the evidence probability with respect to
+every table entry (Darwiche 2003's differential approach).
 """
 
 from __future__ import annotations
@@ -248,23 +254,28 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
 #: Gathers a flat table's entries at fixed indices.
 _Read = Callable[[Sequence[float]], Sequence[float]]
 
+#: One elimination step: ``((slot, index, read), ...)`` and the group size.
+_Step = tuple[tuple[tuple[int, tuple[int, ...], _Read], ...], int]
+
 
 @dataclass(frozen=True)
 class _Plan:
     """Variable elimination of every variable but the target, for one
-    (structure, target).
+    (structure, target); of every variable when the target is ``None``.
 
     Slots ``0..n-1`` hold the flat CPT tables in variable order, each
     observed variable's table already multiplied by its evidence indicator.
-    Each step ``(reads, group)`` gathers every factor it multiplies at
+    Each step ``(reads, group)`` gathers every factor it multiplies: a read
+    ``(slot, index, read)`` takes the slot's entries at ``index``, the
     precomputed indices enumerated over the step's scope, row-major with the
-    eliminated variable innermost, multiplies elementwise and sums
-    consecutive runs of ``group`` products; its result takes the next slot.
-    The last step yields ``P(target, evidence)`` over the target's states.
+    eliminated variable innermost. The step multiplies the gathered factors
+    elementwise and sums consecutive runs of ``group`` products; its result
+    takes the next slot. The last step yields ``P(target, evidence)`` over
+    the target's states, or the one-entry ``[P(evidence)]`` without a target.
     """
 
     order: tuple[str, ...]
-    steps: tuple[tuple[tuple[tuple[int, _Read], ...], int], ...]
+    steps: tuple[_Step, ...]
 
 
 def elimination_order(
@@ -274,8 +285,9 @@ def elimination_order(
 
     Ties on fill count break in variable-id order, which makes the order,
     and therefore every inference result, fully deterministic.
-    :func:`marginal` eliminates in ``elimination_order(net, target)``
-    whatever the evidence, since observations enter as indicators.
+    :func:`marginal` eliminates in ``elimination_order(net, target)`` and
+    :func:`posteriors` in ``elimination_order(net, ())``, whatever the
+    evidence, since observations enter as indicators.
     """
     evidence = dict(evidence or {})
     query_set = {query} if isinstance(query, str) else set(query)
@@ -330,46 +342,55 @@ def _strides(vars_: Sequence[str], card: Mapping[str, int]) -> dict[str, int]:
 
 
 @functools.lru_cache(maxsize=8 * PLAN_CACHE_SIZE)  # a handful of layouts per plan
-def _gather(layout: tuple[tuple[int, int], ...]) -> _Read:
-    """Reader of a flat table's entries at each row-major assignment of a
-    non-empty scope whose variables have ``(state count, stride in the
-    table)``; a scope variable the table lacks has stride 0. Nets of mostly
+def _gather(layout: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], _Read]:
+    """Indices of a flat table's entries at each row-major assignment of a
+    scope whose variables have ``(state count, stride in the table)``, and a
+    reader of the entries there; a scope variable the table lacks has stride
+    0, and an empty scope reads a scalar factor's one entry. Nets of mostly
     binary variables share few layouts, so the cache spares most of a cold
     plan's index building."""
     index = [0]
     for count, stride in layout:
         offsets = range(0, count * stride, stride) if stride else (0,) * count
         index = [i + o for i in index for o in offsets]
-    return itemgetter(*index)
+    # ``itemgetter`` of a single index returns the entry, not a sequence
+    read = itemgetter(*index) if len(index) > 1 else itemgetter(slice(0, 1))
+    return tuple(index), read
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(signature: Signature, target: str) -> _Plan:
-    order = _min_fill(signature, frozenset((target,)), frozenset())
+def _plan(signature: Signature, target: str | None) -> _Plan:
+    query = () if target is None else (target,)
+    order = _min_fill(signature, frozenset(query), frozenset())
     card = {vid: n for vid, _, n in signature}
     # slot -> (variables, strides) of each live factor; a merged factor goes last
     live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
     for slot, (vid, parents, _) in enumerate(signature):
         live[slot] = (parents + (vid,), _strides(parents + (vid,), card))
     steps = []
-    for vid in order + (None,):  # None: the final product onto the target
+    for vid in order + (None,):  # None: the final product onto the query
         related = [slot for slot, (vars_, _) in live.items() if vid is None or vid in vars_]
         if vid is None:
             # every other variable is eliminated by now
-            out_vars, scope, group = (target,), (target,), 1
+            out_vars, scope, group = query, query, 1
         else:
             out_vars = tuple(dict.fromkeys(v for s in related for v in live[s][0] if v != vid))
             scope, group = out_vars + (vid,), card[vid]
         reads = []
         for s in related:
             strides = live.pop(s)[1]
-            reads.append((s, _gather(tuple((card[v], strides.get(v, 0)) for v in scope))))
+            reads.append((s, *_gather(tuple((card[v], strides.get(v, 0)) for v in scope))))
         steps.append((tuple(reads), group))
         live[len(signature) + len(steps) - 1] = (out_vars, _strides(out_vars, card))
     return _Plan(order, tuple(steps))
 
 
-def _eliminate(net: BayesNet, target: str, ev_idx: Mapping[str, int]) -> Sequence[float]:
+def _eliminate(
+    net: BayesNet, target: str | None, ev_idx: Mapping[str, int]
+) -> list[Sequence[float]]:
+    """Run ``_plan(net.signature, target)`` with each observation ``v = k``
+    as the indicator of ``k`` on ``v``'s table. Returns the factor in every
+    slot, the last one being the plan's result."""
     tables: list[Sequence[float]] = list(net._tables)
     for slot, (vid, _, count) in enumerate(net.signature):
         if vid in ev_idx:
@@ -378,16 +399,52 @@ def _eliminate(net: BayesNet, target: str, ev_idx: Mapping[str, int]) -> Sequenc
             tables[slot] = [0.0] * len(table)
             tables[slot][k::count] = table[k::count]
     for reads, group in _plan(net.signature, target).steps:
-        (slot, read), *rest = reads
+        (slot, _, read), *rest = reads
         product = read(tables[slot])
-        for slot, read in rest:
+        for slot, _, read in rest:
             product = map(mul, product, read(tables[slot]))
         product = list(product)
         summed = product[::group]
         for j in range(1, group):
             summed = list(map(add, summed, product[j::group]))
         tables.append(summed)
-    return tables[-1]
+    return tables
+
+
+def _adjoints(steps: Sequence[_Step], tables: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The derivative of a plan's one-entry result with respect to every
+    entry of every slot, by reverse mode over the plan's ``steps``;
+    ``tables`` holds every slot's factor from the forward pass.
+
+    Each slot is read by exactly one step, which gathers it again here. A
+    step's output entry is a sum of products of gathered entries, so the
+    derivative with respect to one gathered factor is the output's adjoint
+    times the product of the step's other factors, scatter-added at that
+    factor's gather indices. The other factors' product is built from prefix
+    and suffix products, never by division: 0/1 gates and evidence
+    indicators make many entries exactly 0.
+    """
+    adjoints: list[list[float]] = [[] for _ in tables]
+    adjoints[-1] = [1.0]
+    first = len(tables) - len(steps)  # the slot of the first step's result
+    for out in reversed(range(first, len(tables))):
+        reads, group = steps[out - first]
+        factors = [read(tables[slot]) for slot, _, read in reads]
+        # prefixes[j]: the output adjoint, per product, times the factors before j
+        prefixes = [[a for a in adjoints[out] for _ in range(group)]]
+        for factor in factors[:-1]:
+            prefixes.append(list(map(mul, prefixes[-1], factor)))
+        suffix: Sequence[float] | None = None  # the product of the factors after j
+        for j in reversed(range(len(reads))):
+            slot, index, _ = reads[j]
+            others = prefixes[j] if suffix is None else list(map(mul, prefixes[j], suffix))
+            if j:
+                suffix = factors[j] if suffix is None else list(map(mul, suffix, factors[j]))
+            adjoint = [0.0] * len(tables[slot])
+            for i, d in zip(index, others):
+                adjoint[i] += d
+            adjoints[slot] = adjoint
+    return adjoints
 
 
 def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Distribution:
@@ -406,20 +463,50 @@ def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Di
     evidence = dict(evidence or {})
     var = net.variable(target)
     ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
-    vector = _eliminate(net, target, ev_idx)
+    vector = _eliminate(net, target, ev_idx)[-1]
     z = sum(vector)
     if not z > 0.0:  # NaN fails too
         raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
     return Distribution(target, {s: p / z for s, p in zip(var.states, vector)})
 
 
+def posteriors(net: BayesNet, evidence: Evidence) -> dict[str, Distribution]:
+    """Exact ``P(v | evidence)`` of every variable ``v``, observed ones
+    included, keyed by variable id in variable order.
+
+    One plan per structure eliminates every variable, down to the scalar
+    ``P(evidence)``, with observations entered as indicators as in
+    :func:`marginal`; one backward pass over the same steps then gives the
+    derivative of ``P(evidence)`` with respect to every table entry. Each
+    term of the network polynomial holds exactly one entry per table
+    (Darwiche 2003), so a table times its derivative is
+    ``P(family, evidence)``, and summing it over the parent states gives
+    ``P(v = k, evidence)``. Each variable is normalised by its own sum, which
+    makes an observed variable an exact point mass. Evidence of probability
+    zero raises :class:`ZeroEvidenceError`, as in :func:`marginal`.
+    """
+    ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
+    tables = _eliminate(net, None, ev_idx)
+    (p_evidence,) = tables[-1]
+    if not p_evidence > 0.0:  # NaN fails too
+        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
+    adjoints = _adjoints(_plan(net.signature, None).steps, tables)
+    dists = {}
+    for table, adjoint, var in zip(tables, adjoints, net.variables):
+        count = var.cardinality
+        family = list(map(mul, table, adjoint))
+        mass = [sum(family[k::count]) for k in range(count)]
+        z = sum(mass)
+        dists[var.id] = Distribution(var.id, {s: m / z for s, m in zip(var.states, mass)})
+    return dists
+
+
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:
-    """Posterior of every non-evidence variable, ordered by variable id."""
-    evidence = dict(evidence)
-    for vid, state in evidence.items():
-        net.state_index(vid, state)
-    return [
-        marginal(net, vid, evidence)
-        for vid in sorted(net.variable_ids)
-        if vid not in evidence
-    ]
+    """Posterior of every non-evidence variable, ordered by variable id.
+
+    A filter of :func:`posteriors`: every posterior comes from one pass over
+    the structure's one all-variable plan, where :func:`marginal` runs a
+    plan per (structure, target).
+    """
+    dists = posteriors(net, evidence)
+    return [dists[vid] for vid in sorted(dists) if vid not in evidence]

@@ -132,12 +132,9 @@ def cmd_posteriors(args: argparse.Namespace, data: bytes, workflow: compose.Work
     net = compose.instance_net(validated, result, args.instance)
 
     # observed variables are listed too, as point masses on their observed state
-    dists = bayes.posterior_report(net, evidence)
-    dists += [bayes.marginal(net, var_id, evidence) for var_id in evidence]
+    dists = bayes.posteriors(net, evidence)
     rep = _base_report(workflow, data, result)
-    rep.posteriors = {
-        d.variable: dict(d.probabilities) for d in sorted(dists, key=lambda d: d.variable)
-    }
+    rep.posteriors = {vid: dict(dists[vid].probabilities) for vid in sorted(dists)}
     _write_report(rep, args)
     return EXIT_OK
 

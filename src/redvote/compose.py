@@ -529,12 +529,11 @@ def _solve_instance(
         outputs = {f"pi_{state}": pi[state] for state in template.states}
         return outputs, f"{inst.name}: inline chain {template.name} via GTH steady state"
     if isinstance(cls.template, InlineBayes):
-        net = inline_bayes_net(cls.template)
+        dists = bayes.posteriors(inline_bayes_net(cls.template), {})
         outputs = {}
         for node in cls.template.nodes:
-            dist = bayes.marginal(net, node.id)
             for state in node.states:
-                outputs[f"p_{node.id}_{state}"] = dist[state]
+                outputs[f"p_{node.id}_{state}"] = dists[node.id][state]
         return outputs, (
             f"{inst.name}: inline network {cls.template.name} via variable elimination"
         )

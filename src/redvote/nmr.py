@@ -372,11 +372,14 @@ def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> HazardFigure
 
     The model output is the steady-state probability of the hazardous state
     S3; the 2oo3 hazardous failure rate is three times that figure, mirroring
-    the three-pair decomposition used for the failure model.
+    the three-pair decomposition used for the failure model. A missing S3, or
+    one that is not a probability in [0, 1], raises :class:`ValidationError`.
     """
     if "S3" not in distribution:
         raise ValidationError("maintenance distribution lacks the hazardous state S3")
     par10 = float(distribution["S3"])
+    if not 0.0 <= par10 <= 1.0:  # NaN fails too
+        raise ValidationError(f"S3 probability {par10!r} is not in [0, 1]")
     hfr = 3.0 * par10
     mtbhe = 1.0 / hfr if hfr > 0.0 else None
     return HazardFigures(par10=par10, hfr_2oo3=hfr, mtbhe_2oo3=mtbhe)

@@ -273,6 +273,67 @@ class TestPosteriorReport:
             bayes.posterior_report(net, {"Copy": "False"})
 
 
+class TestPosteriors:
+    def test_matches_enumeration_on_gated_nets(self):
+        rng = random.Random(909)
+        impossible = disconnected = 0
+        for _ in range(60):
+            net = random_net(rng, gates=0.5)
+            ids = net.variable_ids
+            children = {p for _, parents, _ in net.signature for p in parents}
+            disconnected += len(ids) > 1 and any(
+                not parents and vid not in children for vid, parents, _ in net.signature
+            )
+            observed = rng.sample(ids, k=rng.randint(0, min(2, len(ids))))
+            for states in itertools.product(B, repeat=len(observed)):
+                evidence = dict(zip(observed, states))
+                index = tuple(
+                    net.state_index(v, evidence[v]) if v in evidence else slice(None)
+                    for v in ids
+                )
+                if full_joint(net)[index].sum() == 0.0:
+                    impossible += 1
+                    with pytest.raises(ZeroEvidenceError):
+                        bayes.posteriors(net, evidence)
+                    continue
+                dists = bayes.posteriors(net, evidence)
+                assert list(dists) == list(ids)
+                for vid in ids:
+                    if vid in evidence:
+                        want = [float(s == evidence[vid]) for s in B]
+                        assert [dists[vid][s] for s in B] == want
+                        continue
+                    for state, p in zip(B, enum_marginal(net, vid, evidence)):
+                        assert abs(dists[vid][state] - p) <= 1e-12
+        assert impossible > 0 and disconnected > 0
+
+    def test_failure_net_matches_marginal(self):
+        # the observed sink must come out exactly 1.0, which normalising by
+        # the forward P(e) instead of each variable's own sum does not give
+        rng = random.Random(3131)
+        for _ in range(60):
+            p = nmr.FailureParams(
+                rng.uniform(1e-7, 1e-3), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            )
+            net = nmr.build_failure_bn(p)
+            evidence = {"UNSAFE_OUTPUT": "True"}
+            for vid in rng.sample(net.variable_ids, k=rng.randint(0, 2)):
+                evidence[vid] = rng.choice(net.variable(vid).states)
+            try:
+                want = {vid: bayes.marginal(net, vid, evidence) for vid in net.variable_ids}
+            except ZeroEvidenceError:
+                with pytest.raises(ZeroEvidenceError):
+                    bayes.posteriors(net, evidence)
+                continue
+            got = bayes.posteriors(net, evidence)
+            for vid, dist in want.items():
+                for state, q in dist.probabilities.items():
+                    if vid in evidence:
+                        assert got[vid][state] == float(state == evidence[vid])
+                    else:
+                        assert abs(got[vid][state] - q) <= 1e-12 * q
+
+
 class TestEliminationOrder:
     def test_chain_eliminates_tail_first(self):
         net = _chain_abc()
@@ -420,3 +481,14 @@ class TestPlanCache:
         for vid, state in hazard.items():
             bayes.posterior_report(net, {"UNSAFE_OUTPUT": "True", vid: state})
         assert bayes._plan.cache_info().misses <= len(net)
+
+    def test_posteriors_compile_one_plan_per_structure(self):
+        net = nmr.build_failure_bn(nmr.FailureParams(1.6666e-5, 0.1, 0.1))
+        bayes._plan.cache_clear()
+        for vid in net.variable_ids:
+            for state in net.variable(vid).states:
+                try:
+                    bayes.posterior_report(net, {"UNSAFE_OUTPUT": "True", vid: state})
+                except ZeroEvidenceError:
+                    pass
+        assert bayes._plan.cache_info().misses == 1

@@ -7,6 +7,8 @@ import pytest
 from redvote import compose, nmr
 from redvote.errors import SolverError, ValidationError
 
+from oracles import enum_marginal
+
 MAINT_LITERALS = {
     "PAR_6": compose.Literal(1.0),
     "PAR_7": compose.Literal(1e-2),
@@ -342,6 +344,24 @@ class TestRunWorkflow:
             compose.run_workflow(inline_wf).exports["HFR_2oo3"]
             == compose.run_workflow(workflow).exports["HFR_2oo3"]
         )
+
+    def test_inline_network_outputs_match_enumeration(self):
+        # a three-state root, a 0/1 gate row, and a node outside the rest
+        template = compose.InlineBayes("net", (
+            compose.InlineNode("A", ("lo", "mid", "hi"), (), (0.2, 0.5, 0.3)),
+            compose.InlineNode("B", ("F", "T"), ("A",), (0.9, 0.1, 0.4, 0.6, 0.0, 1.0)),
+            compose.InlineNode("C", ("F", "T"), ("A", "B"), (
+                0.7, 0.3, 1.0, 0.0, 0.25, 0.75, 0.5, 0.5, 0.95, 0.05, 0.1, 0.9,
+            )),
+            compose.InlineNode("D", ("F", "T"), (), (0.35, 0.65)),
+        ))
+        cls = compose.class_from_inline(template)
+        inst = compose.ModelInstance("n", "net", {})
+        outputs = compose.run_workflow(compose.Workflow("w", (cls,), (inst,), ())).instances["n"]
+        net = compose.inline_bayes_net(template)
+        for node in template.nodes:
+            for state, want in zip(node.states, enum_marginal(net, node.id)):
+                assert abs(outputs[f"p_{node.id}_{state}"] - want) <= 1e-12
 
     def test_export_scalar_identity(self):
         workflow = case_study_workflow()

@@ -1,5 +1,7 @@
 """The concrete failure network and maintenance chains."""
 
+import math
+
 import pytest
 
 from redvote import bayes, ctmc, nmr
@@ -248,6 +250,11 @@ class TestHfrFromMaintenance:
     def test_missing_hazard_state_rejected(self):
         with pytest.raises(ValidationError, match="S3"):
             nmr.hfr_2oo3_from_maintenance({"S0": 1.0})
+
+    @pytest.mark.parametrize("s3", [math.nan, math.inf, -0.5, 2.0])
+    def test_non_probability_rejected(self, s3):
+        with pytest.raises(ValidationError, match="S3"):
+            nmr.hfr_2oo3_from_maintenance({"S3": s3})
 
 
 class TestEndToEnd:
