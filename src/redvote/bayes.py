@@ -30,9 +30,8 @@ from __future__ import annotations
 import functools
 import graphlib
 import itertools
-from dataclasses import dataclass
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError, ZeroEvidenceError
 
@@ -48,29 +47,31 @@ ROW_SUM_TOLERANCE = 1e-9
 PLAN_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple("Variable", [("id", str), ("states", tuple[str, ...])])):
     """A finite discrete variable with an ordered set of state labels."""
 
-    id: str
-    states: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.id:
+    def __new__(cls, id: str, states: Iterable[str]) -> Variable:
+        states = tuple(states)
+        if not id:
             raise ValidationError("variable id must be non-empty")
-        if len(self.states) < 2:
-            raise ValidationError(f"variable {self.id!r} needs at least two states")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError(f"variable {self.id!r} repeats a state label")
+        if len(states) < 2:
+            raise ValidationError(f"variable {id!r} needs at least two states")
+        if len(set(states)) != len(states):
+            raise ValidationError(f"variable {id!r} repeats a state label")
+        return tuple.__new__(cls, (id, states))
 
     @property
     def cardinality(self) -> int:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class Cpt:
+#: Parent-state assignment -> distribution over the child's states.
+Rows = Mapping[tuple[str, ...], tuple[float, ...]]
+
+
+class Cpt(NamedTuple("Cpt", [("child", str), ("parents", tuple[str, ...]), ("rows", Rows)])):
     """Conditional probability table for one child variable.
 
     ``rows`` maps a full parent-state assignment (ordered like ``parents``)
@@ -78,25 +79,18 @@ class Cpt:
     Root variables use the empty tuple as their single key.
     """
 
-    child: str
-    parents: tuple[str, ...]
-    rows: Mapping[tuple[str, ...], tuple[float, ...]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        frozen = {tuple(key): tuple(float(p) for p in dist) for key, dist in self.rows.items()}
-        object.__setattr__(self, "rows", frozen)
+    def __new__(cls, child: str, parents: Iterable[str], rows: Rows) -> Cpt:
+        frozen = {tuple(key): tuple(float(p) for p in dist) for key, dist in rows.items()}
+        return tuple.__new__(cls, (child, tuple(parents), frozen))
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Probability per state of a single variable."""
 
     variable: str
     probabilities: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", dict(self.probabilities))
 
     def __getitem__(self, state: str) -> float:
         return self.probabilities[state]
@@ -258,8 +252,7 @@ _Read = Callable[[Sequence[float]], Sequence[float]]
 _Step = tuple[tuple[tuple[int, tuple[int, ...], _Read], ...], int]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Variable elimination of every variable but the target, for one
     (structure, target); of every variable when the target is ``None``.
 

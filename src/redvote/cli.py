@@ -2,13 +2,15 @@
 
 Commands: ``solve``, ``posteriors``, ``sweep``, ``validate``. Exit codes
 are fixed: 0 success (and verdict pass), 2 parse failure, 3 validation
-failure, 4 numeric or solver failure, 5 verdict fail against a supplied
-threshold. Set ``REDVOTE_NO_COLOR`` to disable ANSI styling.
+failure, 4 numeric or solver failure or an unwritable ``--out``, 5 verdict
+fail against a supplied threshold. Set ``REDVOTE_NO_COLOR`` to disable ANSI
+styling.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,17 +39,22 @@ def _use_color(stream) -> bool:
 
 
 def _write_report(
-    rep: report.AnalysisReport | report.SweepReport, args: argparse.Namespace
-) -> None:
-    """Render ``rep`` in ``args.format`` to ``args.out``, or to stdout."""
+    rep: report.AnalysisReport | report.SweepReport, args: argparse.Namespace, code: int = EXIT_OK
+) -> int:
+    """Write ``rep`` in ``args.format``; return ``code``, or 4 if ``args.out`` is unwritable."""
     name = _RENDERERS[args.format][isinstance(rep, report.SweepReport)]
     options = {"color": _use_color(sys.stdout) and not args.out} if name == "render_text" else {}
     # looked up at call time, so that wrappers installed on ``report`` see the call
     text = getattr(report, name)(rep, **options)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    return code
 
 
 def _load(path: str) -> tuple[bytes, compose.Workflow] | int:
@@ -83,7 +90,7 @@ def _verdict_metric(workflow: compose.Workflow) -> str:
 
 
 def _base_report(
-    workflow: compose.Workflow, data: bytes, result: compose.SolveResult
+    workflow: compose.Workflow, data: bytes, result: compose.SolveResult, **extra: object
 ) -> report.AnalysisReport:
     return report.AnalysisReport(
         workflow=workflow.name,
@@ -93,29 +100,29 @@ def _base_report(
         instances={name: dict(outputs) for name, outputs in result.instances.items()},
         exports=dict(result.exports),
         provenance=list(result.provenance),
+        **extra,
     )
 
 
 def cmd_solve(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
+    threshold = args.threshold
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
+        print(f"error: --threshold must be finite and >= 0, got {threshold!r}", file=sys.stderr)
+        return EXIT_PARSE
     validated = compose.validate_workflow(workflow)
-    if args.threshold is not None:
-        metric = _verdict_metric(workflow)  # fail fast before solving
+    if threshold is None:
+        return _write_report(_base_report(workflow, data, compose.run_workflow(validated)), args)
+    metric = _verdict_metric(workflow)  # fail fast before solving
     result = compose.run_workflow(validated)
-
-    rep = _base_report(workflow, data, result)
-    code = EXIT_OK
-    if args.threshold is not None:
-        value = result.exports[metric]
-        if value < 0.0:  # run_workflow has already rejected non-finite figures
-            raise SolverError(f"verdict metric {metric} is {value!r}; a rate cannot be negative")
-        rep.threshold = args.threshold
-        rep.verdict_metric = metric
-        rep.verdict = "PASS" if value <= args.threshold else "FAIL"
-        rep.sil_note = report.sil_band_note(value)
-        if rep.verdict == "FAIL":
-            code = EXIT_VERDICT
-    _write_report(rep, args)
-    return code
+    value = result.exports[metric]
+    if value < 0.0:  # run_workflow has already rejected non-finite figures
+        raise SolverError(f"verdict metric {metric} is {value!r}; a rate cannot be negative")
+    verdict = "PASS" if value <= threshold else "FAIL"
+    rep = _base_report(
+        workflow, data, result, threshold=threshold, verdict=verdict, verdict_metric=metric,
+        sil_note=report.sil_band_note(value),
+    )
+    return _write_report(rep, args, EXIT_VERDICT if verdict == "FAIL" else EXIT_OK)
 
 
 def cmd_posteriors(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
@@ -124,8 +131,11 @@ def cmd_posteriors(args: argparse.Namespace, data: bytes, workflow: compose.Work
         if "=" not in item:
             print(f"error: evidence must look like NODE=STATE, got {item!r}", file=sys.stderr)
             return EXIT_VALIDATION
-        node, state = item.split("=", 1)
-        evidence[node.strip()] = state.strip()
+        node, state = (part.strip() for part in item.split("=", 1))
+        if evidence.setdefault(node, state) != state:
+            print(f"error: conflicting evidence for {node}: {evidence[node]} and {state}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
 
     validated = compose.validate_workflow(workflow)
     result = compose.run_workflow(validated)
@@ -133,10 +143,8 @@ def cmd_posteriors(args: argparse.Namespace, data: bytes, workflow: compose.Work
 
     # observed variables are listed too, as point masses on their observed state
     dists = bayes.posteriors(net, evidence)
-    rep = _base_report(workflow, data, result)
-    rep.posteriors = {vid: dict(dists[vid].probabilities) for vid in sorted(dists)}
-    _write_report(rep, args)
-    return EXIT_OK
+    table = {vid: dict(dists[vid].probabilities) for vid in sorted(dists)}
+    return _write_report(_base_report(workflow, data, result, posteriors=table), args)
 
 
 def cmd_sweep(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
@@ -165,8 +173,7 @@ def cmd_sweep(args: argparse.Namespace, data: bytes, workflow: compose.Workflow)
             for factor, result in zip(factors, results)
         ],
     )
-    _write_report(rep, args)
-    return EXIT_OK
+    return _write_report(rep, args)
 
 
 def cmd_validate(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:

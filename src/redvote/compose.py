@@ -18,8 +18,7 @@ import graphlib
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bayes, ctmc, nmr
 from .errors import RedvoteError, SolverError, ValidationError
@@ -27,40 +26,67 @@ from .errors import RedvoteError, SolverError, ValidationError
 KINDS = ("probability", "rate", "ratio")
 
 
+class _Record:
+    """An immutable record with its ``__slots__`` as fields, in constructor order; equality
+    is exact in type, so a ``Param("x")`` never equals a ``Literal("x")`` or a tuple."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # --- scalar expressions ------------------------------------------------------
 
 
-class Expr:
+class Expr(_Record):
     """Base class of the scalar expression AST (+, -, *, / and constants)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Literal(Expr):
-    value: float
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Ref(Expr):
     """A reference to another instance's output parameter."""
 
-    instance: str
-    output: str
+    __slots__ = ("instance", "output")
 
 
-@dataclass(frozen=True)
 class Param(Expr):
     """A bare parameter name; only valid inside inline model rate expressions."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
 
 
 def expr_refs(expr: Expr) -> Iterator[Ref]:
@@ -105,8 +131,7 @@ def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
 # --- inline model templates --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InlineCtmc:
+class InlineCtmc(NamedTuple):
     """A chain defined inline; rates may reference the class's input parameters."""
 
     name: str
@@ -115,16 +140,14 @@ class InlineCtmc:
     rates: tuple[tuple[str, str, Expr], ...]
 
 
-@dataclass(frozen=True)
-class InlineNode:
+class InlineNode(NamedTuple):
     id: str
     states: tuple[str, ...]
     parents: tuple[str, ...]
     cpt: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class InlineBayes:
+class InlineBayes(NamedTuple):
     """A network defined inline; tables are flat numeric lists, so no inputs."""
 
     name: str
@@ -134,27 +157,24 @@ class InlineBayes:
 # --- model classes and workflows ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    direction: str  # "input" or "output"
-    kind: str | None = None  # None means unkinded (inline-model parameters)
+class ParamDecl(NamedTuple("ParamDecl", [("name", str), ("direction", str), ("kind", str | None)])):
+    """A model-class parameter; a ``kind`` of None means unkinded (inline-model parameters)."""
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("input", "output"):
-            raise ValidationError(f"parameter direction must be input/output, got {self.direction!r}")
-        if self.kind is not None and self.kind not in KINDS:
-            raise ValidationError(f"unknown parameter kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str, direction: str, kind: str | None = None) -> ParamDecl:
+        if direction not in ("input", "output"):
+            raise ValidationError(f"parameter direction must be input/output, got {direction!r}")
+        if kind is not None and kind not in KINDS:
+            raise ValidationError(f"unknown parameter kind {kind!r}")
+        return tuple.__new__(cls, (name, direction, kind))
 
 
-@dataclass(frozen=True)
-class ModelClass:
-    """A solvable, parameterized model template with a declared interface."""
+class ModelClass(_Record):
+    """A solvable, parameterized model template with a declared interface:
+    ``formalism`` is "BAYES" or "CTMC", ``template`` a builtin name or an inline model."""
 
-    name: str
-    formalism: str  # "BAYES" or "CTMC"
-    params: tuple[ParamDecl, ...]
-    template: str | InlineCtmc | InlineBayes
+    __slots__ = ("name", "formalism", "params", "template")
 
     @property
     def inputs(self) -> tuple[ParamDecl, ...]:
@@ -171,39 +191,29 @@ class ModelClass:
         raise ValidationError(f"model class {self.name!r} has no output {name!r}")
 
 
-@dataclass(frozen=True)
-class ModelInstance:
-    name: str
-    class_name: str
-    bindings: Mapping[str, Expr]
+class ModelInstance(_Record):
+    __slots__ = ("name", "class_name", "bindings")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bindings", dict(self.bindings))
+    def __init__(self, name: str, class_name: str, bindings: Mapping[str, Expr]) -> None:
+        super().__init__(name, class_name, dict(bindings))
 
 
-@dataclass(frozen=True)
-class Export:
+class Export(NamedTuple):
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Workflow:
+class Workflow(_Record):
     """A named DAG of model instances plus exported output expressions."""
 
-    name: str
-    classes: tuple[ModelClass, ...] = ()
-    instances: tuple[ModelInstance, ...] = ()
-    exports: tuple[Export, ...] = ()
+    __slots__ = ("name", "classes", "instances", "exports")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "exports", tuple(self.exports))
+    def __init__(self, name: str, classes: Iterable[ModelClass] = (),
+                 instances: Iterable[ModelInstance] = (), exports: Iterable[Export] = ()) -> None:
+        super().__init__(name, tuple(classes), tuple(instances), tuple(exports))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Solved output values per instance, export values, and provenance notes."""
 
     instances: Mapping[str, Mapping[str, float]]
@@ -349,13 +359,12 @@ def check_records(workflow: Workflow) -> None:
 # --- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidatedWorkflow:
+class ValidatedWorkflow(NamedTuple):
     """A workflow with its class map resolved and topological order cached."""
 
     workflow: Workflow
     order: tuple[str, ...]
-    class_map: Mapping[str, ModelClass] = field(compare=False)
+    class_map: Mapping[str, ModelClass]
 
     def instance_class(self, instance: ModelInstance) -> ModelClass:
         return self.class_map[instance.class_name]
@@ -638,7 +647,9 @@ def sweep(
     for factor in factors:
         value = binding.value * float(factor)
         _check_literal(inst_name, decl, value)
-        new_inst = replace(inst, bindings={**inst.bindings, pname: Literal(value)})
+        bindings = {**inst.bindings, pname: Literal(value)}
+        new_inst = ModelInstance(inst_name, inst.class_name, bindings)
         instances = tuple(new_inst if i.name == inst_name else i for i in wf.instances)
-        results.append(run_workflow(replace(validated, workflow=replace(wf, instances=instances))))
+        point = Workflow(wf.name, wf.classes, instances, wf.exports)
+        results.append(run_workflow(validated._replace(workflow=point)))
     return results

@@ -17,8 +17,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SolverError, ValidationError
 
@@ -26,8 +25,7 @@ from .errors import SolverError, ValidationError
 SIMULATION_BATCHES = 20
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One directed transition with a strictly positive rate in events/hour."""
 
     src: str
@@ -35,8 +33,8 @@ class Transition:
     rate: float
 
 
-@dataclass(frozen=True)
-class Ctmc:
+class Ctmc(NamedTuple("Ctmc", [("states", tuple[str, ...]), ("initial", str),
+                               ("transitions", tuple[Transition, ...])])):
     """A labeled-state chain with a designated initial state.
 
     Invariants enforced at construction: those of :func:`check_structure`,
@@ -44,15 +42,14 @@ class Ctmc:
     Instances are immutable; solving and simulating are pure functions.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    transitions: tuple[Transition, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        check_structure(self.states, self.initial, [(tr.src, tr.dst) for tr in self.transitions])
-        for tr in self.transitions:
+    def __new__(
+        cls, states: Iterable[str], initial: str, transitions: Iterable[Transition]
+    ) -> Ctmc:
+        states, transitions = tuple(states), tuple(transitions)
+        check_structure(states, initial, [(tr.src, tr.dst) for tr in transitions])
+        for tr in transitions:
             if not math.isfinite(tr.rate):
                 raise ValidationError(
                     f"transition {tr.src!r} -> {tr.dst!r}: rate {tr.rate!r} must be finite"
@@ -61,8 +58,9 @@ class Ctmc:
                 raise ValidationError(
                     f"transition {tr.src!r} -> {tr.dst!r} has non-positive rate {tr.rate!r}"
                 )
+        return tuple.__new__(cls, (states, initial, transitions))
 
-    def index(self, state: str) -> int:
+    def index(self, state: str) -> int:  # the state's position, not tuple.index
         return self.states.index(state)
 
 
@@ -191,8 +189,7 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     return result
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Occupancy fractions from one simulated trajectory, with batch-means errors."""
 
     occupancy: Mapping[str, float]

@@ -44,7 +44,7 @@ failure at the element it names. Printing is deterministic, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 from . import compose
 from .errors import ValidationError
 
@@ -67,8 +67,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     message: str
     line: int
     column: int
@@ -77,8 +76,7 @@ class ParseDiagnostic:
         return f"{origin}:{self.line}:{self.column}: error: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     workflow: compose.Workflow | None
     diagnostics: tuple[ParseDiagnostic, ...]
     origin: str = "<string>"
@@ -91,8 +89,7 @@ class ParseResult:
         return [diag.render(self.origin) for diag in self.diagnostics]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER IDENT STRING ARROW punct-literal EOF
     text: str
     line: int

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from . import bayes, ctmc
@@ -41,8 +40,17 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
 
 
-@dataclass(frozen=True)
-class FailureParams:
+class _FailureFields(NamedTuple):
+    par1: float
+    par2: float
+    par3: float
+    transient_ratio: float = 0.9
+    excl_fail: float = 1e-10
+    p_activate: float = 0.1
+    p_miss: float = 0.35
+
+
+class FailureParams(_FailureFields):
     """Inputs of the two-unit failure network.
 
     par1: per-hour fault probability of a single unit.
@@ -59,22 +67,17 @@ class FailureParams:
     the published per-variable probabilities; both stay overridable.
     """
 
-    par1: float
-    par2: float
-    par3: float
-    transient_ratio: float = 0.9
-    excl_fail: float = 1e-10
-    p_activate: float = 0.1
-    p_miss: float = 0.35
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("par1", "par2", "par3", "transient_ratio", "excl_fail",
-                     "p_activate", "p_miss"):
-            _check_unit_interval(name, getattr(self, name))
+    def __new__(cls, *args: float, **kwargs: float) -> FailureParams:
+        params = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(params._fields, params):
+            _check_unit_interval(name, value)
+        return params
 
 
-@dataclass(frozen=True)
-class MaintenanceParams:
+class MaintenanceParams(NamedTuple("MaintenanceParams", [
+        (name, float) for name in ("par4", "par5", "par6", "par7", "par8", "par9")])):
     """Inputs of the imperfect-maintenance chains.
 
     par4: per-hour probability of an error in one unit (leads to safe shutdown).
@@ -88,19 +91,16 @@ class MaintenanceParams:
     the chain, checked once by :func:`build_maintenance_ctmc`.
     """
 
-    par4: float
-    par5: float
-    par6: float
-    par7: float
-    par8: float
-    par9: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_unit_interval("par4", self.par4)
-        _check_unit_interval("par5", self.par5)
-        _check_unit_interval("par7", self.par7)
+    def __new__(cls, *args: float, **kwargs: float) -> MaintenanceParams:
+        params = super().__new__(cls, *args, **kwargs)
+        _check_unit_interval("par4", params.par4)
+        _check_unit_interval("par5", params.par5)
+        _check_unit_interval("par7", params.par7)
         for name in ("par6", "par8", "par9"):
-            _check_nonnegative(name, getattr(self, name))
+            _check_nonnegative(name, getattr(params, name))
+        return params
 
 
 class MaintenanceLevel(enum.Enum):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 #: Quantitative band for the highest safety integrity level: rates in
 #: [1e-9, 1e-8) hazardous failures per hour. Reported informationally.
@@ -41,8 +41,7 @@ def sil_band_note(rate: float) -> str:
     return f"above the SIL-4 band (rate >= {SIL4_HIGH:.0e}/h)"
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """One solve/posteriors/sweep result in citable form."""
 
     workflow: str
@@ -60,7 +59,7 @@ class AnalysisReport:
 
     def digest_region(self) -> dict:
         """Everything that must be identical for identical inputs."""
-        region = asdict(self)
+        region = self._asdict()
         region.pop("generated_at")
         return region
 
@@ -69,8 +68,9 @@ def timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def to_json(report: AnalysisReport) -> str:
-    return json.dumps(asdict(report), indent=2, allow_nan=False) + "\n"
+def to_json(report: AnalysisReport | SweepReport) -> str:
+    """The report's fields as one JSON object, in field order."""
+    return json.dumps(report._asdict(), indent=2, allow_nan=False) + "\n"
 
 
 def from_json(text: str) -> AnalysisReport:
@@ -139,8 +139,7 @@ def render_csv(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """One row per sweep factor, all exports evaluated."""
 
     workflow: str
@@ -149,16 +148,12 @@ class SweepReport:
     input_digest: str
     generated_at: str
     export_names: list[str]
-    rows: list[dict] = field(default_factory=list)  # {"factor": f, "exports": {...}}
+    rows: list[dict]  # {"factor": f, "exports": {...}}
 
-    def digest_region(self) -> dict:
-        region = asdict(self)
-        region.pop("generated_at")
-        return region
+    digest_region = AnalysisReport.digest_region
 
 
-def sweep_to_json(report: SweepReport) -> str:
-    return json.dumps(asdict(report), indent=2, allow_nan=False) + "\n"
+sweep_to_json = to_json
 
 
 def render_sweep_csv(report: SweepReport) -> str:

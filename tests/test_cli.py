@@ -158,6 +158,34 @@ class TestSolve:
         assert "phi.PAR_4" in names
         assert "HFR_2oo3" in names
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1"])
+    def test_meaningless_threshold_exits_2(self, capsys, threshold, fmt):
+        # '=' keeps argparse from reading "-inf" as an option
+        code, out, err = run(capsys, "solve", CASE_STUDY, "--format", fmt,
+                             f"--threshold={threshold}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --threshold must be finite and >= 0, got {float(threshold)!r}\n"
+
+    def test_json_report_keys_in_field_order(self, capsys):
+        _, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json", "--threshold", "1e-9")
+        keys = ["workflow", "tool_version", "input_digest", "generated_at", "instances",
+                "exports", "provenance", "posteriors", "threshold", "verdict",
+                "verdict_metric", "sil_note"]
+        assert list(json.loads(out)) == keys
+        keys.remove("generated_at")
+        assert list(report.from_json(out).digest_region()) == keys
+
+    def test_unwritable_out_path_exits_4_naming_it(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "solve", CASE_STUDY, "--format", "json",
+                             "--out", str(target))
+        assert code == 4
+        assert out == ""
+        assert err == f"error: cannot write report to {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_out_path_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json",
@@ -250,6 +278,22 @@ class TestPosteriors:
         assert code == 4
         assert "probability 0" in err
 
+    def test_conflicting_evidence_exits_3_naming_both_states(self, capsys):
+        code, out, err = run(
+            capsys, "posteriors", CASE_STUDY, "--instance", "phi",
+            "--evidence", "UNSAFE_OUTPUT=True", "--evidence", "UNSAFE_OUTPUT=False",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: conflicting evidence for UNSAFE_OUTPUT: True and False\n"
+
+    def test_repeated_evidence_is_allowed(self, capsys):
+        argv = ["posteriors", CASE_STUDY, "--instance", "phi", "--format", "json",
+                "--evidence", "UNSAFE_OUTPUT=True"]
+        once, twice = run(capsys, *argv), run(capsys, *argv, "--evidence", "UNSAFE_OUTPUT=True")
+        assert once[0] == twice[0] == 0
+        assert report.from_json(once[1]).posteriors == report.from_json(twice[1]).posteriors
+
 
 class TestSweep:
     def test_factor_table_csv(self, capsys):
@@ -290,6 +334,15 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert f"'PAR_6' must be finite, got {factor}" in err
+
+    def test_json_report_keys_in_field_order(self, capsys):
+        _, out, _ = run(capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1",
+                        "--factors", "1,0.1", "--format", "json")
+        keys = ["workflow", "parameter", "tool_version", "input_digest", "generated_at",
+                "export_names", "rows"]
+        assert list(json.loads(out)) == keys
+        keys.remove("generated_at")
+        assert list(report.SweepReport(**json.loads(out)).digest_region()) == keys
 
     def test_bad_factors_exit_2(self, capsys):
         code, _, err = run(
@@ -338,6 +391,18 @@ def test_import_does_not_load_hashlib():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # records are NamedTuples and __slots__ classes, which generate no code at
+    # import; dataclasses would add inspect, ast, dis and tokenize to every start
+    src = str(Path(redvote.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, redvote.cli; "
+             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_solve_does_not_load_numpy():

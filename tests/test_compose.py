@@ -1,5 +1,7 @@
 """Workflow validation, execution, sweeps, and composition invariants."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -61,6 +63,26 @@ def inline_five_state_class() -> compose.ModelClass:
     )
     template = compose.InlineCtmc("imm", ("S0", "S1", "S2", "S3", "S4"), "S0", rates)
     return compose.class_from_inline(template)
+
+
+def test_records_are_immutable_values_compared_by_type():
+    lit, param = compose.Literal(1.0), compose.Param("x")
+    assert compose.Param("x") == param and hash(compose.Param("x")) == hash(param)
+    assert compose.Literal("x") != param  # same fields, another type
+    assert lit != (1.0,) and lit != compose.Literal(2.0)
+    assert repr(compose.BinOp("+", lit, param)) == (
+        "BinOp(op='+', left=Literal(value=1.0), right=Param(name='x'))"
+    )
+    with pytest.raises(TypeError):
+        compose.Ref("phi")
+    with pytest.raises(AttributeError):
+        lit.value = 2.0
+    workflow = case_study_workflow()
+    assert pickle.loads(pickle.dumps(workflow)) == workflow == copy.deepcopy(workflow)
+    # the benchmark keys its spans on the model classes and the failure inputs
+    classes = (inline_five_state_class(),)
+    assert hash(compose.Workflow("w", list(classes)).classes) == hash(classes)
+    assert hash(nmr.FailureParams(1e-5, 0.1, 0.1)) == hash(nmr.FailureParams(1e-5, 0.1, 0.1))
 
 
 class TestValidation:
