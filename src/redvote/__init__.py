@@ -50,7 +50,6 @@ from .ctmc import (
 from .dsl import ParseDiagnostic, ParseResult, parse, print_workflow
 from .errors import RedvoteError, SolverError, ValidationError, ZeroEvidenceError
 from .nmr import (
-    BUILTIN_TEMPLATES,
     FailureInterface,
     FailureParams,
     HazardFigures,
@@ -74,7 +73,7 @@ __all__ = [
     "Ctmc", "SimulationResult", "Transition", "reachable_closed_class",
     "simulate", "steady_state",
     # concrete models
-    "BUILTIN_TEMPLATES", "FailureInterface", "FailureParams", "HazardFigures",
+    "FailureInterface", "FailureParams", "HazardFigures",
     "MaintenanceLevel", "MaintenanceParams", "build_failure_bn",
     "build_maintenance_ctmc", "failure_interface", "hfr_2oo3_from_maintenance",
     "mtbhe_conversion",

@@ -271,10 +271,8 @@ class _Plan(NamedTuple):
     steps: tuple[_Step, ...]
 
 
-def elimination_order(
-    net: BayesNet, query: str | Iterable[str], evidence: Evidence | None = None
-) -> tuple[str, ...]:
-    """Min-fill elimination order over the non-query, non-evidence variables.
+def elimination_order(net: BayesNet, query: str | Iterable[str]) -> tuple[str, ...]:
+    """Min-fill elimination order over the non-query variables.
 
     Ties on fill count break in variable-id order, which makes the order,
     and therefore every inference result, fully deterministic.
@@ -282,23 +280,17 @@ def elimination_order(
     :func:`posteriors` in ``elimination_order(net, ())``, whatever the
     evidence, since observations enter as indicators.
     """
-    evidence = dict(evidence or {})
     query_set = {query} if isinstance(query, str) else set(query)
-    for vid in itertools.chain(query_set, evidence):
+    for vid in query_set:
         net.variable(vid)
-    return _min_fill(net.signature, frozenset(query_set), frozenset(evidence))
+    return _min_fill(net.signature, frozenset(query_set))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _min_fill(
-    signature: Signature, query: frozenset[str], evidence: frozenset[str]
-) -> tuple[str, ...]:
-    neighbours: dict[str, set[str]] = {
-        vid: set() for vid, _, _ in signature if vid not in evidence
-    }
+def _min_fill(signature: Signature, query: frozenset[str]) -> tuple[str, ...]:
+    neighbours: dict[str, set[str]] = {vid: set() for vid, _, _ in signature}
     for vid, parents, _ in signature:
-        scope = [v for v in parents + (vid,) if v not in evidence]
-        for a, b in itertools.combinations(scope, 2):
+        for a, b in itertools.combinations(parents + (vid,), 2):
             neighbours[a].add(b)
             neighbours[b].add(a)
 
@@ -354,7 +346,7 @@ def _gather(layout: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], _Read
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(signature: Signature, target: str | None) -> _Plan:
     query = () if target is None else (target,)
-    order = _min_fill(signature, frozenset(query), frozenset())
+    order = _min_fill(signature, frozenset(query))
     card = {vid: n for vid, _, n in signature}
     # slot -> (variables, strides) of each live factor; a merged factor goes last
     live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}

@@ -226,8 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--threshold -1e-9`` as ``--threshold=-1e-9``, and so for ``--factors``:
+    argparse takes such a value for an option, and stops at "expected one argument"."""
+    out: list[str] = []
+    for arg in argv:
+        negative = arg.startswith("-") and not arg.startswith("--")
+        if negative and out and out[-1] in ("--threshold", "--factors"):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         loaded = _load(args.file)
         if isinstance(loaded, int):

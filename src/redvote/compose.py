@@ -1,11 +1,14 @@
 """Model classes, parameter bindings, and sequential workflow composition.
 
 A workflow is a DAG of model instances. Each instance belongs to a model
-class (a builtin template or a model defined inline in the same file) that
-declares typed input and output parameters. Inputs are bound to literals or
-to scalar expressions over other instances' outputs; running the workflow
-solves the instances in topological order, feeding solved outputs forward,
-then evaluates the exported expressions.
+class: a chain or a network whose rates or table entries are expressions
+over its typed inputs, and a table of what each output reads off the
+solution. The builtin classes (built in :mod:`redvote.nmr`) and those a
+`.rvm` file defines go through one path per formalism: :func:`instantiate`
+and :func:`solve`. Inputs are bound to literals or to scalar expressions
+over other instances' outputs; running the workflow solves the instances in
+topological order, range-checking each kinded input and feeding solved
+outputs forward, then evaluates the exported expressions.
 
 Only this results-feed-instantiation style of composition is implemented;
 operators that rewrite the composed models themselves are out of scope, as
@@ -20,7 +23,7 @@ import math
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from . import bayes, ctmc, nmr
+from . import bayes, ctmc
 from .errors import RedvoteError, SolverError, ValidationError
 
 KINDS = ("probability", "rate", "ratio")
@@ -80,7 +83,7 @@ class Ref(Expr):
 
 
 class Param(Expr):
-    """A bare parameter name; only valid inside inline model rate expressions."""
+    """A bare parameter name: a model's input, inside its rates or table entries."""
 
     __slots__ = ("name",)
 
@@ -107,11 +110,12 @@ def expr_params(expr: Expr) -> Iterator[Param]:
 
 def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
     """Evaluate an expression; Ref and Param leaves resolve through ``lookup``."""
-    if isinstance(expr, Literal):
+    kind = type(expr)  # every sweep point evaluates each rate and table expression
+    if kind is Literal:
         return expr.value
-    if isinstance(expr, (Ref, Param)):
+    if kind is Ref or kind is Param:
         return lookup(expr)
-    if isinstance(expr, BinOp):
+    if kind is BinOp:
         left = eval_expr(expr.left, lookup)
         right = eval_expr(expr.right, lookup)
         if expr.op == "+":
@@ -132,7 +136,7 @@ def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
 
 
 class InlineCtmc(NamedTuple):
-    """A chain defined inline; rates may reference the class's input parameters."""
+    """A chain; rates may reference the class's input parameters."""
 
     name: str
     states: tuple[str, ...]
@@ -141,14 +145,18 @@ class InlineCtmc(NamedTuple):
 
 
 class InlineNode(NamedTuple):
+    """A network node; ``cpt`` lists its table's entries, one row per
+    parent-state combination (first parent slowest), each row in the
+    node's state order."""
+
     id: str
     states: tuple[str, ...]
     parents: tuple[str, ...]
-    cpt: tuple[float, ...]
+    cpt: tuple[Expr, ...]
 
 
 class InlineBayes(NamedTuple):
-    """A network defined inline; tables are flat numeric lists, so no inputs."""
+    """A network; table entries may reference the class's input parameters."""
 
     name: str
     nodes: tuple[InlineNode, ...]
@@ -171,10 +179,21 @@ class ParamDecl(NamedTuple("ParamDecl", [("name", str), ("direction", str), ("ki
 
 
 class ModelClass(_Record):
-    """A solvable, parameterized model template with a declared interface:
-    ``formalism`` is "BAYES" or "CTMC", ``template`` a builtin name or an inline model."""
+    """A solvable, parameterized model with a declared interface.
 
-    __slots__ = ("name", "formalism", "params", "template")
+    ``template`` is the chain or the network and ``params`` its inputs and
+    outputs. ``reads`` says what each output reads off the solution:
+    ``(output, state)`` of a chain's steady state, ``(output, node, state)``
+    of a network's marginals. ``requires`` holds ``(label, expr)`` facts of
+    the inputs: each ``expr`` must come out positive. ``description`` names
+    the class and its solver in provenance notes.
+    """
+
+    __slots__ = ("name", "params", "template", "reads", "requires", "description")
+
+    @property
+    def formalism(self) -> str:
+        return "CTMC" if isinstance(self.template, InlineCtmc) else "BAYES"
 
     @property
     def inputs(self) -> tuple[ParamDecl, ...]:
@@ -222,82 +241,72 @@ class SolveResult(NamedTuple):
 
 
 def builtin_classes() -> dict[str, ModelClass]:
-    """Model classes for the registered builtin templates."""
-    classes: dict[str, ModelClass] = {}
-    for name, spec in nmr.BUILTIN_TEMPLATES.items():
-        params = tuple(
-            ParamDecl(pname, "input", kind) for pname, kind in spec.inputs
-        ) + tuple(ParamDecl(pname, "output", kind) for pname, kind in spec.outputs)
-        classes[name] = ModelClass(name, spec.formalism, params, name)
-    return classes
+    """The builtin model classes by name: the records :mod:`redvote.nmr` builds."""
+    from . import nmr  # nmr builds its records from this module's, so not at import
+
+    return {cls.name: cls for cls in (nmr.failure_class(), *nmr.MAINTENANCE_CLASSES.values())}
 
 
 def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
     """Derive the interface of an inline model definition.
 
-    Inline chain inputs are the free parameter names of its rate expressions,
-    in first appearance order, left unkinded so that quantities of any kind
-    can feed a rate formula. Outputs are the steady-state probability of each
-    state (``pi_<state>``) for chains and every per-state marginal
+    Inputs are the free parameter names of its rate expressions or table
+    entries, in first appearance order, left unkinded so that quantities of
+    any kind can feed a formula. Outputs are the steady-state probability of
+    each state (``pi_<state>``) for chains and every per-state marginal
     (``p_<node>_<state>``) for networks.
     """
-    params: list[ParamDecl] = []
     if isinstance(template, InlineCtmc):
-        seen: dict[str, None] = {}
-        for _, _, expr in template.rates:
-            for p in expr_params(expr):
-                seen.setdefault(p.name, None)
-        params.extend(ParamDecl(name, "input", None) for name in seen)
-        params.extend(
-            ParamDecl(f"pi_{state}", "output", "probability") for state in template.states
+        exprs = [expr for _, _, expr in template.rates]
+        reads: tuple[tuple[str, ...], ...] = tuple(
+            (f"pi_{state}", state) for state in template.states
         )
-        return ModelClass(template.name, "CTMC", tuple(params), template)
-    if isinstance(template, InlineBayes):
-        for node in template.nodes:
-            params.extend(
-                ParamDecl(f"p_{node.id}_{state}", "output", "probability")
-                for state in node.states
+        description = f"inline chain {template.name} via GTH steady state"
+    elif isinstance(template, InlineBayes):
+        exprs = [expr for node in template.nodes for expr in node.cpt]
+        reads = tuple((f"p_{node.id}_{state}", node.id, state)
+                      for node in template.nodes for state in node.states)
+        description = f"inline network {template.name} via variable elimination"
+    else:
+        raise ValidationError(f"unknown inline template {template!r}")
+    inputs = dict.fromkeys(p.name for expr in exprs for p in expr_params(expr))
+    params = tuple(ParamDecl(name, "input") for name in inputs) + tuple(
+        ParamDecl(read[0], "output", "probability") for read in reads
+    )
+    return ModelClass(template.name, params, template, reads, (), description)
+
+
+def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc:
+    """The chain with its inputs set to ``values``. A rate of zero is an
+    absent transition; a negative or NaN one raises :class:`SolverError`."""
+    transitions = []
+    for src, dst, expr in template.rates:
+        rate = eval_expr(expr, lambda leaf: values[leaf.name])
+        if not rate >= 0.0:  # NaN fails too
+            raise SolverError(
+                f"rate {src} -> {dst} evaluated to {rate!r}; rates must be non-negative numbers"
             )
-        return ModelClass(template.name, "BAYES", tuple(params), template)
-    raise ValidationError(f"unknown inline template {template!r}")
+        if rate > 0.0:
+            transitions.append(ctmc.Transition(src, dst, rate))
+    return ctmc.Ctmc(template.states, template.initial, tuple(transitions))
 
 
-def inline_bayes_net(template: InlineBayes) -> bayes.BayesNet:
-    """Instantiate an inline network definition; raises on malformed tables."""
-    variables = _inline_variables(template)
+def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
+    """The network with its inputs set to ``values``. Its nodes are taken
+    as :func:`check_records` checks them; :func:`bayes.build_net` checks the
+    tables, so a malformed one raises :class:`ValidationError`."""
+    variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
     node_states = {node.id: node.states for node in template.nodes}
     cpts = []
     for node in template.nodes:
         combos = itertools.product(*(node_states[p] for p in node.parents))
         width = len(node.states)
-        rows = {combo: node.cpt[i * width:(i + 1) * width] for i, combo in enumerate(combos)}
+        # most entries are literals, and reading them directly halves the cost
+        cpt = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
+               for e in node.cpt]
+        rows = {combo: cpt[i * width:(i + 1) * width] for i, combo in enumerate(combos)}
         cpts.append(bayes.Cpt(node.id, node.parents, rows))
     return bayes.build_net(variables, cpts)
-
-
-def _inline_variables(template: InlineBayes) -> list[bayes.Variable]:
-    """The network's variables, once its nodes are known to be well formed:
-    valid state labels, unique ids, declared parents, and one table entry
-    per state and parent-state combination."""
-    variables = []
-    for j, node in enumerate(template.nodes):
-        try:
-            variables.append(bayes.Variable(node.id, node.states))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), ("nodes", j)) from None
-    try:
-        bayes.check_nodes(tuple((n.id, n.parents, len(n.states)) for n in template.nodes))
-    except ValidationError as exc:
-        raise ValidationError(str(exc), ("nodes", *exc.element)) from None
-    cards = {node.id: len(node.states) for node in template.nodes}
-    for j, node in enumerate(template.nodes):
-        expected = math.prod(cards[p] for p in node.parents) * len(node.states)
-        if len(node.cpt) != expected:
-            raise ValidationError(
-                f"node {node.id!r} needs {expected} table entries, got {len(node.cpt)}",
-                ("nodes", j),
-            )
-    return variables
 
 
 def _check_chain(template: InlineCtmc) -> None:
@@ -320,11 +329,40 @@ def _check_chain(template: InlineCtmc) -> None:
             )
 
 
+def _check_net(template: InlineBayes) -> None:
+    """An inline network's nodes: valid state labels, unique ids, declared
+    parents, one table entry per state and parent-state combination, and
+    entries that use only the model's own parameters."""
+    for j, node in enumerate(template.nodes):
+        try:
+            bayes.Variable(node.id, node.states)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), ("nodes", j)) from None
+    try:
+        bayes.check_nodes(tuple((n.id, n.parents, len(n.states)) for n in template.nodes))
+    except ValidationError as exc:
+        raise ValidationError(str(exc), ("nodes", *exc.element)) from None
+    cards = {node.id: len(node.states) for node in template.nodes}
+    for j, node in enumerate(template.nodes):
+        expected = math.prod(cards[p] for p in node.parents) * len(node.states)
+        if len(node.cpt) != expected:
+            raise ValidationError(
+                f"node {node.id!r} needs {expected} table entries, got {len(node.cpt)}",
+                ("nodes", j),
+            )
+        for ref in (ref for expr in node.cpt for ref in expr_refs(expr)):
+            raise ValidationError(
+                f"node {node.id!r} references {ref.instance}.{ref.output}; "
+                "table entries may only use the model's own parameters",
+                ("nodes", j),
+            )
+
+
 def _check_class(cls: ModelClass) -> None:
     if isinstance(cls.template, InlineCtmc):
         _check_chain(cls.template)
     elif isinstance(cls.template, InlineBayes):
-        _inline_variables(cls.template)
+        _check_net(cls.template)
     declared: set[str] = set()
     for param in cls.params:
         if param.name in declared:
@@ -421,22 +459,25 @@ def _check_bindings(
                     f"{decl.kind}, but {ref.instance}.{ref.output} is a {src_kind}"
                 )
         if isinstance(expr, Literal):
-            _check_literal(instance.name, decl, expr.value)
+            _check_input(instance.name, decl, expr.value)
 
 
-def _check_literal(instance: str, decl: ParamDecl, value: float) -> None:
-    """A literal bound to an input must be finite and lie in the range of ``decl.kind``."""
+def _check_input(
+    instance: str, decl: ParamDecl, value: float, error: type[RedvoteError] = ValidationError
+) -> None:
+    """A value bound to an input must be finite and lie in the range of
+    ``decl.kind``: literals at validation, every kinded input at solve time."""
     if not math.isfinite(value):
-        raise ValidationError(
+        raise error(
             f"instance {instance!r}: input {decl.name!r} must be finite, got {value!r}"
         )
     if decl.kind in ("probability", "ratio") and not 0.0 <= value <= 1.0:
-        raise ValidationError(
+        raise error(
             f"instance {instance!r}: {decl.kind} input {decl.name!r} "
             f"must lie in [0, 1], got {value!r}"
         )
     if decl.kind == "rate" and value < 0.0:
-        raise ValidationError(
+        raise error(
             f"instance {instance!r}: rate input {decl.name!r} "
             f"must be non-negative, got {value!r}"
         )
@@ -470,9 +511,9 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
     Raises:
         ValidationError: a fault :func:`check_records` finds, an inline
             model that shadows a builtin, unknown classes or templates,
-            malformed inline network tables, unbound or unknown inputs, kind
-            mismatches on direct output-to-input references, dangling export
-            references, or a cyclic binding graph.
+            malformed tables of a network without inputs, unbound or unknown
+            inputs, kind mismatches on direct output-to-input references,
+            dangling export references, or a cyclic binding graph.
     """
     check_records(workflow)
     classes = _resolve_classes(workflow)
@@ -485,10 +526,10 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
                 f"template {inst.class_name!r}"
             )
 
-    # inline networks are input-free, so their tables can be checked statically
+    # a network without inputs has fixed tables, so they can be checked statically
     for cls in workflow.classes:
-        if isinstance(cls.template, InlineBayes):
-            inline_bayes_net(cls.template)
+        if isinstance(cls.template, InlineBayes) and not cls.inputs:
+            inline_bayes_net(cls.template, {})
 
     for inst in workflow.instances:
         _check_bindings(inst, classes[inst.class_name], by_name, classes)
@@ -513,40 +554,33 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
 # --- execution ----------------------------------------------------------------
 
 
-def _solve_instance(
-    inst: ModelInstance,
-    cls: ModelClass,
-    values: Mapping[str, float],
-) -> tuple[dict[str, float], str]:
-    if isinstance(cls.template, str):
-        spec = nmr.BUILTIN_TEMPLATES[cls.template]
-        outputs = spec.solve(values)
-        return outputs, f"{inst.name}: {cls.name} via {spec.description}"
+def instantiate(cls: ModelClass, values: Mapping[str, float]) -> ctmc.Ctmc | bayes.BayesNet:
+    """The chain or the network of an instance of ``cls`` with inputs
+    ``values``, once each of the class's ``requires`` facts holds."""
+    for label, expr in cls.requires:
+        value = eval_expr(expr, lambda leaf: values[leaf.name])
+        if not value > 0.0:  # NaN fails too
+            raise ValidationError(f"{label} must be positive, got {value!r}")
     if isinstance(cls.template, InlineCtmc):
-        template = cls.template
-        transitions = []
-        for src, dst, expr in template.rates:
-            rate = eval_expr(expr, lambda leaf: values[leaf.name])
-            if not rate >= 0.0:  # NaN fails too
-                raise SolverError(
-                    f"rate {src} -> {dst} evaluated to {rate!r}; rates must be non-negative numbers"
-                )
-            if rate > 0.0:
-                transitions.append(ctmc.Transition(src, dst, rate))
-        chain = ctmc.Ctmc(template.states, template.initial, tuple(transitions))
-        pi = ctmc.steady_state(chain)
-        outputs = {f"pi_{state}": pi[state] for state in template.states}
-        return outputs, f"{inst.name}: inline chain {template.name} via GTH steady state"
-    if isinstance(cls.template, InlineBayes):
-        dists = bayes.posteriors(inline_bayes_net(cls.template), {})
-        outputs = {}
-        for node in cls.template.nodes:
-            for state in node.states:
-                outputs[f"p_{node.id}_{state}"] = dists[node.id][state]
-        return outputs, (
-            f"{inst.name}: inline network {cls.template.name} via variable elimination"
-        )
-    raise ValidationError(f"instance {inst.name!r} has an unsolvable template")
+        return inline_chain(cls.template, values)
+    return inline_bayes_net(cls.template, values)
+
+
+def solve(cls: ModelClass, values: Mapping[str, float]) -> dict[str, float]:
+    """The outputs of an instance of ``cls`` with inputs ``values``, read
+    as ``cls.reads`` says. A chain is solved by GTH steady state; a network
+    by :func:`bayes.posteriors` when its outputs read every node, and by one
+    :func:`bayes.marginal` per node read otherwise."""
+    model = instantiate(cls, values)
+    if isinstance(model, ctmc.Ctmc):
+        pi = ctmc.steady_state(model)
+        return {name: pi[state] for name, state in cls.reads}
+    nodes = dict.fromkeys(node for _, node, _ in cls.reads)
+    if len(nodes) == len(model):
+        dists = bayes.posteriors(model, {})
+    else:
+        dists = {node: bayes.marginal(model, node) for node in nodes}
+    return {name: dists[node][state] for name, node, state in cls.reads}
 
 
 def _evaluate(expr: Expr, solved: Mapping[str, Mapping[str, float]]) -> float:
@@ -564,8 +598,8 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
     """Solve all instances in topological order and evaluate the exports.
 
     The result is fully deterministic, and identical for every admissible
-    topological order. A non-finite instance output or export raises
-    :class:`SolverError`.
+    topological order. A kinded input out of its range, or a non-finite
+    instance output or export, raises :class:`SolverError`.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
     wf = validated.workflow
@@ -577,13 +611,16 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
         inst = by_name[name]
         cls = validated.instance_class(inst)
         values = {pname: _evaluate(expr, solved) for pname, expr in inst.bindings.items()}
+        for decl in cls.inputs:
+            if decl.kind:
+                _check_input(name, decl, values[decl.name], SolverError)
         try:
-            outputs, note = _solve_instance(inst, cls, values)
+            outputs = solve(cls, values)
         except RedvoteError as exc:
-            raise SolverError(f"instance {inst.name!r}: {exc}") from exc
-        _require_finite(f"instance {inst.name!r} output", outputs)
+            raise SolverError(f"instance {name!r}: {exc}") from exc
+        _require_finite(f"instance {name!r} output", outputs)
         solved[name] = outputs
-        notes.append(note)
+        notes.append(f"{name}: {cls.description}")
 
     exports = {export.name: _evaluate(export.expr, solved) for export in wf.exports}
     _require_finite("export", exports)
@@ -602,10 +639,8 @@ def instance_net(validated: ValidatedWorkflow, result: SolveResult, name: str) -
         raise ValidationError(
             f"instance {name!r} is a {cls.formalism} model; posteriors need a BAYES instance"
         )
-    if isinstance(cls.template, InlineBayes):
-        return inline_bayes_net(cls.template)
     values = {pname: _evaluate(expr, result.instances) for pname, expr in inst.bindings.items()}
-    return nmr.build_failure_bn(nmr.failure_params(values))
+    return instantiate(cls, values)
 
 
 def sweep(
@@ -646,7 +681,7 @@ def sweep(
     results: list[SolveResult] = []
     for factor in factors:
         value = binding.value * float(factor)
-        _check_literal(inst_name, decl, value)
+        _check_input(inst_name, decl, value)
         bindings = {**inst.bindings, pname: Literal(value)}
         new_inst = ModelInstance(inst_name, inst.class_name, bindings)
         instances = tuple(new_inst if i.name == inst_name else i for i in wf.instances)

@@ -19,16 +19,18 @@ expressions. The grammar, with `#` comments to end of line:
     bayesdef := "bayes" IDENT "{" ("node" IDENT
                     "states" "(" IDENT ("," IDENT)* ")"
                     ["parents" "(" IDENT ("," IDENT)* ")"]
-                    "cpt" "(" NUMBER ("," NUMBER)* ")" ";")* "}"
+                    "cpt" "(" expr ("," expr)* ")" ";")* "}"
 
 Multiplication and division bind tighter than addition and subtraction;
 operators associate left. Numbers are non-negative decimals with an
 optional exponent; no hex, no underscores, which keeps files reviewable
-line by line. Bare identifiers inside rate expressions are the inline
-model's input parameters; bindings and exports reference solved values as
-`<instance>.<output>`. Inline network tables list one probability row per
-parent-state combination (first parent varying slowest), each row in the
-node's own state order.
+line by line. Bare identifiers inside rate expressions and table entries
+are the inline model's input parameters; bindings and exports reference
+solved values as `<instance>.<output>`. Inline network tables list one
+probability row per parent-state combination (first parent varying
+slowest), each row in the node's own state order. The builtin templates
+are records of the same kind, so each prints as an inline definition that
+parses back to an equal record.
 
 Parsing never raises for bad input: it returns a diagnostic with line and
 column instead. The parser builds the `compose` records directly and checks
@@ -44,7 +46,8 @@ failure at the element it names. Printing is deterministic, and
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
 from . import compose
 from .errors import ValidationError
 
@@ -347,38 +350,30 @@ class _Parser:
             if self.keyword() != "states":
                 raise self.error("expected 'states'")
             self.advance()
-            states = self.parse_ident_list("a state label")
+            states = self.parse_list(lambda: self.expect_ident("a state label").text)
             parents: tuple[str, ...] = ()
             if self.keyword() == "parents":
                 self.advance()
-                parents = self.parse_ident_list("a parent node")
+                parents = self.parse_list(lambda: self.expect_ident("a parent node").text)
             if self.keyword() != "cpt":
                 raise self.error("expected 'cpt'")
             self.advance()
-            cpt = self.parse_number_list()
+            cpt = self.parse_list(self.parse_expr)
             self.expect(";", "';'")
             self.positions[(*path, "nodes", len(nodes))] = nname
             nodes.append(compose.InlineNode(nname.text, states, parents, cpt))
         self.expect("}", "'}'")
         self.templates.append(compose.InlineBayes(name.text, tuple(nodes)))
 
-    def parse_ident_list(self, what: str) -> tuple[str, ...]:
+    def parse_list(self, parse_item: Callable[[], object]) -> tuple:
+        """A parenthesized, comma-separated list of at least one item."""
         self.expect("(", "'('")
-        names = [self.expect_ident(what).text]
+        items = [parse_item()]
         while self.current.kind == ",":
             self.advance()
-            names.append(self.expect_ident(what).text)
+            items.append(parse_item())
         self.expect(")", "')'")
-        return tuple(names)
-
-    def parse_number_list(self) -> tuple[float, ...]:
-        self.expect("(", "'('")
-        numbers = [float(self.expect("NUMBER", "a probability").text)]
-        while self.current.kind == ",":
-            self.advance()
-            numbers.append(float(self.expect("NUMBER", "a probability").text))
-        self.expect(")", "')'")
-        return tuple(numbers)
+        return tuple(items)
 
     # expressions: left-associative, * and / bind tighter than + and -
 
@@ -482,21 +477,15 @@ def print_workflow(workflow: compose.Workflow) -> str:
             for src, dst, expr in template.rates:
                 lines.append(f"    rate {src} -> {dst} : {format_expr(expr)};")
             lines.append("  }")
-        elif isinstance(template, compose.InlineBayes):
+        else:
             lines.append(f"  bayes {template.name} {{")
             for node in template.nodes:
                 parts = [f"node {node.id} states ({', '.join(node.states)})"]
                 if node.parents:
                     parts.append(f"parents ({', '.join(node.parents)})")
-                numbers = ", ".join(_format_number(v) for v in node.cpt)
-                parts.append(f"cpt ({numbers})")
+                parts.append(f"cpt ({', '.join(format_expr(expr) for expr in node.cpt)})")
                 lines.append(f"    {' '.join(parts)};")
             lines.append("  }")
-        else:
-            raise ValidationError(
-                f"workflow carries non-inline class {cls.name!r}; only inline "
-                "definitions can be printed"
-            )
     for inst in workflow.instances:
         ref = inst.class_name if inst.class_name in inline_names else f"builtin.{inst.class_name}"
         lines.append(f"  instance {inst.name} : {ref} {{")

@@ -5,6 +5,14 @@ single-unit error probability and the hazardous-failure probability of a
 2oo2 system, and the state-based imperfect-maintenance chains (four, five
 and eight states) whose steady state yields the 2oo3 hazardous failure rate.
 
+Both are built once as `compose` model records: ``failure2oo2`` is an
+``InlineBayes`` whose tables hold expressions over ``PAR_1`` to ``PAR_3``,
+and ``maintenance4/5/8`` are ``InlineCtmc`` records whose rates are
+expressions over ``PAR_4`` to ``PAR_9``. These are the workflow's builtin
+classes, instantiated and solved by the same `compose` code as a model a
+`.rvm` file defines. :func:`build_failure_bn`, :func:`failure_interface`
+and :func:`build_maintenance_ctmc` are thin functions over the records.
+
 A note on the maintenance rates: the correct-maintenance repair flow goes
 from the shutdown-with-fault state back to normal operation at
 ``(1 - wrong_ratio) * repair_rate``, and the incorrect-maintenance flow into
@@ -20,9 +28,10 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from . import bayes, ctmc
+from . import bayes, compose, ctmc
+from .compose import BinOp, Literal, Param, ParamDecl
 from .errors import ValidationError
 
 BOOL_STATES = ("False", "True")
@@ -88,7 +97,9 @@ class MaintenanceParams(NamedTuple("MaintenanceParams", [
     par9: power restores per hour (inverse mean time to restore).
 
     That the safe-shutdown rate ``2*par4 - par5`` is positive is a fact of
-    the chain, checked once by :func:`build_maintenance_ctmc`.
+    the maintenance classes, stated once in their ``requires`` and checked
+    by ``compose.instantiate``, for :func:`build_maintenance_ctmc` and for a
+    workflow instance alike.
     """
 
     __slots__ = ()
@@ -137,45 +148,39 @@ class HazardFigures(NamedTuple):
 
 # --- failure network ---------------------------------------------------------
 
+#: Reference parameterization: the constants of the builtin ``failure2oo2``
+#: and of the eight-state chain's diagnosable-fault rate.
+DEFAULT_FAILURE_PARAMS = FailureParams(par1=1.6666e-5, par2=0.1, par3=0.1)
 
-def _root(var_id: str, p_true: float) -> tuple[bayes.Variable, bayes.Cpt]:
-    return (
-        bayes.Variable(var_id, BOOL_STATES),
-        bayes.Cpt(var_id, (), {(): (1.0 - p_true, p_true)}),
-    )
-
-
-def _gate(
-    var_id: str,
-    parents: tuple[str, ...],
-    parent_states: tuple[tuple[str, ...], ...],
-    p_true,
-) -> tuple[bayes.Variable, bayes.Cpt]:
-    rows = {}
-    for combo in itertools.product(*parent_states):
-        p = float(p_true(combo))
-        rows[combo] = (1.0 - p, p)
-    return bayes.Variable(var_id, BOOL_STATES), bayes.Cpt(var_id, parents, rows)
+#: The inputs of ``failure2oo2``, in the field order of :class:`FailureParams`.
+_FAILURE_INPUTS = ("PAR_1", "PAR_2", "PAR_3")
 
 
-def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
-    """The two-unit failure network.
+def _bool_row(p: float | str) -> tuple[compose.Expr, compose.Expr]:
+    """The ``(False, True)`` row of a node that is True with probability
+    ``p``: a number, or the name of an input."""
+    if isinstance(p, str):
+        return BinOp("-", Literal(1.0), Param(p)), Param(p)
+    return Literal(1.0 - p), Literal(p)
 
-    Per unit, a fault is transient or permanent; transient faults may
-    activate into undetected errors, permanent faults escape either because
-    they are non-diagnosable or because detection misses them in the
-    reference hour. A unit's incorrect output becomes hazardous only when
-    both units err with identical outputs or when the erring unit's
-    exclusion logic also fails.
-    """
-    variables: list[bayes.Variable] = []
-    cpts: list[bayes.Cpt] = []
 
-    def add(pair: tuple[bayes.Variable, bayes.Cpt]) -> None:
-        variables.append(pair[0])
-        cpts.append(pair[1])
+@functools.lru_cache(maxsize=16)
+def _failure_class(
+    transient_ratio: float, excl_fail: float, p_activate: float, p_miss: float
+) -> compose.ModelClass:
+    """``failure2oo2`` at the given values of the :class:`FailureParams`
+    fields that are not inputs; the gate rows come from their predicates."""
+    states: dict[str, tuple[str, ...]] = {}
+    nodes: list[compose.InlineNode] = []
 
-    bb = (BOOL_STATES, BOOL_STATES)
+    def add(var_id: str, cpt, parents: tuple[str, ...] = (), var_states=BOOL_STATES) -> None:
+        states[var_id] = var_states
+        nodes.append(compose.InlineNode(var_id, var_states, parents, tuple(cpt)))
+
+    def gate(var_id: str, parents: tuple[str, ...], p_true) -> None:
+        combos = itertools.product(*(states[p] for p in parents))
+        add(var_id, [e for combo in combos for e in _bool_row(float(p_true(combo)))], parents)
+
     for unit in UNITS:
         fault = f"Fault_{unit}"
         ftype = f"Fault_type_{unit}"
@@ -186,47 +191,61 @@ def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
         non_detectable = f"Non_detectable_Fault_{unit}"
         err_transient = f"Error_due_to_Transient_{unit}"
         undetected = f"Undetected_permanent_{unit}"
-        uncorr = f"UNCORR_{unit}"
 
-        add(_root(fault, params.par1))
-        variables.append(bayes.Variable(ftype, ("Transient", "Permanent")))
-        cpts.append(bayes.Cpt(ftype, (), {(): (params.transient_ratio,
-                                               1.0 - params.transient_ratio)}))
-        variables.append(bayes.Variable(detectability, ("Detectable", "Non_detectable")))
-        cpts.append(bayes.Cpt(detectability, (), {(): (1.0 - params.par2, params.par2)}))
+        add(fault, _bool_row("PAR_1"))
+        add(ftype, (Literal(transient_ratio), Literal(1.0 - transient_ratio)),
+            var_states=("Transient", "Permanent"))
+        add(detectability, _bool_row("PAR_2"), var_states=("Detectable", "Non_detectable"))
+        gate(transient, (fault, ftype), lambda c: c == ("True", "Transient"))
+        gate(permanent, (fault, ftype), lambda c: c == ("True", "Permanent"))
+        gate(detectable, (permanent, detectability), lambda c: c == ("True", "Detectable"))
+        gate(non_detectable, (permanent, detectability),
+             lambda c: c == ("True", "Non_detectable"))
+        gate(err_transient, (transient,), lambda c: p_activate if c == ("True",) else 0.0)
+        gate(undetected, (non_detectable, detectable),
+             lambda c: 1.0 if c[0] == "True" else (p_miss if c[1] == "True" else 0.0))
+        gate(f"UNCORR_{unit}", (err_transient, undetected), lambda c: "True" in c)
+        add(f"Excl_{unit}", _bool_row(excl_fail))
 
-        add(_gate(transient, (fault, ftype), (BOOL_STATES, ("Transient", "Permanent")),
-                  lambda c: 1.0 if c == ("True", "Transient") else 0.0))
-        add(_gate(permanent, (fault, ftype), (BOOL_STATES, ("Transient", "Permanent")),
-                  lambda c: 1.0 if c == ("True", "Permanent") else 0.0))
-        add(_gate(detectable, (permanent, detectability),
-                  (BOOL_STATES, ("Detectable", "Non_detectable")),
-                  lambda c: 1.0 if c == ("True", "Detectable") else 0.0))
-        add(_gate(non_detectable, (permanent, detectability),
-                  (BOOL_STATES, ("Detectable", "Non_detectable")),
-                  lambda c: 1.0 if c == ("True", "Non_detectable") else 0.0))
-        add(_gate(err_transient, (transient,), (BOOL_STATES,),
-                  lambda c: params.p_activate if c == ("True",) else 0.0))
-        add(_gate(undetected, (non_detectable, detectable), bb,
-                  lambda c: 1.0 if c[0] == "True"
-                  else (params.p_miss if c[1] == "True" else 0.0)))
-        add(_gate(uncorr, (err_transient, undetected), bb,
-                  lambda c: 1.0 if "True" in c else 0.0))
-        add(_root(f"Excl_{unit}", params.excl_fail))
+    add("Same_output_alterations", _bool_row("PAR_3"))
 
-    add(_root("Same_output_alterations", params.par3))
-
-    def unsafe(combo: tuple[str, ...]) -> float:
+    def unsafe(combo: tuple[str, ...]) -> bool:
         ua, ub, same, ea, eb = (c == "True" for c in combo)
-        return 1.0 if ((ua and ub and same) or (ua and ea) or (ub and eb)) else 0.0
+        return (ua and ub and same) or (ua and ea) or (ub and eb)
 
-    add(_gate(
-        "UNSAFE_OUTPUT",
-        ("UNCORR_A", "UNCORR_B", "Same_output_alterations", "Excl_A", "Excl_B"),
-        (BOOL_STATES,) * 5,
-        unsafe,
-    ))
-    return bayes.build_net(variables, cpts)
+    gate("UNSAFE_OUTPUT",
+         ("UNCORR_A", "UNCORR_B", "Same_output_alterations", "Excl_A", "Excl_B"), unsafe)
+    return compose.ModelClass(
+        "failure2oo2",
+        (ParamDecl("PAR_1", "input", "probability"), ParamDecl("PAR_2", "input", "ratio"),
+         ParamDecl("PAR_3", "input", "probability"), ParamDecl("PAR_4", "output", "probability"),
+         ParamDecl("PAR_5", "output", "probability")),
+        compose.InlineBayes("failure2oo2", tuple(nodes)),
+        (("PAR_4", "UNCORR_A", "True"), ("PAR_5", "UNSAFE_OUTPUT", "True")),
+        (),
+        "failure2oo2 via two-unit failure network, solved by variable elimination",
+    )
+
+
+def failure_class(params: FailureParams | None = None) -> compose.ModelClass:
+    """The ``failure2oo2`` model class, whose inputs are ``PAR_1`` to
+    ``PAR_3``; the other fields of ``params`` (reference defaults when
+    omitted) are constants of its tables.
+
+    Per unit, a fault is transient or permanent; transient faults may
+    activate into undetected errors, permanent faults escape either because
+    they are non-diagnosable or because detection misses them in the
+    reference hour. A unit's incorrect output becomes hazardous only when
+    both units err with identical outputs or when the erring unit's
+    exclusion logic also fails. ``PAR_4`` reads ``UNCORR_A = True`` and
+    ``PAR_5`` reads ``UNSAFE_OUTPUT = True``, one marginal each.
+    """
+    return _failure_class(*(params or DEFAULT_FAILURE_PARAMS)[3:])
+
+
+def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
+    """The two-unit failure network of :func:`failure_class` at ``params``."""
+    return compose.instantiate(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
 
 
 def failure_interface(params: FailureParams) -> FailureInterface:
@@ -235,10 +254,8 @@ def failure_interface(params: FailureParams) -> FailureInterface:
     par4 is the single-unit incorrect-output probability, par5 the 2oo2
     hazardous-failure probability; both are exact marginals.
     """
-    net = build_failure_bn(params)
-    par4 = bayes.marginal(net, "UNCORR_A")["True"]
-    par5 = bayes.marginal(net, "UNSAFE_OUTPUT")["True"]
-    return FailureInterface(par4=par4, par5=par5)
+    outputs = compose.solve(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
+    return FailureInterface(par4=outputs["PAR_4"], par5=outputs["PAR_5"])
 
 
 def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
@@ -256,13 +273,8 @@ def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
 
 # --- maintenance chains ------------------------------------------------------
 
-#: Reference parameterization, used when an eight-state chain is built
-#: without an explicit failure parameterization.
-DEFAULT_FAILURE_PARAMS = FailureParams(par1=1.6666e-5, par2=0.1, par3=0.1)
-
-
 #: Per level: states, initial state, and ``(src, dst, rate name)`` rows in transition
-#: order; each rate name is a key of the rates :func:`build_maintenance_ctmc` derives.
+#: order; each rate name is a key of ``_RATES``.
 _CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str, str], ...]]] = {
     MaintenanceLevel.FOUR_STATE: (
         ("S0", "S1", "S2", "S3"),
@@ -319,12 +331,55 @@ _CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str
 }
 
 
-def build_maintenance_ctmc(
-    level: MaintenanceLevel,
-    params: MaintenanceParams,
-    failure: FailureParams | None = None,
-) -> ctmc.Ctmc:
-    """Build the maintenance chain at the requested level of detail.
+#: Rate of diagnosable permanent faults in either unit, for the eight-state
+#: chain, at the reference parameterization.
+DIAG_FAULT_RATE = (2.0 * DEFAULT_FAILURE_PARAMS.par1
+                   * (1.0 - DEFAULT_FAILURE_PARAMS.transient_ratio)
+                   * (1.0 - DEFAULT_FAILURE_PARAMS.par2))
+
+_SAFE_SHUTDOWN = BinOp("-", BinOp("*", Literal(2.0), Param("PAR_4")), Param("PAR_5"))
+_REPAIR_BAD = BinOp("*", Param("PAR_7"), Param("PAR_6"))
+
+#: The rate named in ``_CHAINS``, as an expression over the inputs ``PAR_4`` to ``PAR_9``.
+_RATES = {
+    "safe_shutdown": _SAFE_SHUTDOWN,
+    "unsafe": Param("PAR_5"),
+    "repair": Param("PAR_6"),
+    "repair_ok": BinOp("*", BinOp("-", Literal(1.0), Param("PAR_7")), Param("PAR_6")),
+    "repair_bad": _REPAIR_BAD,
+    "repair_bad_or_power_cycle": BinOp("+", _REPAIR_BAD, Param("PAR_8")),
+    "power_loss": Param("PAR_8"),
+    "power_restore": Param("PAR_9"),
+    "diag_fault": Literal(DIAG_FAULT_RATE),
+}
+
+_MAINTENANCE_INPUTS = (("PAR_4", "probability"), ("PAR_5", "probability"), ("PAR_6", "rate"),
+                       ("PAR_7", "ratio"), ("PAR_8", "rate"), ("PAR_9", "rate"))
+
+
+def _maintenance_class(level: MaintenanceLevel) -> compose.ModelClass:
+    states, initial, rows = _CHAINS[level]
+    name = f"maintenance{len(states)}"
+    return compose.ModelClass(
+        name,
+        tuple(ParamDecl(pname, "input", kind) for pname, kind in _MAINTENANCE_INPUTS)
+        + (ParamDecl("PAR_10", "output", "probability"),),
+        compose.InlineCtmc(name, states, initial,
+                           tuple((src, dst, _RATES[rate]) for src, dst, rate in rows)),
+        (("PAR_10", "S3"),),
+        # the one statement of this fact: without safe shutdowns the chain has no repair cycle
+        (("safe-shutdown rate 2*par4 - par5", _SAFE_SHUTDOWN),),
+        f"{name} via {level.value}-state maintenance chain, solved by GTH steady state",
+    )
+
+
+#: The maintenance model classes ``maintenance4``, ``maintenance5`` and
+#: ``maintenance8``, by level. ``PAR_10`` reads the steady-state probability of S3.
+MAINTENANCE_CLASSES = {level: _maintenance_class(level) for level in MaintenanceLevel}
+
+
+def build_maintenance_ctmc(level: MaintenanceLevel, params: MaintenanceParams) -> ctmc.Ctmc:
+    """The maintenance chain at the requested level of detail.
 
     States of the five-state reference chain:
       S0 up, no non-diagnosable fault; S1 safe shutdown, no fault;
@@ -334,37 +389,15 @@ def build_maintenance_ctmc(
     The four-state chain drops S4 and folds the power-cycle path into the
     incorrect-maintenance transition. The eight-state chain additionally
     tracks diagnosable permanent faults (S0 split into S0p/S0s plus S5/S6
-    mirroring S2/S4); its transition set is a documented reconstruction and
-    needs the fault-occurrence parameters, supplied via ``failure``
-    (reference defaults when omitted). No published figure depends on the
-    eight-state variant. A rate of zero denotes an absent transition, so
-    its row is left out of the chain.
+    mirroring S2/S4); its transition set is a documented reconstruction,
+    whose diagnosable-fault rate is :data:`DIAG_FAULT_RATE`. No published
+    figure depends on the eight-state variant. A rate of zero denotes an
+    absent transition, so its row is left out of the chain.
     """
-    safe_shutdown = 2.0 * params.par4 - params.par5
-    if not safe_shutdown > 0.0:
-        raise ValidationError(
-            f"safe-shutdown rate 2*par4 - par5 must be positive, got {safe_shutdown!r}"
-        )
-    if level not in _CHAINS:
+    if level not in MAINTENANCE_CLASSES:
         raise ValidationError(f"unknown maintenance level {level!r}")
-    fp = failure if failure is not None else DEFAULT_FAILURE_PARAMS
-    repair_bad = params.par7 * params.par6
-    rates = {
-        "safe_shutdown": safe_shutdown,
-        "unsafe": params.par5,
-        "repair": params.par6,
-        "repair_ok": (1.0 - params.par7) * params.par6,
-        "repair_bad": repair_bad,
-        "repair_bad_or_power_cycle": repair_bad + params.par8,
-        "power_loss": params.par8,
-        "power_restore": params.par9,
-        "diag_fault": 2.0 * fp.par1 * (1.0 - fp.transient_ratio) * (1.0 - fp.par2),
-    }
-    states, initial, rows = _CHAINS[level]
-    transitions = tuple(
-        ctmc.Transition(src, dst, rates[name]) for src, dst, name in rows if rates[name] > 0.0
-    )
-    return ctmc.Ctmc(states, initial, transitions)
+    inputs = (pname for pname, _ in _MAINTENANCE_INPUTS)
+    return compose.instantiate(MAINTENANCE_CLASSES[level], dict(zip(inputs, params)))
 
 
 def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> HazardFigures:
@@ -383,72 +416,3 @@ def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> HazardFigure
     hfr = 3.0 * par10
     mtbhe = 1.0 / hfr if hfr > 0.0 else None
     return HazardFigures(par10=par10, hfr_2oo3=hfr, mtbhe_2oo3=mtbhe)
-
-
-# --- workflow templates ------------------------------------------------------
-
-
-class TemplateSpec(NamedTuple):
-    """A solvable model template exposed to the workflow layer."""
-
-    name: str
-    formalism: str  # "BAYES" or "CTMC"
-    inputs: tuple[tuple[str, str], ...]  # (parameter name, kind)
-    outputs: tuple[tuple[str, str], ...]
-    description: str
-    solve: Callable[[Mapping[str, float]], dict[str, float]]
-
-
-def failure_params(values: Mapping[str, float]) -> FailureParams:
-    """The failure-network inputs of a ``failure2oo2`` instance."""
-    return FailureParams(values["PAR_1"], values["PAR_2"], values["PAR_3"])
-
-
-# the solvers call ``failure_interface``, ``build_maintenance_ctmc`` and
-# ``ctmc.steady_state`` through their modules, so wrappers installed there see them
-def _solve_failure(values: Mapping[str, float]) -> dict[str, float]:
-    iface = failure_interface(failure_params(values))
-    return {"PAR_4": iface.par4, "PAR_5": iface.par5}
-
-
-def _solve_maintenance(level: MaintenanceLevel, values: Mapping[str, float]) -> dict[str, float]:
-    params = MaintenanceParams(
-        par4=values["PAR_4"], par5=values["PAR_5"], par6=values["PAR_6"],
-        par7=values["PAR_7"], par8=values["PAR_8"], par9=values["PAR_9"],
-    )
-    pi = ctmc.steady_state(build_maintenance_ctmc(level, params))
-    return {"PAR_10": pi["S3"]}
-
-
-def _maintenance_template(name: str, level: MaintenanceLevel) -> TemplateSpec:
-    return TemplateSpec(
-        name=name,
-        formalism="CTMC",
-        inputs=(
-            ("PAR_4", "probability"),
-            ("PAR_5", "probability"),
-            ("PAR_6", "rate"),
-            ("PAR_7", "ratio"),
-            ("PAR_8", "rate"),
-            ("PAR_9", "rate"),
-        ),
-        outputs=(("PAR_10", "probability"),),
-        description=f"{level.value}-state maintenance chain, solved by GTH steady state",
-        solve=functools.partial(_solve_maintenance, level),
-    )
-
-
-#: Stable template names for workflow files and the library API.
-BUILTIN_TEMPLATES: dict[str, TemplateSpec] = {
-    "failure2oo2": TemplateSpec(
-        name="failure2oo2",
-        formalism="BAYES",
-        inputs=(("PAR_1", "probability"), ("PAR_2", "ratio"), ("PAR_3", "probability")),
-        outputs=(("PAR_4", "probability"), ("PAR_5", "probability")),
-        description="two-unit failure network, solved by variable elimination",
-        solve=_solve_failure,
-    ),
-    "maintenance4": _maintenance_template("maintenance4", MaintenanceLevel.FOUR_STATE),
-    "maintenance5": _maintenance_template("maintenance5", MaintenanceLevel.FIVE_STATE),
-    "maintenance8": _maintenance_template("maintenance8", MaintenanceLevel.EIGHT_STATE),
-}

@@ -246,7 +246,8 @@ def random_workflow(rng: random.Random) -> compose.Workflow:
                     p = round(rng.uniform(0.05, 0.95), 4)
                     cpt += [1.0 - p, p]
                 nodes.append(
-                    compose.InlineNode(f"X{ci}_{ni}", ("False", "True"), parents, tuple(cpt))
+                    compose.InlineNode(f"X{ci}_{ni}", ("False", "True"), parents,
+                                       tuple(map(compose.Literal, cpt)))
                 )
             template = compose.InlineBayes(f"net{ci}", tuple(nodes))
         classes.append(compose.class_from_inline(template))

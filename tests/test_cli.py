@@ -168,6 +168,66 @@ class TestSolve:
         assert out == ""
         assert err == f"error: --threshold must be finite and >= 0, got {float(threshold)!r}\n"
 
+    @pytest.mark.parametrize("threshold", ["-1e-9", "-inf"])
+    def test_negative_threshold_as_its_own_argument_exits_2(self, capsys, threshold):
+        # argparse alone would read these as options and stop at "expected one argument"
+        code, out, err = run(capsys, "solve", CASE_STUDY, "--threshold", threshold)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --threshold must be finite and >= 0, got {float(threshold)!r}\n"
+
+    def test_builtin_and_inline_maintenance_agree_bitwise(self, capsys):
+        figures = []
+        for path in (CASE_STUDY, INLINE_MAINTENANCE):
+            code, out, _ = run(capsys, "solve", path, "--format", "json")
+            assert code == 0
+            figures.append(json.loads(out)["exports"]["HFR_2oo3"])
+        assert figures == [3.3227269156628564e-07] * 2
+
+    def test_no_safe_shutdown_exits_4(self, capsys, tmp_path):
+        # PAR_1 = 0 gives PAR_4 = PAR_5 = 0; the inline copy of the chain
+        # drops the zero rates instead, as any inline chain does
+        no_faults = tmp_path / "no-faults.rvm"
+        no_faults.write_text(
+            Path(CASE_STUDY).read_text().replace("PAR_1 = 1.666e-5;", "PAR_1 = 0;"))
+        code, out, err = run(capsys, "solve", str(no_faults))
+        assert code == 4
+        assert out == ""
+        assert err == ("error: instance 'mu': safe-shutdown rate 2*par4 - par5 "
+                       "must be positive, got 0.0\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("PAR_7 = 1e-2;", "PAR_7 = phi.PAR_4 * 1e6;",
+         "instance 'mu': ratio input 'PAR_7' must lie in [0, 1], got 2.19"),
+        ("  output HFR_2oo3", "  instance psi : builtin.failure2oo2 {\n"
+         "    PAR_1 = phi.PAR_4 * 1e6; PAR_2 = 0.1; PAR_3 = 0.1;\n  }\n  output HFR_2oo3",
+         "instance 'psi': probability input 'PAR_1' must lie in [0, 1], got 2.19"),
+    ], ids=["maintenance", "failure"])
+    def test_reference_bound_input_out_of_range_exits_4(self, capsys, tmp_path, old, new, message):
+        # each kinded input is range-checked when its value is known: at solve time
+        bad = tmp_path / "bad.rvm"
+        bad.write_text(Path(CASE_STUDY).read_text().replace(old, new))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_parametric_table_checked_when_bound_literal_table_when_validated(
+            self, capsys, tmp_path):
+        body = ('workflow "w" {{\n  bayes b {{ node X states (F, T) cpt ({cpt}); }}\n'
+                "  instance n : b {{ {bindings} }}\n  output p = n.p_X_T;\n}}\n")
+        parametric = tmp_path / "parametric.rvm"
+        parametric.write_text(body.format(cpt="q, 0.5", bindings="q = 0.25;"))
+        assert run(capsys, "validate", str(parametric))[0] == 0
+        code, _, err = run(capsys, "solve", str(parametric))
+        assert code == 4
+        assert "sums to 0.75, not 1" in err
+        literal = tmp_path / "literal.rvm"
+        literal.write_text(body.format(cpt="0.25, 0.5", bindings=""))
+        code, _, err = run(capsys, "validate", str(literal))
+        assert code == 3
+        assert "sums to 0.75, not 1" in err
+
     def test_json_report_keys_in_field_order(self, capsys):
         _, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json", "--threshold", "1e-9")
         keys = ["workflow", "tool_version", "input_digest", "generated_at", "instances",
@@ -344,6 +404,15 @@ class TestSweep:
         keys.remove("generated_at")
         assert list(report.SweepReport(**json.loads(out)).digest_region()) == keys
 
+    def test_negative_factor_as_its_own_argument_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1", "--factors", "-1,2",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == ("error: instance 'phi': probability input 'PAR_1' "
+                       "must lie in [0, 1], got -1.666e-05\n")
+
     def test_bad_factors_exit_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1", "--factors", "x",
@@ -431,6 +500,17 @@ def test_solve_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", probe, *models], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_each_module_imports_first_in_a_fresh_interpreter():
+    # nmr builds its records from compose's, so compose must not need nmr at import
+    package = Path(redvote.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    for path in sorted(package.glob("*.py")):
+        module = "redvote" if path.stem == "__init__" else f"redvote.{path.stem}"
+        done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (module, done.stderr)
 
 
 def test_package_imports_only_the_standard_library():

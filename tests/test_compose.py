@@ -369,21 +369,43 @@ class TestRunWorkflow:
 
     def test_inline_network_outputs_match_enumeration(self):
         # a three-state root, a 0/1 gate row, and a node outside the rest
+        def literal_node(node_id, states, parents, cpt):
+            return compose.InlineNode(node_id, states, parents, tuple(map(compose.Literal, cpt)))
+
         template = compose.InlineBayes("net", (
-            compose.InlineNode("A", ("lo", "mid", "hi"), (), (0.2, 0.5, 0.3)),
-            compose.InlineNode("B", ("F", "T"), ("A",), (0.9, 0.1, 0.4, 0.6, 0.0, 1.0)),
-            compose.InlineNode("C", ("F", "T"), ("A", "B"), (
+            literal_node("A", ("lo", "mid", "hi"), (), (0.2, 0.5, 0.3)),
+            literal_node("B", ("F", "T"), ("A",), (0.9, 0.1, 0.4, 0.6, 0.0, 1.0)),
+            literal_node("C", ("F", "T"), ("A", "B"), (
                 0.7, 0.3, 1.0, 0.0, 0.25, 0.75, 0.5, 0.5, 0.95, 0.05, 0.1, 0.9,
             )),
-            compose.InlineNode("D", ("F", "T"), (), (0.35, 0.65)),
+            literal_node("D", ("F", "T"), (), (0.35, 0.65)),
         ))
         cls = compose.class_from_inline(template)
         inst = compose.ModelInstance("n", "net", {})
         outputs = compose.run_workflow(compose.Workflow("w", (cls,), (inst,), ())).instances["n"]
-        net = compose.inline_bayes_net(template)
+        net = compose.inline_bayes_net(template, {})
         for node in template.nodes:
             for state, want in zip(node.states, enum_marginal(net, node.id)):
                 assert abs(outputs[f"p_{node.id}_{state}"] - want) <= 1e-12
+
+    def test_parametric_network_matches_hand_value(self):
+        # A is True with probability q, bound from another instance's output
+        q = compose.Param("q")
+        b_rows = tuple(map(compose.Literal, (0.9, 0.1, 0.2, 0.8)))
+        template = compose.InlineBayes("net", (
+            compose.InlineNode("A", ("F", "T"), (), (compose.BinOp("-", compose.Literal(1.0), q), q)),
+            compose.InlineNode("B", ("F", "T"), ("A",), b_rows),
+        ))
+        cls = compose.class_from_inline(template)
+        assert [p.name for p in cls.inputs] == ["q"]
+        phi = case_study_workflow().instances[0]
+        inst = compose.ModelInstance("n", "net", {"q": compose.BinOp(
+            "*", compose.Literal(1e4), compose.Ref("phi", "PAR_4"))})
+        result = compose.run_workflow(compose.Workflow("w", (cls,), (phi, inst), ()))
+        p_a = 1e4 * result.instances["phi"]["PAR_4"]
+        assert result.instances["n"]["p_A_T"] == pytest.approx(p_a, rel=1e-15)
+        assert result.instances["n"]["p_B_T"] == pytest.approx(
+            (1 - p_a) * 0.1 + p_a * 0.8, rel=1e-14)
 
     def test_export_scalar_identity(self):
         workflow = case_study_workflow()

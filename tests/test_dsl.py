@@ -239,6 +239,8 @@ SEMANTIC_DIAGNOSTICS = [
     ("  bayes b {\n    node X states (a, b) cpt (0.5, 0.5);\n"
      "    node Y states (a, b) parents (X) cpt (0.5, 0.5);\n  }",
      (4, 10), "needs 4 table entries, got 2"),
+    ("  bayes b {\n    node X states (a, b) cpt (1 - x.y, x.y);\n  }",
+     (3, 10), "table entries may only use"),
 ]
 
 
@@ -279,6 +281,16 @@ class TestPrint:
             printed = dsl.print_workflow(workflow)
             reparsed = parse_ok(printed)
             assert reparsed == workflow, printed
+
+    @pytest.mark.parametrize("name", sorted(compose.builtin_classes()))
+    def test_builtin_record_prints_as_inline_and_reparses_equal(self, name):
+        # a builtin is a record like an inline model, with expressions in its tables
+        builtin = compose.builtin_classes()[name]
+        printed = dsl.print_workflow(compose.Workflow("w", (builtin,)))
+        (reparsed,) = parse_ok(printed).classes
+        assert reparsed.template == builtin.template
+        # inputs are inferred from the expressions; maintenance4 never reads PAR_9
+        assert {p.name for p in reparsed.inputs} <= {p.name for p in builtin.inputs}
 
     def test_expression_parentheses_preserve_structure(self):
         # right-nested subtraction must keep its parentheses

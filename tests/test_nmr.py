@@ -74,6 +74,16 @@ class TestFailureNetwork:
                 hazard, rel=1e-12
             )
 
+    def test_fields_that_are_not_inputs_take_effect(self):
+        # the network's record is built per value of these four fields
+        params = nmr.FailureParams(3e-5, 0.2, 0.05, transient_ratio=0.7, excl_fail=1e-6,
+                                   p_activate=0.3, p_miss=0.5)
+        iface = nmr.failure_interface(params)
+        u = uncorr_probability(params)
+        assert iface.par4 == pytest.approx(u, rel=1e-12)
+        assert iface.par5 == pytest.approx(unsafe_probability(u, 0.05, 1e-6), rel=1e-12)
+        assert iface != nmr.failure_interface(nmr.FailureParams(3e-5, 0.2, 0.05))
+
     def test_no_faults_means_no_hazard(self):
         net = nmr.build_failure_bn(nmr.FailureParams(par1=0.0, par2=0.1, par3=0.1))
         assert bayes.marginal(net, "UNSAFE_OUTPUT")["True"] == 0.0
