@@ -18,11 +18,10 @@ is computed once per (structure, target) pair and reused across parameter
 values and evidence. An observation enters as an indicator on its variable's
 own table (Darwiche 2003), not as a change of plan.
 
-:func:`marginal` runs the plan of its one target. :func:`posteriors` answers
-every variable at once from one plan per structure, which eliminates every
-variable down to the evidence probability, and one backward pass over that
-plan's steps, which differentiates the evidence probability with respect to
-every table entry (Darwiche 2003's differential approach).
+:func:`marginal` runs the plan of its one target. :func:`posteriors` runs
+one plan per structure, which eliminates every variable down to the evidence
+probability, then one backward pass over its steps that reads each variable
+off the cluster of the step that eliminates it.
 """
 
 from __future__ import annotations
@@ -219,7 +218,9 @@ def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
                 f"expected {child.cardinality}"
             )
         if any(not 0.0 <= p <= 1.0 for p in dist):  # NaN fails every comparison
-            raise ValidationError(f"CPT row {key!r} for {cpt.child!r} has entries outside [0, 1]")
+            state, p = next((s, p) for s, p in zip(child.states, dist) if not 0.0 <= p <= 1.0)
+            raise ValidationError(f"CPT row {key!r} for {cpt.child!r} has its entry for "
+                                  f"state {state!r} at {p!r}, outside [0, 1]")
         if abs(sum(dist) - 1.0) > ROW_SUM_TOLERANCE:
             raise ValidationError(
                 f"CPT row {key!r} for {cpt.child!r} sums to {sum(dist)!r}, not 1"
@@ -245,7 +246,7 @@ def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
 
 # --- variable elimination ---------------------------------------------------
 
-#: Gathers a flat table's entries at fixed indices.
+#: Gathers a flat table's entries at fixed indices, or scatter-adds onto them.
 _Read = Callable[[Sequence[float]], Sequence[float]]
 
 #: One elimination step: ``((slot, index, read), ...)`` and the group size.
@@ -265,10 +266,14 @@ class _Plan(NamedTuple):
     elementwise and sums consecutive runs of ``group`` products; its result
     takes the next slot. The last step yields ``P(target, evidence)`` over
     the target's states, or the one-entry ``[P(evidence)]`` without a target.
+    Only without a target, ``expands[t]`` reads step ``t``'s result over its
+    scope and ``scatters[s]`` transposes the read of the step result ``s``.
     """
 
     order: tuple[str, ...]
     steps: tuple[_Step, ...]
+    expands: tuple[_Read, ...]
+    scatters: Mapping[int, _Read]
 
 
 def elimination_order(net: BayesNet, query: str | Iterable[str]) -> tuple[str, ...]:
@@ -343,6 +348,24 @@ def _gather(layout: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], _Read
     return tuple(index), read
 
 
+@functools.lru_cache(maxsize=8 * PLAN_CACHE_SIZE)
+def _scatter(layout: tuple[tuple[int, int], ...]) -> _Read:
+    """The transpose of ``_gather(layout)``'s read of a whole table, summing in read order."""
+    index = _gather(layout)[0]
+    reps = len(index) // (max(index) + 1)  # every entry is read, equally often
+    by_entry = sorted(range(len(index)), key=index.__getitem__)  # stable
+    move = itemgetter(*by_entry) if len(by_entry) > 1 else list
+
+    def scatter(values: Sequence[float]) -> Sequence[float]:
+        moved = move(values)  # the reads of each entry side by side, in read order
+        total = moved[::reps]
+        for j in range(1, reps):
+            total = list(map(add, total, moved[j::reps]))
+        return total
+
+    return scatter
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(signature: Signature, target: str | None) -> _Plan:
     query = () if target is None else (target,)
@@ -352,7 +375,7 @@ def _plan(signature: Signature, target: str | None) -> _Plan:
     live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
     for slot, (vid, parents, _) in enumerate(signature):
         live[slot] = (parents + (vid,), _strides(parents + (vid,), card))
-    steps = []
+    steps, expands, scatters = [], [], {}
     for vid in order + (None,):  # None: the final product onto the query
         related = [slot for slot, (vars_, _) in live.items() if vid is None or vid in vars_]
         if vid is None:
@@ -364,10 +387,15 @@ def _plan(signature: Signature, target: str | None) -> _Plan:
         reads = []
         for s in related:
             strides = live.pop(s)[1]
-            reads.append((s, *_gather(tuple((card[v], strides.get(v, 0)) for v in scope))))
+            layout = tuple((card[v], strides.get(v, 0)) for v in scope)
+            reads.append((s, *_gather(layout)))
+            if target is None and s >= len(signature):
+                scatters[s] = _scatter(layout)
         steps.append((tuple(reads), group))
+        if target is None:  # each entry of the result once per state of ``vid``
+            expands.append(_gather(((len(reads[0][1]) // group, 1), (group, 0)))[1])
         live[len(signature) + len(steps) - 1] = (out_vars, _strides(out_vars, card))
-    return _Plan(order, tuple(steps))
+    return _Plan(order, tuple(steps), tuple(expands), scatters)
 
 
 def _eliminate(
@@ -394,42 +422,6 @@ def _eliminate(
             summed = list(map(add, summed, product[j::group]))
         tables.append(summed)
     return tables
-
-
-def _adjoints(steps: Sequence[_Step], tables: Sequence[Sequence[float]]) -> list[list[float]]:
-    """The derivative of a plan's one-entry result with respect to every
-    entry of every slot, by reverse mode over the plan's ``steps``;
-    ``tables`` holds every slot's factor from the forward pass.
-
-    Each slot is read by exactly one step, which gathers it again here. A
-    step's output entry is a sum of products of gathered entries, so the
-    derivative with respect to one gathered factor is the output's adjoint
-    times the product of the step's other factors, scatter-added at that
-    factor's gather indices. The other factors' product is built from prefix
-    and suffix products, never by division: 0/1 gates and evidence
-    indicators make many entries exactly 0.
-    """
-    adjoints: list[list[float]] = [[] for _ in tables]
-    adjoints[-1] = [1.0]
-    first = len(tables) - len(steps)  # the slot of the first step's result
-    for out in reversed(range(first, len(tables))):
-        reads, group = steps[out - first]
-        factors = [read(tables[slot]) for slot, _, read in reads]
-        # prefixes[j]: the output adjoint, per product, times the factors before j
-        prefixes = [[a for a in adjoints[out] for _ in range(group)]]
-        for factor in factors[:-1]:
-            prefixes.append(list(map(mul, prefixes[-1], factor)))
-        suffix: Sequence[float] | None = None  # the product of the factors after j
-        for j in reversed(range(len(reads))):
-            slot, index, _ = reads[j]
-            others = prefixes[j] if suffix is None else list(map(mul, prefixes[j], suffix))
-            if j:
-                suffix = factors[j] if suffix is None else list(map(mul, suffix, factors[j]))
-            adjoint = [0.0] * len(tables[slot])
-            for i, d in zip(index, others):
-                adjoint[i] += d
-            adjoints[slot] = adjoint
-    return adjoints
 
 
 def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Distribution:
@@ -459,39 +451,47 @@ def posteriors(net: BayesNet, evidence: Evidence) -> dict[str, Distribution]:
     """Exact ``P(v | evidence)`` of every variable ``v``, observed ones
     included, keyed by variable id in variable order.
 
-    One plan per structure eliminates every variable, down to the scalar
-    ``P(evidence)``, with observations entered as indicators as in
-    :func:`marginal`; one backward pass over the same steps then gives the
-    derivative of ``P(evidence)`` with respect to every table entry. Each
-    term of the network polynomial holds exactly one entry per table
-    (Darwiche 2003), so a table times its derivative is
-    ``P(family, evidence)``, and summing it over the parent states gives
-    ``P(v = k, evidence)``. Each variable is normalised by its own sum, which
-    makes an observed variable an exact point mass. Evidence of probability
-    zero raises :class:`ZeroEvidenceError`, as in :func:`marginal`.
+    One plan eliminates every variable down to ``P(evidence)``, observations
+    entering as indicators as in :func:`marginal`. Backwards over its steps,
+    the adjoint of a step's result (Darwiche 2003) expanded over the step's
+    scope, times its factors, is ``P(scope, evidence)``: each variable is read
+    off the step that eliminates it, innermost, and normalised by its own sum,
+    so an observed one is an exact point mass. That product without a factor
+    that is a step result, scattered back, is the result's adjoint. Evidence
+    of probability zero raises :class:`ZeroEvidenceError`.
     """
     ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
     tables = _eliminate(net, None, ev_idx)
-    (p_evidence,) = tables[-1]
-    if not p_evidence > 0.0:  # NaN fails too
+    if not tables[-1][0] > 0.0:  # P(evidence); NaN fails too
         raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    adjoints = _adjoints(_plan(net.signature, None).steps, tables)
-    dists = {}
-    for table, adjoint, var in zip(tables, adjoints, net.variables):
-        count = var.cardinality
-        family = list(map(mul, table, adjoint))
-        mass = [sum(family[k::count]) for k in range(count)]
-        z = sum(mass)
-        dists[var.id] = Distribution(var.id, {s: m / z for s, m in zip(var.states, mass)})
-    return dists
+    plan, n = _plan(net.signature, None), len(net)
+    adjoints, dists = {len(tables) - 1: [1.0]}, {}
+    for t in reversed(range(len(plan.steps))):
+        reads, group = plan.steps[t]
+        cluster = plan.expands[t](adjoints.pop(n + t))
+        for slot, _, read in reads:
+            if slot < n:
+                cluster = map(mul, cluster, read(tables[slot]))
+        results = [(slot, read(tables[slot])) for slot, _, read in reads if slot >= n]
+        cluster = list(cluster)
+        for slot, _ in results:
+            others = cluster
+            for other, factor in results:
+                if other != slot:
+                    others = list(map(mul, others, factor))
+            adjoints[slot] = plan.scatters[slot](others)
+        for _, factor in results:
+            cluster = map(mul, cluster, factor)
+        if t < len(plan.order):  # the last step eliminates nothing
+            cluster, var = list(cluster), net.variable(plan.order[t])
+            mass = [sum(cluster[k::group]) for k in range(group)]
+            z = sum(mass)
+            dists[var.id] = Distribution(var.id, {s: m / z for s, m in zip(var.states, mass)})
+    return {vid: dists[vid] for vid in net.variable_ids}
 
 
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:
-    """Posterior of every non-evidence variable, ordered by variable id.
-
-    A filter of :func:`posteriors`: every posterior comes from one pass over
-    the structure's one all-variable plan, where :func:`marginal` runs a
-    plan per (structure, target).
-    """
+    """Posterior of every non-evidence variable, ordered by variable id: a
+    filter of :func:`posteriors`."""
     dists = posteriors(net, evidence)
     return [dists[vid] for vid in sorted(dists) if vid not in evidence]

@@ -2,9 +2,9 @@
 
 Commands: ``solve``, ``posteriors``, ``sweep``, ``validate``. Exit codes
 are fixed: 0 success (and verdict pass), 2 parse failure, 3 validation
-failure, 4 numeric or solver failure or an unwritable ``--out``, 5 verdict
-fail against a supplied threshold. Set ``REDVOTE_NO_COLOR`` to disable ANSI
-styling.
+failure, 4 numeric or solver failure, an unwritable ``--out`` or an internal
+error (whose traceback goes to stderr), 5 verdict fail against a supplied
+threshold. Set ``REDVOTE_NO_COLOR`` to disable ANSI styling.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ def cmd_sweep(args: argparse.Namespace, data: bytes, workflow: compose.Workflow)
 
     validated = compose.validate_workflow(workflow)
     results = compose.sweep(validated, args.param, factors)
+    inst_name, pname = args.param.split(".", 1)  # sweep has checked both
+    cls = validated.instance_class(next(i for i in workflow.instances if i.name == inst_name))
+    if pname not in compose.read_inputs(cls):
+        print(f"note: no rate, table entry or requires expression of {cls.name!r} reads "
+              f"{pname}, so the sweep leaves every figure unchanged", file=sys.stderr)
 
     rep = report.SweepReport(
         workflow=workflow.name,
@@ -255,8 +260,11 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except Exception as exc:  # pragma: no cover - safety net for the exit-code contract
+    except Exception as exc:  # safety net for the exit-code contract
+        import traceback  # only on this path, to keep start-up lean
+
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_SOLVER
 
 

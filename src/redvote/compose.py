@@ -126,7 +126,7 @@ def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
             return left * right
         if expr.op == "/":
             if right == 0.0:
-                raise SolverError("division by zero in a binding or export expression")
+                raise SolverError("division by zero")
             return left / right
         raise ValidationError(f"unknown operator {expr.op!r}")
     raise ValidationError(f"unknown expression node {expr!r}")
@@ -247,6 +247,20 @@ def builtin_classes() -> dict[str, ModelClass]:
     return {cls.name: cls for cls in (nmr.failure_class(), *nmr.MAINTENANCE_CLASSES.values())}
 
 
+def _template_exprs(template: InlineCtmc | InlineBayes) -> list[Expr]:
+    """A chain's rate expressions, or a network's table entries."""
+    if isinstance(template, InlineCtmc):
+        return [expr for _, _, expr in template.rates]
+    return [expr for node in template.nodes for expr in node.cpt]
+
+
+def read_inputs(cls: ModelClass) -> set[str]:
+    """The inputs of ``cls`` that a rate, a table entry or a ``requires``
+    fact reads; the value of any other input changes no output."""
+    exprs = _template_exprs(cls.template) + [expr for _, expr in cls.requires]
+    return {p.name for expr in exprs for p in expr_params(expr)}
+
+
 def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
     """Derive the interface of an inline model definition.
 
@@ -257,19 +271,18 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
     (``p_<node>_<state>``) for networks.
     """
     if isinstance(template, InlineCtmc):
-        exprs = [expr for _, _, expr in template.rates]
         reads: tuple[tuple[str, ...], ...] = tuple(
             (f"pi_{state}", state) for state in template.states
         )
         description = f"inline chain {template.name} via GTH steady state"
     elif isinstance(template, InlineBayes):
-        exprs = [expr for node in template.nodes for expr in node.cpt]
         reads = tuple((f"p_{node.id}_{state}", node.id, state)
                       for node in template.nodes for state in node.states)
         description = f"inline network {template.name} via variable elimination"
     else:
         raise ValidationError(f"unknown inline template {template!r}")
-    inputs = dict.fromkeys(p.name for expr in exprs for p in expr_params(expr))
+    inputs = dict.fromkeys(p.name for expr in _template_exprs(template)
+                           for p in expr_params(expr))
     params = tuple(ParamDecl(name, "input") for name in inputs) + tuple(
         ParamDecl(read[0], "output", "probability") for read in reads
     )
@@ -281,7 +294,10 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
     absent transition; a negative or NaN one raises :class:`SolverError`."""
     transitions = []
     for src, dst, expr in template.rates:
-        rate = eval_expr(expr, lambda leaf: values[leaf.name])
+        try:
+            rate = eval_expr(expr, lambda leaf: values[leaf.name])
+        except SolverError as exc:
+            raise SolverError(f"rate {src} -> {dst}: {exc}") from None
         if not rate >= 0.0:  # NaN fails too
             raise SolverError(
                 f"rate {src} -> {dst} evaluated to {rate!r}; rates must be non-negative numbers"
@@ -294,7 +310,8 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
 def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
     """The network with its inputs set to ``values``. Its nodes are taken
     as :func:`check_records` checks them; :func:`bayes.build_net` checks the
-    tables, so a malformed one raises :class:`ValidationError`."""
+    tables, so a malformed one raises :class:`ValidationError`. A division
+    by zero in an entry raises :class:`SolverError` naming the node."""
     variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
     node_states = {node.id: node.states for node in template.nodes}
     cpts = []
@@ -302,8 +319,11 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
         combos = itertools.product(*(node_states[p] for p in node.parents))
         width = len(node.states)
         # most entries are literals, and reading them directly halves the cost
-        cpt = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
-               for e in node.cpt]
+        try:
+            cpt = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
+                   for e in node.cpt]
+        except SolverError as exc:
+            raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
         rows = {combo: cpt[i * width:(i + 1) * width] for i, combo in enumerate(combos)}
         cpts.append(bayes.Cpt(node.id, node.parents, rows))
     return bayes.build_net(variables, cpts)
@@ -529,7 +549,10 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
     # a network without inputs has fixed tables, so they can be checked statically
     for cls in workflow.classes:
         if isinstance(cls.template, InlineBayes) and not cls.inputs:
-            inline_bayes_net(cls.template, {})
+            try:
+                inline_bayes_net(cls.template, {})
+            except RedvoteError as exc:
+                raise ValidationError(f"model {cls.name!r}: {exc}") from None
 
     for inst in workflow.instances:
         _check_bindings(inst, classes[inst.class_name], by_name, classes)
@@ -585,7 +608,10 @@ def solve(cls: ModelClass, values: Mapping[str, float]) -> dict[str, float]:
 
 def _evaluate(expr: Expr, solved: Mapping[str, Mapping[str, float]]) -> float:
     """Evaluate a binding or export expression over solved instance outputs."""
-    return eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
+    try:
+        return eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
+    except SolverError as exc:
+        raise SolverError(f"{exc} in a binding or export expression") from None
 
 
 def _require_finite(what: str, values: Mapping[str, float]) -> None:

@@ -12,6 +12,9 @@ expressions over ``PAR_4`` to ``PAR_9``. These are the workflow's builtin
 classes, instantiated and solved by the same `compose` code as a model a
 `.rvm` file defines. :func:`build_failure_bn`, :func:`failure_interface`
 and :func:`build_maintenance_ctmc` are thin functions over the records.
+The three chains share one interface, so ``maintenance4``, which has no
+unpowered state, accepts and requires ``PAR_9`` (the power-restore rate)
+but no rate of it reads that input; ``redvote sweep`` says so on stderr.
 
 A note on the maintenance rates: the correct-maintenance repair flow goes
 from the shutdown-with-fault state back to normal operation at

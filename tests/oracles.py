@@ -60,25 +60,39 @@ def enum_marginal(
     return vector / vector.sum()
 
 
-def random_net(rng: random.Random, max_nodes: int = 8, gates: float = 0.0) -> bayes.BayesNet:
-    """A random binary-variable DAG with strictly positive CPT entries,
-    except that each row of a non-root is, with probability ``gates``, a
-    deterministic 0/1 row like the failure network's logic gates."""
+def random_net(
+    rng: random.Random, max_nodes: int = 8, gates: float = 0.0, max_states: int = 2
+) -> bayes.BayesNet:
+    """A random DAG with strictly positive CPT entries, except that each row
+    of a non-root is, with probability ``gates``, a deterministic 0/1 row
+    like the failure network's logic gates. Variables have 2 to
+    ``max_states`` states; at the default of 2 no state count is drawn, so
+    a seed's binary nets, which pinned tests rely on, stay fixed."""
     n = rng.randint(1, max_nodes)
     ids = [f"V{i}" for i in range(n)]
-    variables = [bayes.Variable(vid, ("False", "True")) for vid in ids]
+    variables = [
+        bayes.Variable(vid, ("False", "True") if max_states == 2
+                       else tuple(f"s{k}" for k in range(rng.randint(2, max_states))))
+        for vid in ids
+    ]
+    states = {var.id: var.states for var in variables}
     cpts = []
     for i, vid in enumerate(ids):
         pool = ids[:i]
         parents = tuple(sorted(rng.sample(pool, k=rng.randint(0, min(3, len(pool))))))
         rows = {}
-        parent_states = [("False", "True")] * len(parents)
-        for combo in itertools.product(*parent_states):
-            if gates and parents and rng.random() < gates:
-                p = float(rng.random() < 0.5)
+        count = len(states[vid])
+        for combo in itertools.product(*(states[p] for p in parents)):
+            gated = gates and parents and rng.random() < gates
+            if count == 2:
+                p = float(rng.random() < 0.5) if gated else rng.uniform(0.05, 0.95)
+                rows[combo] = (1.0 - p, p)
+            elif gated:
+                hot = rng.randrange(count)
+                rows[combo] = tuple(float(k == hot) for k in range(count))
             else:
-                p = rng.uniform(0.05, 0.95)
-            rows[combo] = (1.0 - p, p)
+                weights = [rng.uniform(0.05, 0.95) for _ in range(count)]
+                rows[combo] = tuple(w / sum(weights) for w in weights)
         cpts.append(bayes.Cpt(vid, parents, rows))
     return bayes.build_net(variables, cpts)
 

@@ -1,5 +1,6 @@
 """Network construction, joint probabilities, and exact inference."""
 
+import collections
 import itertools
 import random
 
@@ -109,6 +110,17 @@ class TestBuildNet:
         nan = float("nan")
         with pytest.raises(ValidationError, match="outside"):
             bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): (nan, nan)})])
+
+    @pytest.mark.parametrize("dist, named", [
+        ((1.5, -0.5), "'False' at 1.5"),
+        ((0.5, float("nan")), "'True' at nan"),
+        ((0.0, 1.0 + 1e-9), "'True' at 1.000000001"),
+    ])
+    def test_out_of_range_error_names_the_first_entry_and_its_value(self, dist, named):
+        with pytest.raises(ValidationError) as info:
+            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): dist})])
+        assert str(info.value) == (
+            f"CPT row () for 'A' has its entry for state {named}, outside [0, 1]")
 
     def test_variable_invariants(self):
         with pytest.raises(ValidationError, match="at least two states"):
@@ -307,6 +319,44 @@ class TestPosteriors:
                         assert abs(dists[vid][state] - p) <= 1e-12
         assert impossible > 0 and disconnected > 0
 
+    def test_matches_enumeration_on_multi_state_gated_nets(self):
+        # 2-4 states: groups above 2, and scatters whose entries are read
+        # several times through non-binary cardinalities
+        rng = random.Random(2024)
+        impossible = wide_groups = 0
+        for _ in range(60):
+            net = random_net(rng, max_nodes=6, gates=0.5, max_states=4)
+            ids = net.variable_ids
+            wide_groups += any(group > 2 for _, group in bayes._plan(net.signature, None).steps)
+            observed = rng.sample(ids, k=rng.randint(0, min(2, len(ids))))
+            for states in itertools.product(*(net.variable(v).states for v in observed)):
+                evidence = dict(zip(observed, states))
+                index = tuple(
+                    net.state_index(v, evidence[v]) if v in evidence else slice(None)
+                    for v in ids
+                )
+                if full_joint(net)[index].sum() == 0.0:
+                    impossible += 1
+                    with pytest.raises(ZeroEvidenceError):
+                        bayes.posteriors(net, evidence)
+                    with pytest.raises(ZeroEvidenceError):
+                        bayes.marginal(net, rng.choice(ids), evidence)
+                    continue
+                dists = bayes.posteriors(net, evidence)
+                assert list(dists) == list(ids)
+                for vid in ids:
+                    states = net.variable(vid).states
+                    if vid in evidence:
+                        want = [float(s == evidence[vid]) for s in states]
+                        assert [dists[vid][s] for s in states] == want
+                        assert [bayes.marginal(net, vid, evidence)[s] for s in states] == want
+                        continue
+                    single = bayes.marginal(net, vid, evidence)
+                    for state, p in zip(states, enum_marginal(net, vid, evidence)):
+                        assert abs(dists[vid][state] - p) <= 1e-12
+                        assert abs(single[state] - p) <= 1e-12
+        assert impossible > 0 and wide_groups > 0
+
     def test_failure_net_matches_marginal(self):
         # the observed sink must come out exactly 1.0, which normalising by
         # the forward P(e) instead of each variable's own sum does not give
@@ -370,6 +420,75 @@ class TestEliminationOrder:
             "Permanent_Fault_B", "Transient_Fault_B", "Error_due_to_Transient_B",
             "Undetected_permanent_B", "UNCORR_B",
         )
+
+
+class TestPlanStructure:
+    """The invariants that reading each posterior off its elimination step
+    rests on, checked on compiled plans by replaying which assignment of
+    the variables each entry of each slot stands for."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reads_groups_and_expands_on_random_plans(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            net = random_net(rng, max_nodes=7, gates=0.3, max_states=rng.choice((2, 4)))
+            for target in (None, rng.choice(net.variable_ids)):
+                self._check(net, target)
+
+    def _check(self, net, target):
+        plan, n = bayes._plan(net.signature, target), len(net)
+        card = {vid: n for vid, _, n in net.signature}
+        entries = [  # slot -> the assignment {variable: state index} of each entry
+            [dict(zip(parents + (vid,), states))
+             for states in itertools.product(*(range(card[v]) for v in parents + (vid,)))]
+            for vid, parents, _ in net.signature
+        ]
+        reads_of = collections.Counter()
+        for t, (reads, group) in enumerate(plan.steps):
+            scope = None
+            for slot, index, read in reads:
+                reads_of[slot] += 1
+                table = entries[slot]
+                assert list(read(range(len(table)))) == list(index)
+                # every entry of the table is read, and equally often
+                reps, rest = divmod(len(index), len(table))
+                assert rest == 0
+                assert collections.Counter(index) == dict.fromkeys(range(len(table)), reps)
+                if target is None and slot >= n:  # the scatter is the read's transpose
+                    summed = [0.0] * len(table)
+                    for p, i in enumerate(index):
+                        summed[i] += p
+                    assert list(plan.scatters[slot]([float(p) for p in range(len(index))])) == summed
+                gathered = [table[i] for i in index]
+                if scope is None:
+                    scope = [dict(a) for a in gathered]
+                assert len(gathered) == len(scope)
+                for merged, a in zip(scope, gathered):  # the reads agree on each entry
+                    for v, k in a.items():
+                        assert merged.setdefault(v, k) == k
+            assert len({tuple(sorted(a.items())) for a in scope}) == len(scope)
+            eliminated = plan.order[t] if t < len(plan.order) else None
+            # the eliminated variable is innermost, and a group holds its states
+            assert group == (1 if eliminated is None else card[eliminated])
+            if eliminated is not None:
+                assert [a[eliminated] for a in scope] == [p % group for p in range(len(scope))]
+            out = [{v: k for v, k in a.items() if v != eliminated} for a in scope[::group]]
+            for p, a in enumerate(scope):
+                assert {v: k for v, k in a.items() if v != eliminated} == out[p // group]
+            if target is None:
+                expanded = list(plan.expands[t](range(len(out))))
+                assert expanded == [p // group for p in range(len(scope))]
+            entries.append(out)
+        # every slot but the result is read by exactly one step
+        assert reads_of == dict.fromkeys(range(len(entries) - 1), 1)
+        # only the all-variable plan carries its backward pass's reads
+        if target is None:
+            assert len(plan.expands) == len(plan.steps)
+            assert set(plan.scatters) == set(range(n, len(entries) - 1))
+        else:
+            assert (plan.expands, plan.scatters) == ((), {})
+        assert entries[-1] == ([{}] if target is None
+                               else [{target: k} for k in range(card[target])])
 
 
 def _child_of(parents, cpt):

@@ -21,6 +21,11 @@ CASE_STUDY_2 = str(MODELS / "case-study-2.rvm")
 INLINE_MAINTENANCE = str(MODELS / "inline-maintenance.rvm")
 
 
+#: A workflow of one single-node network; format with its table and bindings.
+ONE_NODE = ('workflow "w" {{\n  bayes b {{ node X states (F, T) cpt ({cpt}); }}\n'
+            "  instance n : b {{ {bindings} }}\n  output p = n.p_X_T;\n}}\n")
+
+
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -228,6 +233,24 @@ class TestSolve:
         assert code == 3
         assert "sums to 0.75, not 1" in err
 
+    def test_division_by_zero_in_a_table_names_the_model_and_node(self, capsys, tmp_path):
+        literal = tmp_path / "literal.rvm"
+        literal.write_text(ONE_NODE.format(cpt="1 / 0, 0.5", bindings=""))
+        assert run(capsys, "validate", str(literal)) == (
+            3, "", "error: model 'b': node 'X': division by zero in a table entry\n")
+        parametric = tmp_path / "parametric.rvm"
+        parametric.write_text(ONE_NODE.format(cpt="1 / q, 0.5", bindings="q = 0;"))
+        assert run(capsys, "validate", str(parametric))[0] == 0
+        assert run(capsys, "solve", str(parametric)) == (
+            4, "", "error: instance 'n': node 'X': division by zero in a table entry\n")
+
+    def test_table_entry_out_of_range_is_named_with_its_value(self, capsys, tmp_path):
+        parametric = tmp_path / "parametric.rvm"
+        parametric.write_text(ONE_NODE.format(cpt="1 - q, q", bindings="q = 2;"))
+        assert run(capsys, "solve", str(parametric)) == (
+            4, "", "error: instance 'n': CPT row () for 'X' has its entry for state 'F' "
+            "at -1.0, outside [0, 1]\n")
+
     def test_json_report_keys_in_field_order(self, capsys):
         _, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json", "--threshold", "1e-9")
         keys = ["workflow", "tool_version", "input_digest", "generated_at", "instances",
@@ -413,6 +436,21 @@ class TestSweep:
         assert err == ("error: instance 'phi': probability input 'PAR_1' "
                        "must lie in [0, 1], got -1.666e-05\n")
 
+    def test_sweep_of_an_input_no_expression_reads_notes_it(self, capsys, tmp_path):
+        # maintenance4 accepts PAR_9 like the other chains, but none of its rates reads it
+        m4 = tmp_path / "m4.rvm"
+        m4.write_text(Path(CASE_STUDY).read_text().replace("maintenance5", "maintenance4"))
+        code, out, err = run(capsys, "sweep", str(m4), "--param", "mu.PAR_9",
+                             "--factors", "1,2", "--format", "json")
+        assert code == 0
+        assert err == ("note: no rate, table entry or requires expression of 'maintenance4' "
+                       "reads PAR_9, so the sweep leaves every figure unchanged\n")
+        rows = json.loads(out)["rows"]
+        assert rows[0]["exports"] == rows[1]["exports"]
+        for path, param in ((m4, "mu.PAR_8"), (CASE_STUDY, "mu.PAR_9")):
+            code, _, err = run(capsys, "sweep", str(path), "--param", param, "--factors", "1,2")
+            assert (code, err) == (0, "")
+
     def test_bad_factors_exit_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1", "--factors", "x",
@@ -450,6 +488,19 @@ class TestValidate:
         bad.write_text("not a workflow at all")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+
+def _raise_internal_error(args, data, workflow):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_validate", _raise_internal_error)
+    code, out, err = run(capsys, "validate", CASE_STUDY)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: boom\nTraceback (most recent call last)")
+    assert "_raise_internal_error" in err
+    assert err.endswith("RuntimeError: boom\n")
 
 
 def test_import_does_not_load_hashlib():

@@ -345,6 +345,14 @@ class TestRunWorkflow:
         with pytest.raises(SolverError, match="'x'.*cannot return"):
             compose.run_workflow(compose.Workflow("w", (cls,), (inst,), ()))
 
+    def test_division_by_zero_in_a_rate_names_the_rate(self):
+        rate = compose.BinOp("/", compose.Literal(1.0), compose.Param("K"))
+        template = compose.InlineCtmc("c", ("A", "B"), "A", (("A", "B", rate), ("B", "A", rate)))
+        cls = compose.class_from_inline(template)
+        inst = compose.ModelInstance("x", "c", {"K": compose.Literal(0.0)})
+        with pytest.raises(SolverError, match="^instance 'x': rate A -> B: division by zero$"):
+            compose.run_workflow(compose.Workflow("w", (cls,), (inst,), ()))
+
     def test_substitution_five_to_four_state(self):
         five = compose.run_workflow(case_study_workflow(maintenance="maintenance5"))
         four = compose.run_workflow(case_study_workflow(maintenance="maintenance4"))
@@ -423,8 +431,14 @@ class TestRunWorkflow:
                 "bad", compose.BinOp("/", compose.Literal(1.0), compose.Literal(0.0))
             ),
         )
-        with pytest.raises(SolverError, match="division by zero"):
+        with pytest.raises(SolverError, match="^division by zero in a binding or export"):
             compose.run_workflow(compose.Workflow("w", (), (phi,), exports))
+
+    def test_eval_expr_names_only_the_division(self):
+        # each caller adds where the expression stands: a binding, a rate, a table entry
+        with pytest.raises(SolverError, match="^division by zero$"):
+            compose.eval_expr(compose.BinOp("/", compose.Literal(1.0), compose.Param("q")),
+                              lambda leaf: 0.0)
 
 
 class TestSweep:
