@@ -15,7 +15,6 @@ from .bayes import (
     Variable,
     build_net,
     elimination_order,
-    joint_probability,
     marginal,
     posterior_report,
     posteriors,
@@ -39,14 +38,7 @@ from .compose import (
     sweep,
     validate_workflow,
 )
-from .ctmc import (
-    Ctmc,
-    SimulationResult,
-    Transition,
-    reachable_closed_class,
-    simulate,
-    steady_state,
-)
+from .ctmc import Ctmc, Transition, reachable_closed_class, steady_state
 from .dsl import ParseDiagnostic, ParseResult, parse, print_workflow
 from .errors import RedvoteError, SolverError, ValidationError, ZeroEvidenceError
 from .nmr import (
@@ -59,7 +51,6 @@ from .nmr import (
     build_maintenance_ctmc,
     failure_interface,
     hfr_2oo3_from_maintenance,
-    mtbhe_conversion,
 )
 from .report import AnalysisReport
 
@@ -67,16 +58,13 @@ __all__ = [
     "__version__",
     # bayes
     "BayesNet", "Cpt", "Distribution", "Evidence", "Variable", "build_net",
-    "elimination_order", "joint_probability", "marginal", "posterior_report",
-    "posteriors",
+    "elimination_order", "marginal", "posterior_report", "posteriors",
     # ctmc
-    "Ctmc", "SimulationResult", "Transition", "reachable_closed_class",
-    "simulate", "steady_state",
+    "Ctmc", "Transition", "reachable_closed_class", "steady_state",
     # concrete models
     "FailureInterface", "FailureParams", "HazardFigures",
     "MaintenanceLevel", "MaintenanceParams", "build_failure_bn",
     "build_maintenance_ctmc", "failure_interface", "hfr_2oo3_from_maintenance",
-    "mtbhe_conversion",
     # composition
     "BinOp", "Export", "InlineBayes", "InlineCtmc", "InlineNode", "Literal",
     "ModelClass", "ModelInstance", "Param", "ParamDecl", "Ref", "SolveResult",

@@ -29,8 +29,9 @@ from __future__ import annotations
 import functools
 import graphlib
 import itertools
+from collections import namedtuple
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError, ZeroEvidenceError
 
@@ -46,8 +47,8 @@ ROW_SUM_TOLERANCE = 1e-9
 PLAN_CACHE_SIZE = 128
 
 
-class Variable(NamedTuple("Variable", [("id", str), ("states", tuple[str, ...])])):
-    """A finite discrete variable with an ordered set of state labels."""
+class Variable(namedtuple("Variable", "id states")):
+    """A finite discrete variable with an ordered tuple of state labels."""
 
     __slots__ = ()
 
@@ -70,12 +71,13 @@ class Variable(NamedTuple("Variable", [("id", str), ("states", tuple[str, ...])]
 Rows = Mapping[tuple[str, ...], tuple[float, ...]]
 
 
-class Cpt(NamedTuple("Cpt", [("child", str), ("parents", tuple[str, ...]), ("rows", Rows)])):
+class Cpt(namedtuple("Cpt", "child parents rows")):
     """Conditional probability table for one child variable.
 
-    ``rows`` maps a full parent-state assignment (ordered like ``parents``)
-    to the distribution over the child's states, in the child's state order.
-    Root variables use the empty tuple as their single key.
+    ``parents`` is a tuple of variable ids. ``rows`` maps a full
+    parent-state assignment (ordered like ``parents``) to the distribution
+    over the child's states, in the child's state order. Root variables use
+    the empty tuple as their single key.
     """
 
     __slots__ = ()
@@ -85,11 +87,11 @@ class Cpt(NamedTuple("Cpt", [("child", str), ("parents", tuple[str, ...]), ("row
         return tuple.__new__(cls, (child, tuple(parents), frozen))
 
 
-class Distribution(NamedTuple):
-    """Probability per state of a single variable."""
+class Distribution(namedtuple("Distribution", "variable probabilities")):
+    """Probability per state of a single variable: its id, and a mapping
+    from state label to probability."""
 
-    variable: str
-    probabilities: Mapping[str, float]
+    __slots__ = ()
 
     def __getitem__(self, state: str) -> float:
         return self.probabilities[state]
@@ -228,22 +230,6 @@ def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
     return [p for key in itertools.product(*parent_states) for p in cpt.rows[key]]
 
 
-def joint_probability(net: BayesNet, assignment: Mapping[str, str]) -> float:
-    """Probability of one full assignment: the product of matching CPT entries."""
-    for var_id in assignment:
-        net.variable(var_id)
-    missing = [vid for vid in net.variable_ids if vid not in assignment]
-    if missing:
-        raise ValidationError(f"assignment is incomplete, missing: {', '.join(missing)}")
-    product = 1.0
-    for table, (vid, parents, _) in zip(net._tables, net.signature):
-        index = 0
-        for v in parents + (vid,):
-            index = index * net.variable(v).cardinality + net.state_index(v, assignment[v])
-        product *= table[index]
-    return product
-
-
 # --- variable elimination ---------------------------------------------------
 
 #: Gathers a flat table's entries at fixed indices, or scatter-adds onto them.
@@ -253,7 +239,7 @@ _Read = Callable[[Sequence[float]], Sequence[float]]
 _Step = tuple[tuple[tuple[int, tuple[int, ...], _Read], ...], int]
 
 
-class _Plan(NamedTuple):
+class _Plan(namedtuple("_Plan", "order steps expands scatters")):
     """Variable elimination of every variable but the target, for one
     (structure, target); of every variable when the target is ``None``.
 
@@ -266,14 +252,13 @@ class _Plan(NamedTuple):
     elementwise and sums consecutive runs of ``group`` products; its result
     takes the next slot. The last step yields ``P(target, evidence)`` over
     the target's states, or the one-entry ``[P(evidence)]`` without a target.
-    Only without a target, ``expands[t]`` reads step ``t``'s result over its
-    scope and ``scatters[s]`` transposes the read of the step result ``s``.
+    ``order`` is the elimination order and ``steps`` a tuple of
+    :data:`_Step`. Only without a target, ``expands[t]`` reads step ``t``'s
+    result over its scope and ``scatters[s]`` transposes the read of the
+    step result ``s``.
     """
 
-    order: tuple[str, ...]
-    steps: tuple[_Step, ...]
-    expands: tuple[_Read, ...]
-    scatters: Mapping[int, _Read]
+    __slots__ = ()
 
 
 def elimination_order(net: BayesNet, query: str | Iterable[str]) -> tuple[str, ...]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
-from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from collections import deque, namedtuple
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import bayes, ctmc
 from .errors import RedvoteError, SolverError, ValidationError
@@ -135,37 +135,32 @@ def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
 # --- inline model templates --------------------------------------------------
 
 
-class InlineCtmc(NamedTuple):
-    """A chain; rates may reference the class's input parameters."""
+class InlineCtmc(namedtuple("InlineCtmc", "name states initial rates")):
+    """A chain: its states, the initial one, and ``(src, dst, expr)`` rates,
+    which may reference the class's input parameters."""
 
-    name: str
-    states: tuple[str, ...]
-    initial: str
-    rates: tuple[tuple[str, str, Expr], ...]
+    __slots__ = ()
 
 
-class InlineNode(NamedTuple):
-    """A network node; ``cpt`` lists its table's entries, one row per
-    parent-state combination (first parent slowest), each row in the
-    node's state order."""
+class InlineNode(namedtuple("InlineNode", "id states parents cpt")):
+    """A network node; ``cpt`` lists its table's entries as expressions, one
+    row per parent-state combination (first parent slowest), each row in
+    the node's state order."""
 
-    id: str
-    states: tuple[str, ...]
-    parents: tuple[str, ...]
-    cpt: tuple[Expr, ...]
+    __slots__ = ()
 
 
-class InlineBayes(NamedTuple):
-    """A network; table entries may reference the class's input parameters."""
+class InlineBayes(namedtuple("InlineBayes", "name nodes")):
+    """A network of :class:`InlineNode`; table entries may reference the
+    class's input parameters."""
 
-    name: str
-    nodes: tuple[InlineNode, ...]
+    __slots__ = ()
 
 
 # --- model classes and workflows ---------------------------------------------
 
 
-class ParamDecl(NamedTuple("ParamDecl", [("name", str), ("direction", str), ("kind", str | None)])):
+class ParamDecl(namedtuple("ParamDecl", "name direction kind")):
     """A model-class parameter; a ``kind`` of None means unkinded (inline-model parameters)."""
 
     __slots__ = ()
@@ -217,9 +212,10 @@ class ModelInstance(_Record):
         super().__init__(name, class_name, dict(bindings))
 
 
-class Export(NamedTuple):
-    name: str
-    expr: Expr
+class Export(namedtuple("Export", "name expr")):
+    """A named expression over instance outputs that the workflow reports."""
+
+    __slots__ = ()
 
 
 class Workflow(_Record):
@@ -232,12 +228,10 @@ class Workflow(_Record):
         super().__init__(name, tuple(classes), tuple(instances), tuple(exports))
 
 
-class SolveResult(NamedTuple):
+class SolveResult(namedtuple("SolveResult", "instances exports provenance")):
     """Solved output values per instance, export values, and provenance notes."""
 
-    instances: Mapping[str, Mapping[str, float]]
-    exports: Mapping[str, float]
-    provenance: tuple[str, ...]
+    __slots__ = ()
 
 
 def builtin_classes() -> dict[str, ModelClass]:
@@ -417,12 +411,10 @@ def check_records(workflow: Workflow) -> None:
 # --- validation ---------------------------------------------------------------
 
 
-class ValidatedWorkflow(NamedTuple):
+class ValidatedWorkflow(namedtuple("ValidatedWorkflow", "workflow order class_map")):
     """A workflow with its class map resolved and topological order cached."""
 
-    workflow: Workflow
-    order: tuple[str, ...]
-    class_map: Mapping[str, ModelClass]
+    __slots__ = ()
 
     def instance_class(self, instance: ModelInstance) -> ModelClass:
         return self.class_map[instance.class_name]
@@ -606,12 +598,17 @@ def solve(cls: ModelClass, values: Mapping[str, float]) -> dict[str, float]:
     return {name: dists[node][state] for name, node, state in cls.reads}
 
 
-def _evaluate(expr: Expr, solved: Mapping[str, Mapping[str, float]]) -> float:
-    """Evaluate a binding or export expression over solved instance outputs."""
+def _evaluate(
+    expr: Expr, solved: Mapping[str, Mapping[str, float]], instance: str | None, name: str
+) -> float:
+    """Evaluate over solved instance outputs the expression bound to input
+    ``name`` of ``instance``, or of the export ``name`` when ``instance`` is
+    None; a failure names the one or the other."""
     try:
         return eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
     except SolverError as exc:
-        raise SolverError(f"{exc} in a binding or export expression") from None
+        where = f"export {name!r}" if instance is None else f"instance {instance!r} input {name!r}"
+        raise SolverError(f"{where}: {exc}") from None
 
 
 def _require_finite(what: str, values: Mapping[str, float]) -> None:
@@ -636,7 +633,8 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
     for name in validated.order:
         inst = by_name[name]
         cls = validated.instance_class(inst)
-        values = {pname: _evaluate(expr, solved) for pname, expr in inst.bindings.items()}
+        values = {pname: _evaluate(expr, solved, name, pname)
+                  for pname, expr in inst.bindings.items()}
         for decl in cls.inputs:
             if decl.kind:
                 _check_input(name, decl, values[decl.name], SolverError)
@@ -648,7 +646,8 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
         solved[name] = outputs
         notes.append(f"{name}: {cls.description}")
 
-    exports = {export.name: _evaluate(export.expr, solved) for export in wf.exports}
+    exports = {export.name: _evaluate(export.expr, solved, None, export.name)
+               for export in wf.exports}
     _require_finite("export", exports)
     return SolveResult(instances=solved, exports=exports, provenance=tuple(notes))
 
@@ -665,7 +664,8 @@ def instance_net(validated: ValidatedWorkflow, result: SolveResult, name: str) -
         raise ValidationError(
             f"instance {name!r} is a {cls.formalism} model; posteriors need a BAYES instance"
         )
-    values = {pname: _evaluate(expr, result.instances) for pname, expr in inst.bindings.items()}
+    values = {pname: _evaluate(expr, result.instances, name, pname)
+              for pname, expr in inst.bindings.items()}
     return instantiate(cls, values)
 
 

@@ -1,4 +1,4 @@
-"""Continuous-time Markov chains: steady-state solving and simulation.
+"""Continuous-time Markov chains: structure checks and steady-state solving.
 
 Steady states are computed with Grassmann-Taksar-Heyman (GTH) state
 reduction. GTH performs no subtractions, only sums and ratios of positive
@@ -6,40 +6,34 @@ rates, so it keeps full relative accuracy even when transition rates span
 a dozen orders of magnitude, which is routine for the maintenance chains
 this package targets. The chains have a handful of states, so the solver
 works on plain lists of rows: at this size array routines cost more in
-per-call overhead than the O(n^3) arithmetic. A trajectory simulator, driven
-by the standard library's seeded ``random.Random``, is included as an
-independent cross-check of the solver.
+per-call overhead than the O(n^3) arithmetic. The test suite cross-checks
+the solver against a dense linear solve, 50-digit arithmetic and a seeded
+trajectory simulator, none of which ship with the package.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import random
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 from .errors import SolverError, ValidationError
 
-#: Equal windows of the horizon whose occupancy means give the standard error.
-SIMULATION_BATCHES = 20
+
+class Transition(namedtuple("Transition", "src dst rate")):
+    """One directed transition ``src -> dst`` with a strictly positive
+    ``rate`` in events/hour."""
+
+    __slots__ = ()
 
 
-class Transition(NamedTuple):
-    """One directed transition with a strictly positive rate in events/hour."""
-
-    src: str
-    dst: str
-    rate: float
-
-
-class Ctmc(NamedTuple("Ctmc", [("states", tuple[str, ...]), ("initial", str),
-                               ("transitions", tuple[Transition, ...])])):
-    """A labeled-state chain with a designated initial state.
+class Ctmc(namedtuple("Ctmc", "states initial transitions")):
+    """A labeled-state chain with a designated initial state: a tuple of
+    state labels, the initial label, and a tuple of :class:`Transition`.
 
     Invariants enforced at construction: those of :func:`check_structure`,
     and all rates finite and > 0.
-    Instances are immutable; solving and simulating are pure functions.
+    Instances are immutable; solving is a pure function.
     """
 
     __slots__ = ()
@@ -187,82 +181,3 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     for state, value in zip(closed, pi):
         result[state] = value
     return result
-
-
-class SimulationResult(NamedTuple):
-    """Occupancy fractions from one simulated trajectory, with batch-means errors."""
-
-    occupancy: Mapping[str, float]
-    standard_error: Mapping[str, float]
-    horizon: float
-    batches: int
-    jumps: int
-
-
-def simulate(chain: Ctmc, horizon: float, seed: int) -> SimulationResult:
-    """Simulate one trajectory of exponential sojourns and embedded jumps.
-
-    Each jump goes to one of the current state's positive-rate targets, each
-    chosen with probability rate / exit rate. Occupancy is time-in-state
-    divided by the horizon; standard errors come from batch means over
-    :data:`SIMULATION_BATCHES` equal windows. Fully determined by ``seed``:
-    the same seed always yields the identical result.
-    """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValidationError(f"horizon must be finite and positive, got {horizon!r}")
-
-    # imported on call: it pulls in decimal and fractions, which would add
-    # about 5 ms to every CLI start
-    import statistics
-
-    n = len(chain.states)
-    batches = SIMULATION_BATCHES
-    rates = _rate_matrix(chain)
-    # compact per-state jump tables so a boundary draw can never select a
-    # zero-rate target
-    targets = [[j for j, rate in enumerate(row) if rate > 0.0] for row in rates]
-    cumulative = [list(itertools.accumulate(row[j] for j in t)) for row, t in zip(rates, targets)]
-    exit_rate = [c[-1] if c else 0.0 for c in cumulative]
-
-    rng = random.Random(seed)
-    batch_len = horizon / batches
-    occupancy = [[0.0] * n for _ in range(batches)]
-
-    def record(state: int, start: float, end: float) -> None:
-        first = min(int(start / batch_len), batches - 1)
-        last = min(int(math.nextafter(end, start) / batch_len), batches - 1)
-        for b in range(first, last + 1):
-            lo = max(start, b * batch_len)
-            hi = min(end, (b + 1) * batch_len)
-            if hi > lo:
-                occupancy[b][state] += hi - lo
-
-    now = 0.0
-    state = chain.index(chain.initial)
-    jumps = 0
-    while now < horizon:
-        lam = exit_rate[state]
-        if lam <= 0.0:
-            record(state, now, horizon)
-            break
-        leave = now + rng.expovariate(lam)
-        end = min(leave, horizon)
-        record(state, now, end)
-        now = end
-        if leave >= horizon:
-            break
-        pick = bisect.bisect_right(cumulative[state], rng.random() * lam)
-        state = targets[state][min(pick, len(targets[state]) - 1)]
-        jumps += 1
-
-    per_state = list(zip(*occupancy))
-    return SimulationResult(
-        occupancy={s: sum(col) / horizon for s, col in zip(chain.states, per_state)},
-        standard_error={
-            s: statistics.stdev(t / batch_len for t in col) / math.sqrt(batches)
-            for s, col in zip(chain.states, per_state)
-        },
-        horizon=horizon,
-        batches=batches,
-        jumps=jumps,
-    )

@@ -46,7 +46,8 @@ failure at the element it names. Printing is deterministic, and
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from . import compose
 from .errors import ValidationError
@@ -70,19 +71,21 @@ _TOKEN_RE = re.compile(
 )
 
 
-class ParseDiagnostic(NamedTuple):
-    message: str
-    line: int
-    column: int
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "message line column")):
+    """An error message at a 1-based line and column."""
+
+    __slots__ = ()
 
     def render(self, origin: str) -> str:
         return f"{origin}:{self.line}:{self.column}: error: {self.message}"
 
 
-class ParseResult(NamedTuple):
-    workflow: compose.Workflow | None
-    diagnostics: tuple[ParseDiagnostic, ...]
-    origin: str = "<string>"
+class ParseResult(namedtuple("ParseResult", "workflow diagnostics origin",
+                             defaults=("<string>",))):
+    """The parsed workflow, or None, with a tuple of :class:`ParseDiagnostic`
+    and the ``origin`` that labels them."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -92,11 +95,10 @@ class ParseResult(NamedTuple):
         return [diag.render(self.origin) for diag in self.diagnostics]
 
 
-class _Token(NamedTuple):
-    kind: str  # NUMBER IDENT STRING ARROW punct-literal EOF
-    text: str
-    line: int
-    column: int
+class _Token(namedtuple("_Token", "kind text line column")):
+    """``kind`` is NUMBER, IDENT, STRING, ``->``, the punctuation itself, or EOF."""
+
+    __slots__ = ()
 
 
 class _ParseAbort(Exception):

@@ -31,7 +31,8 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from typing import Mapping
 
 from . import bayes, compose, ctmc
 from .compose import BinOp, Literal, Param, ParamDecl
@@ -52,17 +53,9 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
 
 
-class _FailureFields(NamedTuple):
-    par1: float
-    par2: float
-    par3: float
-    transient_ratio: float = 0.9
-    excl_fail: float = 1e-10
-    p_activate: float = 0.1
-    p_miss: float = 0.35
-
-
-class FailureParams(_FailureFields):
+class FailureParams(namedtuple(
+        "FailureParams", "par1 par2 par3 transient_ratio excl_fail p_activate p_miss",
+        defaults=(0.9, 1e-10, 0.1, 0.35))):
     """Inputs of the two-unit failure network.
 
     par1: per-hour fault probability of a single unit.
@@ -88,8 +81,7 @@ class FailureParams(_FailureFields):
         return params
 
 
-class MaintenanceParams(NamedTuple("MaintenanceParams", [
-        (name, float) for name in ("par4", "par5", "par6", "par7", "par8", "par9")])):
+class MaintenanceParams(namedtuple("MaintenanceParams", "par4 par5 par6 par7 par8 par9")):
     """Inputs of the imperfect-maintenance chains.
 
     par4: per-hour probability of an error in one unit (leads to safe shutdown).
@@ -125,18 +117,17 @@ class MaintenanceLevel(enum.Enum):
     EIGHT_STATE = "eight"
 
 
-class FailureInterface(NamedTuple):
+class FailureInterface(namedtuple("FailureInterface", "par4 par5")):
     """What the failure network hands to the maintenance chain.
 
     par4: single-unit incorrect-output probability.
     par5: 2oo2 hazardous-failure probability.
     """
 
-    par4: float
-    par5: float
+    __slots__ = ()
 
 
-class HazardFigures(NamedTuple):
+class HazardFigures(namedtuple("HazardFigures", "par10 hfr_2oo3 mtbhe_2oo3")):
     """2oo3 hazard figures read off a maintenance steady state.
 
     par10: steady-state probability of the hazardous state S3.
@@ -144,9 +135,7 @@ class HazardFigures(NamedTuple):
     mtbhe_2oo3: mean time between hazardous events, None when the rate is 0.
     """
 
-    par10: float
-    hfr_2oo3: float
-    mtbhe_2oo3: float | None
+    __slots__ = ()
 
 
 # --- failure network ---------------------------------------------------------
@@ -259,19 +248,6 @@ def failure_interface(params: FailureParams) -> FailureInterface:
     """
     outputs = compose.solve(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
     return FailureInterface(par4=outputs["PAR_4"], par5=outputs["PAR_5"])
-
-
-def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
-    """Mean time between hazardous events for the 2oo2 and the 2oo3 system.
-
-    A 2oo3 voter behaves like three 2oo2 pairs, so its hazardous-event rate
-    is three times the pair rate. The 2oo2 figure is derived from the 2oo3
-    one so the factor-of-three identity holds exactly in floating point.
-    """
-    if not hr_2oo2 > 0.0:
-        raise ValidationError(f"hazard rate must be positive, got {hr_2oo2!r}")
-    mtbhe_2oo3 = 1.0 / (3.0 * hr_2oo2)
-    return 3.0 * mtbhe_2oo3, mtbhe_2oo3
 
 
 # --- maintenance chains ------------------------------------------------------

@@ -10,11 +10,9 @@ deliberately excluded from the digest-checked region.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from datetime import datetime, timezone
-from typing import NamedTuple
+import time
+from collections import namedtuple
 
 #: Quantitative band for the highest safety integrity level: rates in
 #: [1e-9, 1e-8) hazardous failures per hour. Reported informationally.
@@ -41,21 +39,17 @@ def sil_band_note(rate: float) -> str:
     return f"above the SIL-4 band (rate >= {SIL4_HIGH:.0e}/h)"
 
 
-class AnalysisReport(NamedTuple):
-    """One solve/posteriors/sweep result in citable form."""
+class AnalysisReport(namedtuple(
+        "AnalysisReport",
+        "workflow tool_version input_digest generated_at instances exports provenance "
+        "posteriors threshold verdict verdict_metric sil_note",
+        defaults=(None,) * 5)):
+    """One solve/posteriors/sweep result in citable form: output values per
+    instance, export values and provenance notes, plus, where the command
+    gives them, a posterior table per variable and the verdict against a
+    threshold."""
 
-    workflow: str
-    tool_version: str
-    input_digest: str
-    generated_at: str
-    instances: dict[str, dict[str, float]]
-    exports: dict[str, float]
-    provenance: list[str]
-    posteriors: dict[str, dict[str, float]] | None = None
-    threshold: float | None = None
-    verdict: str | None = None
-    verdict_metric: str | None = None
-    sil_note: str | None = None
+    __slots__ = ()
 
     def digest_region(self) -> dict:
         """Everything that must be identical for identical inputs."""
@@ -65,16 +59,13 @@ class AnalysisReport(NamedTuple):
 
 
 def timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time to the second, in ISO 8601 with a ``+00:00`` offset."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def to_json(report: AnalysisReport | SweepReport) -> str:
     """The report's fields as one JSON object, in field order."""
     return json.dumps(report._asdict(), indent=2, allow_nan=False) + "\n"
-
-
-def from_json(text: str) -> AnalysisReport:
-    return AnalysisReport(**json.loads(text))
 
 
 def render_text(report: AnalysisReport, color: bool = False) -> str:
@@ -119,6 +110,9 @@ def render_text(report: AnalysisReport, color: bool = False) -> str:
 
 
 def render_csv(report: AnalysisReport) -> str:
+    import csv  # only the CSV renderers need these, not every solve
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "value"])
@@ -139,16 +133,13 @@ def render_csv(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-class SweepReport(NamedTuple):
-    """One row per sweep factor, all exports evaluated."""
+class SweepReport(namedtuple(
+        "SweepReport",
+        "workflow parameter tool_version input_digest generated_at export_names rows")):
+    """One row per sweep factor, all exports evaluated: each of ``rows`` is
+    ``{"factor": f, "exports": {...}}``."""
 
-    workflow: str
-    parameter: str
-    tool_version: str
-    input_digest: str
-    generated_at: str
-    export_names: list[str]
-    rows: list[dict]  # {"factor": f, "exports": {...}}
+    __slots__ = ()
 
     digest_region = AnalysisReport.digest_region
 
@@ -157,6 +148,9 @@ sweep_to_json = to_json
 
 
 def render_sweep_csv(report: SweepReport) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["factor"] + list(report.export_names))

@@ -1,19 +1,25 @@
 """Independent oracles and randomized generators used across the test suite.
 
 Everything here deliberately avoids the library's solver code paths:
-marginals come from a dense full-joint tensor, steady states from a plain
-linear solve or a 50-digit one, and the five-state chain from a hand-derived
-closed form.
+marginals come from a dense full-joint tensor or a product of table rows,
+steady states from a plain linear solve, a 50-digit one or a simulated
+trajectory, and the five-state chain from a hand-derived closed form.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import json
+import math
 import random
+import statistics
+from collections import namedtuple
 
 import numpy as np
 
-from redvote import bayes, compose, ctmc
+from redvote import bayes, compose, ctmc, report
+from redvote.errors import ValidationError
 from redvote.nmr import FailureParams
 
 
@@ -40,6 +46,22 @@ def full_joint(net: bayes.BayesNet) -> np.ndarray:
                 table[tuple(idx)] = p
         joint = joint * table
     return joint
+
+
+def joint_probability(net: bayes.BayesNet, assignment: dict[str, str]) -> float:
+    """Probability of one full assignment: the product of the matching
+    entries of the CPT rows, read from ``net.cpts``."""
+    for var_id, state in assignment.items():
+        net.state_index(var_id, state)  # raises on an unknown variable or state
+    missing = [vid for vid in net.variable_ids if vid not in assignment]
+    if missing:
+        raise ValidationError(f"assignment is incomplete, missing: {', '.join(missing)}")
+    product = 1.0
+    for vid in net.variable_ids:
+        cpt = net.cpts[vid]
+        row = cpt.rows[tuple(assignment[p] for p in cpt.parents)]
+        product *= row[net.state_index(vid, assignment[vid])]
+    return product
 
 
 def enum_marginal(
@@ -173,6 +195,87 @@ def random_irreducible_chain(rng: random.Random, max_states: int = 10) -> ctmc.C
     return ctmc.Ctmc(states, states[0], transitions)
 
 
+#: Equal windows of the horizon whose occupancy means give the standard error.
+SIMULATION_BATCHES = 20
+
+
+class SimulationResult(namedtuple("SimulationResult",
+                                  "occupancy standard_error horizon batches jumps")):
+    """Occupancy fractions per state from one simulated trajectory, with
+    batch-means standard errors, the horizon, the batch count and the
+    number of jumps."""
+
+    __slots__ = ()
+
+
+def simulate(chain: ctmc.Ctmc, horizon: float, seed: int) -> SimulationResult:
+    """Simulate one trajectory of exponential sojourns and embedded jumps.
+
+    Each jump goes to one of the current state's positive-rate targets, each
+    chosen with probability rate / exit rate. Occupancy is time-in-state
+    divided by the horizon; standard errors come from batch means over
+    :data:`SIMULATION_BATCHES` equal windows. Fully determined by ``seed``:
+    the same seed always yields the identical result.
+    """
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValidationError(f"horizon must be finite and positive, got {horizon!r}")
+
+    index = {state: i for i, state in enumerate(chain.states)}
+    n = len(index)
+    batches = SIMULATION_BATCHES
+    rates = [[0.0] * n for _ in range(n)]
+    for tr in chain.transitions:
+        rates[index[tr.src]][index[tr.dst]] = tr.rate
+    # compact per-state jump tables so a boundary draw can never select a
+    # zero-rate target
+    targets = [[j for j, rate in enumerate(row) if rate > 0.0] for row in rates]
+    cumulative = [list(itertools.accumulate(row[j] for j in t)) for row, t in zip(rates, targets)]
+    exit_rate = [c[-1] if c else 0.0 for c in cumulative]
+
+    rng = random.Random(seed)
+    batch_len = horizon / batches
+    occupancy = [[0.0] * n for _ in range(batches)]
+
+    def record(state: int, start: float, end: float) -> None:
+        first = min(int(start / batch_len), batches - 1)
+        last = min(int(math.nextafter(end, start) / batch_len), batches - 1)
+        for b in range(first, last + 1):
+            lo = max(start, b * batch_len)
+            hi = min(end, (b + 1) * batch_len)
+            if hi > lo:
+                occupancy[b][state] += hi - lo
+
+    now = 0.0
+    state = index[chain.initial]
+    jumps = 0
+    while now < horizon:
+        lam = exit_rate[state]
+        if lam <= 0.0:
+            record(state, now, horizon)
+            break
+        leave = now + rng.expovariate(lam)
+        end = min(leave, horizon)
+        record(state, now, end)
+        now = end
+        if leave >= horizon:
+            break
+        pick = bisect.bisect_right(cumulative[state], rng.random() * lam)
+        state = targets[state][min(pick, len(targets[state]) - 1)]
+        jumps += 1
+
+    per_state = list(zip(*occupancy))
+    return SimulationResult(
+        occupancy={s: sum(col) / horizon for s, col in zip(chain.states, per_state)},
+        standard_error={
+            s: statistics.stdev(t / batch_len for t in col) / math.sqrt(batches)
+            for s, col in zip(chain.states, per_state)
+        },
+        horizon=horizon,
+        batches=batches,
+        jumps=jumps,
+    )
+
+
 def five_state_pi3(
     par4: float, par5: float, par6: float, par7: float, par8: float, par9: float
 ) -> float:
@@ -202,6 +305,19 @@ def uncorr_probability(p: FailureParams) -> float:
     return transient + permanent
 
 
+def mtbhe_conversion(hr_2oo2: float) -> tuple[float, float]:
+    """Mean time between hazardous events for the 2oo2 and the 2oo3 system.
+
+    A 2oo3 voter behaves like three 2oo2 pairs, so its hazardous-event rate
+    is three times the pair rate. The 2oo2 figure is derived from the 2oo3
+    one so the factor-of-three identity holds exactly in floating point.
+    """
+    if not hr_2oo2 > 0.0:
+        raise ValidationError(f"hazard rate must be positive, got {hr_2oo2!r}")
+    mtbhe_2oo3 = 1.0 / (3.0 * hr_2oo2)
+    return 3.0 * mtbhe_2oo3, mtbhe_2oo3
+
+
 def unsafe_probability(u: float, same: float, excl: float) -> float:
     """Hazard probability by enumerating the sink's five independent parents."""
     total = 0.0
@@ -213,6 +329,14 @@ def unsafe_probability(u: float, same: float, excl: float) -> float:
         prob *= (excl if ea else 1.0 - excl) * (excl if eb else 1.0 - excl)
         total += prob
     return total
+
+
+# --- reports ------------------------------------------------------------------
+
+
+def from_json(text: str) -> report.AnalysisReport:
+    """The analysis report that ``report.to_json`` rendered as ``text``."""
+    return report.AnalysisReport(**json.loads(text))
 
 
 # --- randomized workflows -----------------------------------------------------

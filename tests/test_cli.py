@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import redvote
-from redvote import bayes, cli, nmr, report
+from redvote import bayes, cli, dsl, nmr, report
+
+from oracles import from_json
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 CASE_STUDY = str(MODELS / "case-study.rvm")
@@ -142,8 +145,8 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json",
                            "--threshold", "1e-9")
         assert code == 5
-        rep = report.from_json(out)
-        assert rep == report.from_json(report.to_json(rep))
+        rep = from_json(out)
+        assert rep == from_json(report.to_json(rep))
         assert rep.workflow == "case-study"
         assert rep.verdict == "FAIL"
         assert rep.exports["HFR_2oo3"] == pytest.approx(3.3227269156628564e-07)
@@ -151,7 +154,7 @@ class TestSolve:
     def test_reports_identical_modulo_timestamp(self, capsys):
         _, first, _ = run(capsys, "solve", CASE_STUDY, "--format", "json")
         _, second, _ = run(capsys, "solve", CASE_STUDY, "--format", "json")
-        a, b = report.from_json(first), report.from_json(second)
+        a, b = from_json(first), from_json(second)
         assert a.digest_region() == b.digest_region()
 
     def test_csv_is_rfc4180(self, capsys):
@@ -244,6 +247,20 @@ class TestSolve:
         assert run(capsys, "solve", str(parametric)) == (
             4, "", "error: instance 'n': node 'X': division by zero in a table entry\n")
 
+    def test_division_by_zero_in_an_export_names_the_export(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rvm"
+        bad.write_text(ONE_NODE.format(cpt="0.5, 0.5", bindings="").replace(
+            "output p = n.p_X_T;", "output p = n.p_X_T / 0;"))
+        assert run(capsys, "solve", str(bad)) == (
+            4, "", "error: export 'p': division by zero\n")
+
+    def test_division_by_zero_in_a_binding_names_the_instance_input(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rvm"
+        bad.write_text(Path(CASE_STUDY).read_text().replace(
+            "PAR_6 = 1;", "PAR_6 = phi.PAR_4 / 0;"))
+        assert run(capsys, "solve", str(bad)) == (
+            4, "", "error: instance 'mu' input 'PAR_6': division by zero\n")
+
     def test_table_entry_out_of_range_is_named_with_its_value(self, capsys, tmp_path):
         parametric = tmp_path / "parametric.rvm"
         parametric.write_text(ONE_NODE.format(cpt="1 - q, q", bindings="q = 2;"))
@@ -258,7 +275,7 @@ class TestSolve:
                 "verdict_metric", "sil_note"]
         assert list(json.loads(out)) == keys
         keys.remove("generated_at")
-        assert list(report.from_json(out).digest_region()) == keys
+        assert list(from_json(out).digest_region()) == keys
 
     def test_unwritable_out_path_exits_4_naming_it(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
@@ -289,6 +306,35 @@ class TestSolve:
             del os.environ["REDVOTE_NO_COLOR"]
 
 
+def test_timestamp_is_utc_iso8601_to_the_second():
+    from datetime import datetime, timezone
+
+    stamp = report.timestamp()
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    now = datetime.now(timezone.utc)
+    assert abs((datetime.fromisoformat(stamp) - now).total_seconds()) <= 2.0
+
+
+@pytest.mark.parametrize("record, fields, defaults", [
+    (report.AnalysisReport,
+     ("workflow", "tool_version", "input_digest", "generated_at", "instances", "exports",
+      "provenance", "posteriors", "threshold", "verdict", "verdict_metric", "sil_note"),
+     dict.fromkeys(("posteriors", "threshold", "verdict", "verdict_metric", "sil_note"))),
+    (report.SweepReport,
+     ("workflow", "parameter", "tool_version", "input_digest", "generated_at",
+      "export_names", "rows"), {}),
+    (nmr.FailureParams,
+     ("par1", "par2", "par3", "transient_ratio", "excl_fail", "p_activate", "p_miss"),
+     {"transient_ratio": 0.9, "excl_fail": 1e-10, "p_activate": 0.1, "p_miss": 0.35}),
+    (nmr.MaintenanceParams, ("par4", "par5", "par6", "par7", "par8", "par9"), {}),
+    (dsl.ParseResult, ("workflow", "diagnostics", "origin"), {"origin": "<string>"}),
+], ids=lambda value: value.__name__ if isinstance(value, type) else "")
+def test_record_fields_and_defaults(record, fields, defaults):
+    # a report's key order is its records' field order, through _asdict()
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+
+
 class TestPosteriors:
     def test_hazard_posterior_table(self, capsys):
         code, out, _ = run(
@@ -310,7 +356,7 @@ class TestPosteriors:
             "--evidence", "Excl_A=True", "--format", "json",
         )
         assert code == 0
-        rep = report.from_json(out)
+        rep = from_json(out)
         assert rep.posteriors["Excl_A"]["True"] == 1.0
 
     def test_table_is_posterior_report_plus_point_masses(self, capsys):
@@ -324,7 +370,7 @@ class TestPosteriors:
         want = {d.variable: dict(d.probabilities) for d in bayes.posterior_report(net, evidence)}
         for vid, state in evidence.items():
             want[vid] = {s: float(s == state) for s in net.variable(vid).states}
-        rep = report.from_json(out)
+        rep = from_json(out)
         assert list(rep.posteriors) == sorted(want)
         assert rep.posteriors == want
 
@@ -333,7 +379,7 @@ class TestPosteriors:
             capsys, "posteriors", CASE_STUDY, "--instance", "phi",
             "--evidence", "UNSAFE_OUTPUT=True", "--format", "json",
         )
-        rep = report.from_json(out)
+        rep = from_json(out)
         assert list(rep.posteriors) == sorted(rep.posteriors)
 
     def test_unknown_instance_exits_3(self, capsys):
@@ -375,7 +421,7 @@ class TestPosteriors:
                 "--evidence", "UNSAFE_OUTPUT=True"]
         once, twice = run(capsys, *argv), run(capsys, *argv, "--evidence", "UNSAFE_OUTPUT=True")
         assert once[0] == twice[0] == 0
-        assert report.from_json(once[1]).posteriors == report.from_json(twice[1]).posteriors
+        assert from_json(once[1]).posteriors == from_json(twice[1]).posteriors
 
 
 class TestSweep:
@@ -514,25 +560,27 @@ def test_import_does_not_load_hashlib():
 
 
 def test_import_does_not_load_dataclasses_or_inspect():
-    # records are NamedTuples and __slots__ classes, which generate no code at
-    # import; dataclasses would add inspect, ast, dis and tokenize to every start
+    # records are collections.namedtuple subclasses, which eval one __new__ per
+    # class, and __slots__ classes; dataclasses would add inspect, ast, dis and
+    # tokenize to every start. A solve reads the clock through time and writes
+    # CSV only on request, so datetime and csv stay out too
     src = str(Path(redvote.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, redvote.cli; "
-             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    probe = ("import sys, redvote.cli; print([m for m in "
+             "('dataclasses', 'inspect', 'datetime', 'csv') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
 
 
 def test_solve_does_not_load_numpy():
-    # nothing in redvote imports numpy: solving, sweeps, posteriors and the
-    # simulator all run on the standard library
+    # nothing in redvote imports numpy: solving, sweeps and posteriors all run
+    # on the standard library
     src = str(Path(redvote.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import contextlib, io, sys\n"
-        "from redvote import cli, ctmc, nmr\n"
+        "from redvote import cli, nmr\n"
         "for path in sys.argv[1:]:\n"
         "    for argv in (['solve', path, '--format', 'json', '--threshold', '1e-9'],\n"
         "                 ['sweep', path, '--param', 'phi.PAR_1', '--factors', '1,0.1'],\n"
@@ -542,8 +590,7 @@ def test_solve_does_not_load_numpy():
         "            code = cli.main(argv)\n"
         "        assert code in (0, 5), (argv, code)\n"
         "params = nmr.MaintenanceParams(2e-3, 1e-3, 1.0, 1e-2, 1e-3, 3.0)\n"
-        "chain = nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)\n"
-        "assert ctmc.simulate(chain, horizon=1e3, seed=1).jumps > 0\n"
+        "nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)\n"
         "print('numpy' in sys.modules)\n"
     )
     models = sorted(str(p) for p in MODELS.glob("*.rvm"))

