@@ -8,15 +8,21 @@ double range, and products over a few dozen factors cannot underflow, so a
 log-space transform would only cost reproducibility against brute-force
 enumeration.
 
-Tables are flat row-major Python lists with the child's state varying
-fastest. At this size no factor has more than a few dozen entries, so the
-fixed cost of each call dominates, and plain lists beat array routines, whose
-per-call overhead (and import) costs more than the arithmetic. The min-fill
-order and the elimination plan, which reads every factor through precomputed
-gather indices, depend only on the network's structure and the target, so each
-is computed once per (structure, target) pair and reused across parameter
-values and evidence. An observation enters as an indicator on its variable's
-own table (Darwiche 2003), not as a change of plan.
+A table has one format from :class:`Cpt` to the solver: flat and
+row-major, parents in order with the first slowest and the child's state
+fastest, the layout of a `.rvm` node's ``cpt`` list. At this size no factor
+has more than a few dozen entries, so the fixed cost of each call dominates,
+and plain sequences beat array routines, whose per-call overhead (and
+import) costs more than the arithmetic. A network's structure, its parent
+graph and the length of each table, is checked once per structure by
+:func:`check_structure`, which `compose.check_records` runs too, so a
+`.rvm` file's faults are found as it is read; :func:`build_net` then checks
+only the entries. The min-fill order and the elimination plan,
+which reads every factor through precomputed gather indices, depend only on
+the network's structure and the target, so each is computed once per
+(structure, target) pair and reused across parameter values and evidence.
+An observation enters as an indicator on its variable's own table
+(Darwiche 2003), not as a change of plan.
 
 :func:`marginal` runs the plan of its one target. :func:`posteriors` runs
 one plan per structure, which eliminates every variable down to the evidence
@@ -29,11 +35,12 @@ from __future__ import annotations
 import functools
 import graphlib
 import itertools
+import math
 from collections import namedtuple
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ValidationError, ZeroEvidenceError
+from .errors import Checked, ValidationError, ZeroEvidenceError
 
 #: Observed states, keyed by variable id.
 Evidence = Mapping[str, str]
@@ -43,11 +50,11 @@ Signature = tuple[tuple[str, tuple[str, ...], int], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
-#: Bound on the number of cached graph checks, min-fill orders and plans.
+#: Bound on the number of cached structure checks, min-fill orders and plans.
 PLAN_CACHE_SIZE = 128
 
 
-class Variable(namedtuple("Variable", "id states")):
+class Variable(Checked, namedtuple("Variable", "id states")):
     """A finite discrete variable with an ordered tuple of state labels."""
 
     __slots__ = ()
@@ -67,24 +74,19 @@ class Variable(namedtuple("Variable", "id states")):
         return len(self.states)
 
 
-#: Parent-state assignment -> distribution over the child's states.
-Rows = Mapping[tuple[str, ...], tuple[float, ...]]
-
-
-class Cpt(namedtuple("Cpt", "child parents rows")):
+class Cpt(Checked, namedtuple("Cpt", "child parents table")):
     """Conditional probability table for one child variable.
 
-    ``parents`` is a tuple of variable ids. ``rows`` maps a full
-    parent-state assignment (ordered like ``parents``) to the distribution
-    over the child's states, in the child's state order. Root variables use
-    the empty tuple as their single key.
+    ``parents`` is a tuple of variable ids. ``table`` is the flat row-major
+    tuple of entries: one row per parent-state combination, first parent
+    slowest, each row the distribution over the child's states in their
+    order. A root has one row.
     """
 
     __slots__ = ()
 
-    def __new__(cls, child: str, parents: Iterable[str], rows: Rows) -> Cpt:
-        frozen = {tuple(key): tuple(float(p) for p in dist) for key, dist in rows.items()}
-        return tuple.__new__(cls, (child, tuple(parents), frozen))
+    def __new__(cls, child: str, parents: Iterable[str], table: Iterable[float]) -> Cpt:
+        return tuple.__new__(cls, (child, tuple(parents), tuple(map(float, table))))
 
 
 class Distribution(namedtuple("Distribution", "variable probabilities")):
@@ -112,13 +114,12 @@ class BayesNet:
         cpts: Mapping[str, Cpt],
         signature: Signature,
         by_id: Mapping[str, Variable],
-        tables: Sequence[list[float]],
     ) -> None:
         self.variables = variables
         self.cpts = dict(cpts)
         self.signature = signature
         self._by_id = dict(by_id)
-        self._tables = tuple(tables)  # flat CPT tables, in variable order
+        self._tables = tuple(cpts[v.id].table for v in variables)  # in variable order
 
     @property
     def variable_ids(self) -> tuple[str, ...]:
@@ -147,9 +148,10 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
     """Validate and assemble a network; malformed input is rejected, never repaired.
 
     Raises:
-        ValidationError: duplicate/unknown variables, missing or extra CPTs or
-            rows, row sums off by more than 1e-9, entries outside [0, 1], or a
-            cyclic parent graph.
+        ValidationError: a CPT for an undeclared variable, none or more than
+            one for a declared one, a fault :func:`check_structure` finds,
+            an entry outside [0, 1] or a row whose sum is off 1 by more
+            than 1e-9.
     """
     vars_ = tuple(variables)
     by_id = {var.id: var for var in vars_}
@@ -165,69 +167,60 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
         raise ValidationError(f"missing CPT for: {', '.join(missing)}")
 
     signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
-    _check_graph(signature)  # before the tables, so a cycle is reported first
-    tables = [_dense_table(cpt_map[var.id], by_id) for var in vars_]
-    return BayesNet(vars_, cpt_map, signature, by_id, tables)
+    check_structure(signature, tuple(len(cpt_map[var.id].table) for var in vars_))
+    for var in vars_:
+        cpt, count = cpt_map[var.id], var.cardinality
+        for start in range(0, len(cpt.table), count):
+            row = cpt.table[start:start + count]
+            bad = [(s, p) for s, p in zip(var.states, row) if not 0.0 <= p <= 1.0]  # NaN too
+            if bad:
+                fault = f"has its entry for state {bad[0][0]!r} at {bad[0][1]!r}, outside [0, 1]"
+            elif abs(sum(row) - 1.0) > ROW_SUM_TOLERANCE:
+                fault = f"sums to {sum(row)!r}, not 1"
+            else:
+                continue
+            # the error path alone rebuilds the row's parent states
+            combos = itertools.product(*(by_id[p].states for p in cpt.parents))
+            key = next(itertools.islice(combos, start // count, None))
+            raise ValidationError(f"CPT row {key!r} for {var.id!r} {fault}")
+    return BayesNet(vars_, cpt_map, signature, by_id)
 
 
-def check_nodes(signature: Signature) -> None:
-    """Check a structure's nodes: unique ids, and parents of each node that
-    are distinct declared nodes.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)  # a sweep rebuilds one structure per point
+def check_structure(signature: Signature, sizes: tuple[int, ...]) -> None:
+    """Check a network's structure: unique ids, parents of each node that are
+    distinct declared nodes, an acyclic parent graph, and ``sizes[j]``, the
+    length of node ``j``'s table, equal to its state count times the number
+    of its parents' state combinations.
 
-    A failure's ``element`` is ``(j,)`` for the node ``signature[j]``.
+    The cycle is looked for before any table length. A failure's
+    ``element`` is ``(j,)`` for the node ``signature[j]``; for a cycle,
+    the first node of the path its message prints.
     """
-    declared: set[str] = set()
+    position: dict[str, int] = {}
     for j, (vid, _, _) in enumerate(signature):
-        if vid in declared:
+        if vid in position:
             raise ValidationError(f"duplicate node {vid!r}", (j,))
-        declared.add(vid)
-    for j, (vid, node_parents, _) in enumerate(signature):
+        position[vid] = j
+    for j, (vid, parents, _) in enumerate(signature):
         seen: set[str] = set()
-        for parent in node_parents:
-            if parent not in declared:
+        for parent in parents:
+            if parent not in position:
                 raise ValidationError(f"node {vid!r} references unknown parent {parent!r}", (j,))
             if parent in seen:
                 raise ValidationError(f"node {vid!r} repeats parent {parent!r}", (j,))
             seen.add(parent)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)  # a sweep rebuilds one structure per point
-def _check_graph(signature: Signature) -> None:
-    check_nodes(signature)
     try:
         graphlib.TopologicalSorter({vid: parents for vid, parents, _ in signature}).prepare()
     except graphlib.CycleError as exc:
-        raise ValidationError(f"cycle in the parent graph: {' -> '.join(exc.args[1])}") from None
-
-
-def _dense_table(cpt: Cpt, by_id: Mapping[str, Variable]) -> list[float]:
-    """The CPT as one flat row-major list: parents in order, child state fastest."""
-    child = by_id[cpt.child]
-    parent_states = [by_id[p].states for p in cpt.parents]
-    expected = set(itertools.product(*parent_states))
-    got = set(cpt.rows)
-    if got - expected:
-        sample = next(iter(sorted(got - expected)))
-        raise ValidationError(f"CPT for {cpt.child!r} has an extra row for {sample!r}")
-    if expected - got:
-        sample = next(iter(sorted(expected - got)))
-        raise ValidationError(f"CPT for {cpt.child!r} is missing the row for {sample!r}")
-
-    for key, dist in cpt.rows.items():
-        if len(dist) != child.cardinality:
-            raise ValidationError(
-                f"CPT row {key!r} for {cpt.child!r} has {len(dist)} entries, "
-                f"expected {child.cardinality}"
-            )
-        if any(not 0.0 <= p <= 1.0 for p in dist):  # NaN fails every comparison
-            state, p = next((s, p) for s, p in zip(child.states, dist) if not 0.0 <= p <= 1.0)
-            raise ValidationError(f"CPT row {key!r} for {cpt.child!r} has its entry for "
-                                  f"state {state!r} at {p!r}, outside [0, 1]")
-        if abs(sum(dist) - 1.0) > ROW_SUM_TOLERANCE:
-            raise ValidationError(
-                f"CPT row {key!r} for {cpt.child!r} sums to {sum(dist)!r}, not 1"
-            )
-    return [p for key in itertools.product(*parent_states) for p in cpt.rows[key]]
+        path = exc.args[1]
+        raise ValidationError(f"cycle in the parent graph: {' -> '.join(path)}",
+                              (position[path[0]],)) from None
+    counts = {vid: count for vid, _, count in signature}
+    for j, ((vid, parents, count), size) in enumerate(zip(signature, sizes)):
+        expected = math.prod(counts[p] for p in parents) * count
+        if size != expected:
+            raise ValidationError(f"node {vid!r} needs {expected} table entries, got {size}", (j,))
 
 
 # --- variable elimination ---------------------------------------------------

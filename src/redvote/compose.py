@@ -18,13 +18,12 @@ is any coupling through shared states or actions.
 from __future__ import annotations
 
 import graphlib
-import itertools
 import math
 from collections import deque, namedtuple
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import bayes, ctmc
-from .errors import RedvoteError, SolverError, ValidationError
+from .errors import Checked, RedvoteError, SolverError, ValidationError
 
 KINDS = ("probability", "rate", "ratio")
 
@@ -92,20 +91,13 @@ class BinOp(Expr):
     __slots__ = ("op", "left", "right")  # op is one of + - * /
 
 
-def expr_refs(expr: Expr) -> Iterator[Ref]:
-    if isinstance(expr, Ref):
+def expr_leaves(expr: Expr, kind: type[Ref] | type[Param]) -> Iterator[Expr]:
+    """The leaves of ``expr`` of type ``kind``, left to right."""
+    if isinstance(expr, kind):
         yield expr
     elif isinstance(expr, BinOp):
-        yield from expr_refs(expr.left)
-        yield from expr_refs(expr.right)
-
-
-def expr_params(expr: Expr) -> Iterator[Param]:
-    if isinstance(expr, Param):
-        yield expr
-    elif isinstance(expr, BinOp):
-        yield from expr_params(expr.left)
-        yield from expr_params(expr.right)
+        yield from expr_leaves(expr.left, kind)
+        yield from expr_leaves(expr.right, kind)
 
 
 def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
@@ -160,7 +152,7 @@ class InlineBayes(namedtuple("InlineBayes", "name nodes")):
 # --- model classes and workflows ---------------------------------------------
 
 
-class ParamDecl(namedtuple("ParamDecl", "name direction kind")):
+class ParamDecl(Checked, namedtuple("ParamDecl", "name direction kind")):
     """A model-class parameter; a ``kind`` of None means unkinded (inline-model parameters)."""
 
     __slots__ = ()
@@ -241,18 +233,23 @@ def builtin_classes() -> dict[str, ModelClass]:
     return {cls.name: cls for cls in (nmr.failure_class(), *nmr.MAINTENANCE_CLASSES.values())}
 
 
-def _template_exprs(template: InlineCtmc | InlineBayes) -> list[Expr]:
-    """A chain's rate expressions, or a network's table entries."""
+def _template_exprs(template: InlineCtmc | InlineBayes) -> Iterator[tuple[tuple, str, Expr]]:
+    """A chain's rate expressions, or a network's table entries, each with
+    the path of its rate or node in the template and that element's name."""
     if isinstance(template, InlineCtmc):
-        return [expr for _, _, expr in template.rates]
-    return [expr for node in template.nodes for expr in node.cpt]
+        for j, (src, dst, expr) in enumerate(template.rates):
+            yield ("rates", j), f"rate {src} -> {dst}", expr
+    else:
+        for j, node in enumerate(template.nodes):
+            for expr in node.cpt:
+                yield ("nodes", j), f"node {node.id!r}", expr
 
 
 def read_inputs(cls: ModelClass) -> set[str]:
     """The inputs of ``cls`` that a rate, a table entry or a ``requires``
     fact reads; the value of any other input changes no output."""
-    exprs = _template_exprs(cls.template) + [expr for _, expr in cls.requires]
-    return {p.name for expr in exprs for p in expr_params(expr)}
+    exprs = [e for *_, e in _template_exprs(cls.template)] + [e for _, e in cls.requires]
+    return {p.name for expr in exprs for p in expr_leaves(expr, Param)}
 
 
 def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
@@ -275,8 +272,8 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
         description = f"inline network {template.name} via variable elimination"
     else:
         raise ValidationError(f"unknown inline template {template!r}")
-    inputs = dict.fromkeys(p.name for expr in _template_exprs(template)
-                           for p in expr_params(expr))
+    inputs = dict.fromkeys(p.name for *_, expr in _template_exprs(template)
+                           for p in expr_leaves(expr, Param))
     params = tuple(ParamDecl(name, "input") for name in inputs) + tuple(
         ParamDecl(read[0], "output", "probability") for read in reads
     )
@@ -302,30 +299,26 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
 
 
 def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
-    """The network with its inputs set to ``values``. Its nodes are taken
-    as :func:`check_records` checks them; :func:`bayes.build_net` checks the
-    tables, so a malformed one raises :class:`ValidationError`. A division
-    by zero in an entry raises :class:`SolverError` naming the node."""
+    """The network with its inputs set to ``values``; a node's evaluated
+    entries are its table, in the same layout. :func:`bayes.build_net`
+    checks them, so an entry outside [0, 1] or a row that does not sum to 1
+    raises :class:`ValidationError`; a division by zero in an entry raises
+    :class:`SolverError` naming the node."""
     variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
-    node_states = {node.id: node.states for node in template.nodes}
     cpts = []
     for node in template.nodes:
-        combos = itertools.product(*(node_states[p] for p in node.parents))
-        width = len(node.states)
         # most entries are literals, and reading them directly halves the cost
         try:
-            cpt = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
-                   for e in node.cpt]
+            table = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
+                     for e in node.cpt]
         except SolverError as exc:
             raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
-        rows = {combo: cpt[i * width:(i + 1) * width] for i, combo in enumerate(combos)}
-        cpts.append(bayes.Cpt(node.id, node.parents, rows))
+        cpts.append(bayes.Cpt(node.id, node.parents, table))
     return bayes.build_net(variables, cpts)
 
 
 def _check_chain(template: InlineCtmc) -> None:
-    """An inline chain's shape, every rate pair counted whatever its rate,
-    and rate expressions that use only the model's own parameters."""
+    """An inline chain's shape, every rate pair counted whatever its rate."""
     try:
         ctmc.check_structure(
             template.states, template.initial, [(src, dst) for src, dst, _ in template.rates]
@@ -334,49 +327,37 @@ def _check_chain(template: InlineCtmc) -> None:
         # the chain's j-th transition is the template's j-th rate
         element = tuple("rates" if part == "transitions" else part for part in exc.element)
         raise ValidationError(str(exc), element) from None
-    for j, (src, dst, expr) in enumerate(template.rates):
-        for ref in expr_refs(expr):
-            raise ValidationError(
-                f"rate {src} -> {dst} references {ref.instance}.{ref.output}; "
-                "rate expressions may only use the model's own parameters",
-                ("rates", j),
-            )
 
 
 def _check_net(template: InlineBayes) -> None:
-    """An inline network's nodes: valid state labels, unique ids, declared
-    parents, one table entry per state and parent-state combination, and
-    entries that use only the model's own parameters."""
+    """An inline network's state labels, and its structure as
+    :func:`bayes.check_structure` checks it: the parent graph and the number
+    of entries of each table."""
     for j, node in enumerate(template.nodes):
         try:
             bayes.Variable(node.id, node.states)
         except ValidationError as exc:
             raise ValidationError(str(exc), ("nodes", j)) from None
     try:
-        bayes.check_nodes(tuple((n.id, n.parents, len(n.states)) for n in template.nodes))
+        bayes.check_structure(tuple((n.id, n.parents, len(n.states)) for n in template.nodes),
+                              tuple(len(n.cpt) for n in template.nodes))
     except ValidationError as exc:
         raise ValidationError(str(exc), ("nodes", *exc.element)) from None
-    cards = {node.id: len(node.states) for node in template.nodes}
-    for j, node in enumerate(template.nodes):
-        expected = math.prod(cards[p] for p in node.parents) * len(node.states)
-        if len(node.cpt) != expected:
-            raise ValidationError(
-                f"node {node.id!r} needs {expected} table entries, got {len(node.cpt)}",
-                ("nodes", j),
-            )
-        for ref in (ref for expr in node.cpt for ref in expr_refs(expr)):
-            raise ValidationError(
-                f"node {node.id!r} references {ref.instance}.{ref.output}; "
-                "table entries may only use the model's own parameters",
-                ("nodes", j),
-            )
 
 
 def _check_class(cls: ModelClass) -> None:
+    """A class's template, template expressions that use only the model's
+    own parameters, and parameter names declared once."""
     if isinstance(cls.template, InlineCtmc):
         _check_chain(cls.template)
-    elif isinstance(cls.template, InlineBayes):
+        what = "rate expressions"
+    else:
         _check_net(cls.template)
+        what = "table entries"
+    for path, owner, expr in _template_exprs(cls.template):
+        for ref in expr_leaves(expr, Ref):
+            raise ValidationError(f"{owner} references {ref.instance}.{ref.output}; "
+                                  f"{what} may only use the model's own parameters", path)
     declared: set[str] = set()
     for param in cls.params:
         if param.name in declared:
@@ -431,6 +412,28 @@ def _resolve_classes(workflow: Workflow) -> dict[str, ModelClass]:
     return classes
 
 
+def _check_refs(
+    expr: Expr,
+    where: str,
+    what: str,
+    by_name: Mapping[str, ModelInstance],
+    classes: Mapping[str, ModelClass],
+) -> list[str | None]:
+    """Check that ``expr``, the expression of ``where``, names no bare
+    parameter and references outputs of known instances only; ``what``
+    names such expressions in the message. Returns the kinds of the outputs
+    it references, in order."""
+    for param in expr_leaves(expr, Param):
+        raise ValidationError(f"{where} uses bare name {param.name!r}; {what} must "
+                              "reference instance outputs as <instance>.<output>")
+    kinds = []
+    for ref in expr_leaves(expr, Ref):
+        if ref.instance not in by_name:
+            raise ValidationError(f"{where} references unknown instance {ref.instance!r}")
+        kinds.append(classes[by_name[ref.instance].class_name].output_kind(ref.output))
+    return kinds
+
+
 def _check_bindings(
     instance: ModelInstance,
     cls: ModelClass,
@@ -451,25 +454,13 @@ def _check_bindings(
         )
     for pname, expr in instance.bindings.items():
         decl = declared[pname]
-        for param in expr_params(expr):
+        kinds = _check_refs(expr, f"instance {instance.name!r}: binding for {pname!r}",
+                            "workflow bindings", by_name, classes)
+        if isinstance(expr, Ref) and kinds[0] and decl.kind and kinds[0] != decl.kind:
             raise ValidationError(
-                f"instance {instance.name!r}: binding for {pname!r} uses bare "
-                f"name {param.name!r}; workflow bindings must reference "
-                "instance outputs as <instance>.<output>"
+                f"instance {instance.name!r}: input {pname!r} expects a "
+                f"{decl.kind}, but {expr.instance}.{expr.output} is a {kinds[0]}"
             )
-        for ref in expr_refs(expr):
-            if ref.instance not in by_name:
-                raise ValidationError(
-                    f"instance {instance.name!r}: binding for {pname!r} references "
-                    f"unknown instance {ref.instance!r}"
-                )
-            src_cls = classes[by_name[ref.instance].class_name]
-            src_kind = src_cls.output_kind(ref.output)  # raises if absent
-            if isinstance(expr, Ref) and src_kind and decl.kind and src_kind != decl.kind:
-                raise ValidationError(
-                    f"instance {instance.name!r}: input {pname!r} expects a "
-                    f"{decl.kind}, but {ref.instance}.{ref.output} is a {src_kind}"
-                )
         if isinstance(expr, Literal):
             _check_input(instance.name, decl, expr.value)
 
@@ -502,7 +493,7 @@ def _topological_order(workflow: Workflow) -> tuple[str, ...]:
     sorter = graphlib.TopologicalSorter()
     for inst in workflow.instances:
         sorter.add(inst.name, *(ref.instance for expr in inst.bindings.values()
-                                for ref in expr_refs(expr)))
+                                for ref in expr_leaves(expr, Ref)))
     try:
         sorter.prepare()
     except graphlib.CycleError as exc:
@@ -550,17 +541,7 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
         _check_bindings(inst, classes[inst.class_name], by_name, classes)
 
     for export in workflow.exports:
-        for param in expr_params(export.expr):
-            raise ValidationError(
-                f"export {export.name!r} uses bare name {param.name!r}; exports "
-                "must reference instance outputs as <instance>.<output>"
-            )
-        for ref in expr_refs(export.expr):
-            if ref.instance not in by_name:
-                raise ValidationError(
-                    f"export {export.name!r} references unknown instance {ref.instance!r}"
-                )
-            classes[by_name[ref.instance].class_name].output_kind(ref.output)
+        _check_refs(export.expr, f"export {export.name!r}", "exports", by_name, classes)
 
     order = _topological_order(workflow)
     return ValidatedWorkflow(workflow, order, classes)

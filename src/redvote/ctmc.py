@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .errors import SolverError, ValidationError
+from .errors import Checked, SolverError, ValidationError
 
 
 class Transition(namedtuple("Transition", "src dst rate")):
@@ -27,7 +27,7 @@ class Transition(namedtuple("Transition", "src dst rate")):
     __slots__ = ()
 
 
-class Ctmc(namedtuple("Ctmc", "states initial transitions")):
+class Ctmc(Checked, namedtuple("Ctmc", "states initial transitions")):
     """A labeled-state chain with a designated initial state: a tuple of
     state labels, the initial label, and a tuple of :class:`Transition`.
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by the model, workflow and CLI layers."""
+"""Exception hierarchy shared by the model, workflow and CLI layers, and
+the mixin that keeps checked records checked."""
+
+from __future__ import annotations
+
+from typing import Iterable
 
 
 class RedvoteError(Exception):
@@ -24,3 +29,15 @@ class SolverError(RedvoteError):
 
 class ZeroEvidenceError(SolverError):
     """Conditioning evidence has probability zero; the observation is inconsistent."""
+
+
+class Checked:
+    """Mixin for a ``namedtuple`` subclass whose ``__new__`` checks or
+    coerces its fields: ``_make``, and ``_replace``, which builds through
+    ``_make``, call the class, so neither skips the check."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> Checked:
+        return cls(*iterable)

@@ -36,7 +36,7 @@ from typing import Mapping
 
 from . import bayes, compose, ctmc
 from .compose import BinOp, Literal, Param, ParamDecl
-from .errors import ValidationError
+from .errors import Checked, ValidationError
 
 BOOL_STATES = ("False", "True")
 
@@ -53,7 +53,7 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
 
 
-class FailureParams(namedtuple(
+class FailureParams(Checked, namedtuple(
         "FailureParams", "par1 par2 par3 transient_ratio excl_fail p_activate p_miss",
         defaults=(0.9, 1e-10, 0.1, 0.35))):
     """Inputs of the two-unit failure network.
@@ -81,7 +81,7 @@ class FailureParams(namedtuple(
         return params
 
 
-class MaintenanceParams(namedtuple("MaintenanceParams", "par4 par5 par6 par7 par8 par9")):
+class MaintenanceParams(Checked, namedtuple("MaintenanceParams", "par4 par5 par6 par7 par8 par9")):
     """Inputs of the imperfect-maintenance chains.
 
     par4: per-hour probability of an error in one unit (leads to safe shutdown).

@@ -1,7 +1,7 @@
 """Independent oracles and randomized generators used across the test suite.
 
 Everything here deliberately avoids the library's solver code paths:
-marginals come from a dense full-joint tensor or a product of table rows,
+marginals come from a dense full-joint tensor or a product of table entries,
 steady states from a plain linear solve, a 50-digit one or a simulated
 trajectory, and the five-state chain from a hand-derived closed form.
 """
@@ -29,28 +29,21 @@ from redvote.nmr import FailureParams
 def full_joint(net: bayes.BayesNet) -> np.ndarray:
     """Dense joint tensor with one axis per variable, in declaration order."""
     ids = list(net.variable_ids)
-    axis = {vid: i for i, vid in enumerate(ids)}
-    shape = tuple(net.variable(vid).cardinality for vid in ids)
-    joint = np.ones(shape)
+    joint = np.ones(tuple(net.variable(vid).cardinality for vid in ids))
     for vid in ids:
         cpt = net.cpts[vid]
         scope = cpt.parents + (vid,)
-        table = np.ones([net.variable(v).cardinality if v in scope else 1 for v in ids])
-        for key, dist in cpt.rows.items():
-            index: list = [slice(None)] * len(ids)
-            for parent, state in zip(cpt.parents, key):
-                index[axis[parent]] = net.state_index(parent, state)
-            for si, p in enumerate(dist):
-                idx = list(index)
-                idx[axis[vid]] = si
-                table[tuple(idx)] = p
-        joint = joint * table
+        # the flat table has one axis per scope variable, in scope order
+        table = np.array(cpt.table).reshape([net.variable(v).cardinality for v in scope])
+        table = table.transpose(sorted(range(len(scope)), key=lambda i: ids.index(scope[i])))
+        joint = joint * table.reshape([net.variable(v).cardinality if v in scope else 1
+                                       for v in ids])
     return joint
 
 
 def joint_probability(net: bayes.BayesNet, assignment: dict[str, str]) -> float:
     """Probability of one full assignment: the product of the matching
-    entries of the CPT rows, read from ``net.cpts``."""
+    entries of the flat tables in ``net.cpts``."""
     for var_id, state in assignment.items():
         net.state_index(var_id, state)  # raises on an unknown variable or state
     missing = [vid for vid in net.variable_ids if vid not in assignment]
@@ -59,8 +52,10 @@ def joint_probability(net: bayes.BayesNet, assignment: dict[str, str]) -> float:
     product = 1.0
     for vid in net.variable_ids:
         cpt = net.cpts[vid]
-        row = cpt.rows[tuple(assignment[p] for p in cpt.parents)]
-        product *= row[net.state_index(vid, assignment[vid])]
+        index = 0  # row-major over the parents, then the child's own state
+        for v in cpt.parents + (vid,):
+            index = index * net.variable(v).cardinality + net.state_index(v, assignment[v])
+        product *= cpt.table[index]
     return product
 
 
@@ -102,20 +97,20 @@ def random_net(
     for i, vid in enumerate(ids):
         pool = ids[:i]
         parents = tuple(sorted(rng.sample(pool, k=rng.randint(0, min(3, len(pool))))))
-        rows = {}
+        table: list[float] = []
         count = len(states[vid])
-        for combo in itertools.product(*(states[p] for p in parents)):
+        for _ in itertools.product(*(states[p] for p in parents)):
             gated = gates and parents and rng.random() < gates
             if count == 2:
                 p = float(rng.random() < 0.5) if gated else rng.uniform(0.05, 0.95)
-                rows[combo] = (1.0 - p, p)
+                table += (1.0 - p, p)
             elif gated:
                 hot = rng.randrange(count)
-                rows[combo] = tuple(float(k == hot) for k in range(count))
+                table += (float(k == hot) for k in range(count))
             else:
                 weights = [rng.uniform(0.05, 0.95) for _ in range(count)]
-                rows[combo] = tuple(w / sum(weights) for w in weights)
-        cpts.append(bayes.Cpt(vid, parents, rows))
+                table += (w / sum(weights) for w in weights)
+        cpts.append(bayes.Cpt(vid, parents, table))
     return bayes.build_net(variables, cpts)
 
 

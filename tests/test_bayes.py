@@ -28,16 +28,16 @@ B = ("False", "True")
 def _single_root(p=0.3):
     return bayes.build_net(
         [bayes.Variable("A", B)],
-        [bayes.Cpt("A", (), {(): (1 - p, p)})],
+        [bayes.Cpt("A", (), (1 - p, p))],
     )
 
 
 def _chain_abc():
     variables = [bayes.Variable(v, B) for v in "ABC"]
     cpts = [
-        bayes.Cpt("A", (), {(): (0.7, 0.3)}),
-        bayes.Cpt("B", ("A",), {("False",): (0.9, 0.1), ("True",): (0.2, 0.8)}),
-        bayes.Cpt("C", ("B",), {("False",): (0.6, 0.4), ("True",): (0.5, 0.5)}),
+        bayes.Cpt("A", (), (0.7, 0.3)),
+        bayes.Cpt("B", ("A",), (0.9, 0.1, 0.2, 0.8)),
+        bayes.Cpt("C", ("B",), (0.6, 0.4, 0.5, 0.5)),
     ]
     return bayes.build_net(variables, cpts)
 
@@ -53,48 +53,48 @@ class TestBuildNet:
     def test_smallest_cycle_rejected(self):
         variables = [bayes.Variable("A", B), bayes.Variable("B", B)]
         cpts = [
-            bayes.Cpt("A", ("B",), {("False",): (0.5, 0.5), ("True",): (0.5, 0.5)}),
-            bayes.Cpt("B", ("A",), {("False",): (0.5, 0.5), ("True",): (0.5, 0.5)}),
+            bayes.Cpt("A", ("B",), (0.5, 0.5, 0.5, 0.5)),
+            bayes.Cpt("B", ("A",), (0.5, 0.5, 0.5, 0.5)),
         ]
         with pytest.raises(ValidationError, match="cycle"):
             bayes.build_net(variables, cpts)
 
     def test_cycle_error_names_the_path_before_table_errors(self):
-        rows = {("False",): (0.5, 0.5), ("True",): (0.5, 0.5)}
+        table = (0.5, 0.5, 0.5, 0.5)
         variables = [bayes.Variable(v, B) for v in ("A", "B", "C", "D")]
         cpts = [
-            bayes.Cpt("A", ("C",), rows),
-            bayes.Cpt("B", ("A",), rows),
-            bayes.Cpt("C", ("B",), {("False",): (0.5, 0.5)}),  # also missing a row
-            bayes.Cpt("D", ("A",), rows),
+            bayes.Cpt("A", ("C",), table),
+            bayes.Cpt("B", ("A",), table),
+            bayes.Cpt("C", ("B",), (0.5, 0.5)),  # also one row short
+            bayes.Cpt("D", ("A",), table),
         ]
         with pytest.raises(ValidationError, match="cycle in the parent graph: A -> B -> C -> A$"):
             bayes.build_net(variables, cpts)
 
-    def test_missing_row_rejected(self):
+    def test_short_table_rejected(self):
         variables = [bayes.Variable("A", B), bayes.Variable("B", B)]
         cpts = [
-            bayes.Cpt("A", (), {(): (0.5, 0.5)}),
-            bayes.Cpt("B", ("A",), {("False",): (0.5, 0.5)}),
+            bayes.Cpt("A", (), (0.5, 0.5)),
+            bayes.Cpt("B", ("A",), (0.5, 0.5)),
         ]
-        with pytest.raises(ValidationError, match="missing the row"):
+        with pytest.raises(ValidationError, match="^node 'B' needs 4 table entries, got 2$"):
             bayes.build_net(variables, cpts)
 
-    def test_extra_row_rejected(self):
+    def test_long_table_rejected(self):
         variables = [bayes.Variable("A", B)]
-        cpts = [bayes.Cpt("A", (), {(): (0.5, 0.5), ("False",): (0.5, 0.5)})]
-        with pytest.raises(ValidationError, match="extra row"):
+        cpts = [bayes.Cpt("A", (), (0.5, 0.5, 0.5, 0.5))]
+        with pytest.raises(ValidationError, match="^node 'A' needs 2 table entries, got 4$"):
             bayes.build_net(variables, cpts)
 
     def test_row_sum_violation_rejected(self):
         with pytest.raises(ValidationError, match="sums to"):
             bayes.build_net(
-                [bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): (0.5, 0.6)})]
+                [bayes.Variable("A", B)], [bayes.Cpt("A", (), (0.5, 0.6))]
             )
 
     def test_dangling_parent_rejected(self):
         variables = [bayes.Variable("A", B)]
-        cpts = [bayes.Cpt("A", ("Ghost",), {("False",): (1, 0), ("True",): (1, 0)})]
+        cpts = [bayes.Cpt("A", ("Ghost",), (1, 0, 1, 0))]
         with pytest.raises(ValidationError, match="unknown parent"):
             bayes.build_net(variables, cpts)
 
@@ -103,14 +103,14 @@ class TestBuildNet:
             bayes.build_net([bayes.Variable("A", B)], [])
 
     def test_duplicate_cpt_rejected(self):
-        cpt = bayes.Cpt("A", (), {(): (0.5, 0.5)})
+        cpt = bayes.Cpt("A", (), (0.5, 0.5))
         with pytest.raises(ValidationError, match="more than one CPT"):
             bayes.build_net([bayes.Variable("A", B)], [cpt, cpt])
 
     def test_nan_entry_rejected(self):
         nan = float("nan")
         with pytest.raises(ValidationError, match="outside"):
-            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): (nan, nan)})])
+            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), (nan, nan))])
 
     @pytest.mark.parametrize("dist, named", [
         ((1.5, -0.5), "'False' at 1.5"),
@@ -119,7 +119,7 @@ class TestBuildNet:
     ])
     def test_out_of_range_error_names_the_first_entry_and_its_value(self, dist, named):
         with pytest.raises(ValidationError) as info:
-            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), {(): dist})])
+            bayes.build_net([bayes.Variable("A", B)], [bayes.Cpt("A", (), dist)])
         assert str(info.value) == (
             f"CPT row () for 'A' has its entry for state {named}, outside [0, 1]")
 
@@ -138,7 +138,7 @@ class TestJointProbability:
     def test_two_independent_roots(self):
         net = bayes.build_net(
             [bayes.Variable("A", B), bayes.Variable("B", B)],
-            [bayes.Cpt("A", (), {(): (0.5, 0.5)}), bayes.Cpt("B", (), {(): (0.5, 0.5)})],
+            [bayes.Cpt("A", (), (0.5, 0.5)), bayes.Cpt("B", (), (0.5, 0.5))],
         )
         for a, b in itertools.product(B, repeat=2):
             assert joint_probability(net, {"A": a, "B": b}) == pytest.approx(0.25)
@@ -193,8 +193,8 @@ class TestMarginal:
     def test_zero_probability_evidence_raises(self):
         variables = [bayes.Variable("A", B), bayes.Variable("Copy", B)]
         cpts = [
-            bayes.Cpt("A", (), {(): (0.0, 1.0)}),
-            bayes.Cpt("Copy", ("A",), {("False",): (1.0, 0.0), ("True",): (0.0, 1.0)}),
+            bayes.Cpt("A", (), (0.0, 1.0)),
+            bayes.Cpt("Copy", ("A",), (1.0, 0.0, 0.0, 1.0)),
         ]
         net = bayes.build_net(variables, cpts)
         with pytest.raises(ZeroEvidenceError):
@@ -278,8 +278,8 @@ class TestPosteriorReport:
     def test_zero_probability_evidence_raises(self):
         variables = [bayes.Variable("A", B), bayes.Variable("Copy", B)]
         cpts = [
-            bayes.Cpt("A", (), {(): (0.0, 1.0)}),
-            bayes.Cpt("Copy", ("A",), {("False",): (1.0, 0.0), ("True",): (0.0, 1.0)}),
+            bayes.Cpt("A", (), (0.0, 1.0)),
+            bayes.Cpt("Copy", ("A",), (1.0, 0.0, 0.0, 1.0)),
         ]
         net = bayes.build_net(variables, cpts)
         with pytest.raises(ZeroEvidenceError):
@@ -494,14 +494,13 @@ class TestPlanStructure:
 
 def _child_of(parents, cpt):
     """Roots A (P(True) 0.2) and B (0.7) and a child C with the given parents;
-    ``cpt`` is C's flat table, rows in parent-state order."""
-    rows = dict(zip(itertools.product(B, repeat=len(parents)), cpt))
+    ``cpt`` holds C's rows in parent-state order."""
     return bayes.build_net(
         [bayes.Variable(v, B) for v in "ABC"],
         [
-            bayes.Cpt("A", (), {(): (0.8, 0.2)}),
-            bayes.Cpt("B", (), {(): (0.3, 0.7)}),
-            bayes.Cpt("C", parents, rows),
+            bayes.Cpt("A", (), (0.8, 0.2)),
+            bayes.Cpt("B", (), (0.3, 0.7)),
+            bayes.Cpt("C", parents, [p for row in cpt for p in row]),
         ],
     )
 
@@ -516,6 +515,14 @@ class TestPlanCache:
         for state, p in zip(net.variable(target).states, want):
             assert abs(got[state] - p) <= 1e-12
         return [got[state] for state in net.variable(target).states]
+
+    def test_structure_is_checked_once_per_structure(self):
+        nmr.build_failure_bn(nmr.FailureParams(1e-5, 0.1, 0.1))
+        before = bayes.check_structure.cache_info()
+        for par1 in (2e-5, 3e-5):  # new tables, the same structure
+            nmr.build_failure_bn(nmr.FailureParams(par1, 0.1, 0.1))
+        after = bayes.check_structure.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     def test_parameters_stay_out_of_the_plan(self):
         params = [nmr.FailureParams(1.6666e-5, 0.1, 0.1), nmr.FailureParams(3e-4, 0.4, 0.02)]
@@ -550,8 +557,8 @@ class TestPlanCache:
             bayes.build_net(
                 [bayes.Variable("A", states), bayes.Variable("B", B)],
                 [
-                    bayes.Cpt("A", (), {(): prior}),
-                    bayes.Cpt("B", ("A",), dict(zip(itertools.product(states), rows))),
+                    bayes.Cpt("A", (), prior),
+                    bayes.Cpt("B", ("A",), [p for row in rows for p in row]),
                 ],
             )
             for states, prior, rows in (

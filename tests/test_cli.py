@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import redvote
-from redvote import bayes, cli, dsl, nmr, report
+from redvote import bayes, cli, compose, ctmc, dsl, nmr, report
+from redvote.errors import ValidationError
 
 from oracles import from_json
 
@@ -335,6 +336,35 @@ def test_record_fields_and_defaults(record, fields, defaults):
     assert record._field_defaults == defaults
 
 
+#: A checked record, and a change of its fields that its constructor refuses.
+CHECKED_RECORDS = [
+    (ctmc.Ctmc(("A", "B"), "A", (ctmc.Transition("A", "B", 1.0), ctmc.Transition("B", "A", 2.0))),
+     {"transitions": (ctmc.Transition("A", "B", -1.0), ctmc.Transition("B", "A", 2.0))}),
+    (bayes.Variable("A", ("F", "T")), {"states": ("F", "F")}),
+    (compose.ParamDecl("x", "input"), {"direction": "sideways"}),
+    (nmr.DEFAULT_FAILURE_PARAMS, {"par1": 2.0}),
+    (nmr.MaintenanceParams(1e-6, 1e-9, 1.0, 1e-2, 1e-4, 3.0), {"par6": -1.0}),
+]
+
+
+@pytest.mark.parametrize("record, change", CHECKED_RECORDS,
+                         ids=[type(record).__name__ for record, _ in CHECKED_RECORDS])
+def test_replace_and_make_run_the_constructor_checks(record, change):
+    kind = type(record)
+    assert record._replace() == record and kind._make(record) == record
+    with pytest.raises(ValidationError):
+        record._replace(**change)
+    with pytest.raises(ValidationError):
+        kind._make(change.get(name, value) for name, value in zip(record._fields, record))
+
+
+def test_cpt_replace_and_make_coerce_like_the_constructor():
+    cpt = bayes.Cpt._make(("B", ["A"], [1, 0, 0, 1]))
+    assert cpt == ("B", ("A",), (1.0, 0.0, 0.0, 1.0))
+    assert cpt._replace(table=[0, 1, 1, 0]).table == (0.0, 1.0, 1.0, 0.0)
+    assert {type(p) for p in cpt._replace(table=[0, 1, 1, 0]).table} == {float}
+
+
 class TestPosteriors:
     def test_hazard_posterior_table(self, capsys):
         code, out, _ = run(
@@ -534,6 +564,38 @@ class TestValidate:
         bad.write_text("not a workflow at all")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+
+#: Structural faults of a network: its nodes as ``(id, parents, entry
+#: count)``, the index of the node the diagnostic points at, and its message.
+NETWORK_FAULTS = {
+    "duplicate node": ([("A", (), 2), ("A", (), 2)], 1, "duplicate node 'A'"),
+    "unknown parent": ([("A", (), 2), ("B", ("Z",), 4)], 1,
+                       "node 'B' references unknown parent 'Z'"),
+    "repeated parent": ([("A", (), 2), ("B", ("A", "A"), 8)], 1, "node 'B' repeats parent 'A'"),
+    "parent cycle": ([("A", ("B",), 4), ("B", ("A",), 4)], 0,
+                     "cycle in the parent graph: A -> B -> A"),
+    "entry count": ([("A", (), 2), ("B", ("A",), 2)], 1, "node 'B' needs 4 table entries, got 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("with_input", [True, False], ids=["input", "no-input"])
+@pytest.mark.parametrize("fault", sorted(NETWORK_FAULTS))
+def test_network_structure_fault_exits_2_at_the_node(capsys, tmp_path, fault, with_input,
+                                                      command):
+    nodes, at, message = NETWORK_FAULTS[fault]
+    lines = ['workflow "w" {', "  bayes b {"]
+    for vid, parents, count in nodes:
+        rows = ["1 - q, q" if with_input else "0.8, 0.2"] + ["0.5, 0.5"] * (count // 2 - 1)
+        listed = f" parents ({', '.join(parents)})" if parents else ""
+        lines.append(f"    node {vid} states (F, T){listed} cpt ({', '.join(rows)});")
+    lines += ["  }", f"  instance n : b {{ {'q = 0.2;' if with_input else ''} }}", "}"]
+    path = tmp_path / "net.rvm"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}:{3 + at}:10: error: model 'b': {message}\n"
 
 
 def _raise_internal_error(args, data, workflow):
