@@ -123,6 +123,87 @@ class TestBuildNet:
         assert str(info.value) == (
             f"CPT row () for 'A' has its entry for state {named}, outside [0, 1]")
 
+    def test_whole_table_check_names_the_first_faulty_row(self):
+        # one class of fault per net, in one or two tables of nets with 2-4
+        # states; the expected message comes from the row rule, each row's
+        # entries added left to right as build_net adds them
+        rng = random.Random(1616)
+        values = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+                  "negative": -0.25, "above": 1.0 + 0.5e-9}
+        planted = collections.Counter()
+        for _ in range(400):
+            net = random_net(rng, max_nodes=6, gates=0.3, max_states=4)
+            ids = net.variable_ids
+            fault = rng.choice((*values, "off 2e-9", "off 0.5e-9"))
+            tables = {vid: list(net.cpts[vid].table) for vid in ids}
+            chosen = rng.sample(ids, k=min(len(ids), rng.randint(1, 2)))
+            planted["two tables"] += len(chosen) == 2
+            for vid in chosen:
+                table, i = tables[vid], rng.randrange(len(tables[vid]))
+                count = net.variable(vid).cardinality
+                if fault == "negative":  # the row still sums to 1
+                    j = i - i % count + (i + rng.randrange(1, count)) % count
+                    table[i], table[j] = values[fault], table[j] + table[i] - values[fault]
+                elif fault == "above":  # a point mass within the row-sum tolerance
+                    table[i - i % count:i - i % count + count] = [0.0] * count
+                    table[i] = values[fault]
+                elif fault in values:
+                    table[i] = values[fault]
+                else:  # away from 0 and 1, so that only the row sum is off
+                    off = float(fault.split()[1])
+                    table[i] += off if table[i] < 0.5 else -off
+                planted[fault, count] += 1
+            expected = None
+            for vid in ids:
+                var, parents = net.variable(vid), net.cpts[vid].parents
+                rows = itertools.product(*(net.variable(p).states for p in parents))
+                for start, key in zip(range(0, len(tables[vid]), var.cardinality), rows):
+                    row = tables[vid][start:start + var.cardinality]
+                    total = 0.0
+                    for p in row:
+                        total += p
+                    bad = [(s, p) for s, p in zip(var.states, row) if not 0.0 <= p <= 1.0]
+                    if bad:
+                        expected = (f"CPT row {key!r} for {vid!r} has its entry for state "
+                                    f"{bad[0][0]!r} at {bad[0][1]!r}, outside [0, 1]")
+                    elif abs(total - 1.0) > 1e-9:
+                        expected = f"CPT row {key!r} for {vid!r} sums to {total!r}, not 1"
+                    if expected:
+                        break
+                if expected:
+                    break
+            cpts = [bayes.Cpt(vid, net.cpts[vid].parents, tables[vid]) for vid in ids]
+            if fault == "off 0.5e-9":
+                assert expected is None
+                bayes.build_net(net.variables, cpts)
+                continue
+            with pytest.raises(ValidationError) as info:
+                bayes.build_net(net.variables, cpts)
+            assert str(info.value) == expected
+        for fault in (*values, "off 2e-9", "off 0.5e-9"):
+            for count in (2, 3, 4):
+                assert planted[fault, count] > 0, (fault, count)
+        assert planted["two tables"] > 0
+
+    @pytest.mark.parametrize("row, rejected", [
+        ((0.12999442164023278, 0.22689386027516395, 0.6431117190846032), False),
+        ((0.26506703984022034, 0.05250544108874221, 0.27160591254772304, 0.4108216075233143), True),
+    ])
+    def test_rows_add_left_to_right_at_the_tolerance(self, row, rejected):
+        # each row's sum is within a rounding of the tolerance, and added
+        # right to left it falls on the other side
+        forwards = backwards = 0.0
+        for p, q in zip(row, reversed(row)):
+            forwards, backwards = forwards + p, backwards + q
+        assert (abs(forwards - 1.0) > 1e-9, abs(backwards - 1.0) > 1e-9) == (rejected, not rejected)
+        variables = [bayes.Variable("A", [f"s{k}" for k in range(len(row))])]
+        if not rejected:
+            bayes.build_net(variables, [bayes.Cpt("A", (), row)])
+            return
+        with pytest.raises(ValidationError) as info:
+            bayes.build_net(variables, [bayes.Cpt("A", (), row)])
+        assert str(info.value) == f"CPT row () for 'A' sums to {forwards!r}, not 1"
+
     def test_variable_invariants(self):
         with pytest.raises(ValidationError, match="at least two states"):
             bayes.Variable("A", ("only",))
@@ -286,12 +367,29 @@ class TestPosteriorReport:
             bayes.posterior_report(net, {"Copy": "False"})
 
 
+STEP_KINDS = ("no table", "two or more results", "tables and results")
+
+
+def _step_kinds(net):
+    """How many steps of the all-variable plan take each branch of the
+    backward pass that the tables-only steps do not."""
+    kinds, n = collections.Counter(), len(net)
+    for reads, _ in bayes._plan(net.signature, None).steps:
+        tables = sum(slot < n for slot, _, _ in reads)
+        results = len(reads) - tables
+        flags = (tables == 0, results >= 2, tables > 0 and results > 0)
+        kinds.update(dict(zip(STEP_KINDS, flags)))
+    return kinds
+
+
 class TestPosteriors:
     def test_matches_enumeration_on_gated_nets(self):
         rng = random.Random(909)
         impossible = disconnected = 0
+        kinds = collections.Counter()
         for _ in range(60):
             net = random_net(rng, gates=0.5)
+            kinds.update(_step_kinds(net))
             ids = net.variable_ids
             children = {p for _, parents, _ in net.signature for p in parents}
             disconnected += len(ids) > 1 and any(
@@ -319,14 +417,17 @@ class TestPosteriors:
                     for state, p in zip(B, enum_marginal(net, vid, evidence)):
                         assert abs(dists[vid][state] - p) <= 1e-12
         assert impossible > 0 and disconnected > 0
+        assert all(kinds[kind] > 0 for kind in STEP_KINDS), kinds
 
     def test_matches_enumeration_on_multi_state_gated_nets(self):
         # 2-4 states: groups above 2, and scatters whose entries are read
         # several times through non-binary cardinalities
         rng = random.Random(2024)
         impossible = wide_groups = 0
+        kinds = collections.Counter()
         for _ in range(60):
             net = random_net(rng, max_nodes=6, gates=0.5, max_states=4)
+            kinds.update(_step_kinds(net))
             ids = net.variable_ids
             wide_groups += any(group > 2 for _, group in bayes._plan(net.signature, None).steps)
             observed = rng.sample(ids, k=rng.randint(0, min(2, len(ids))))
@@ -357,6 +458,30 @@ class TestPosteriors:
                         assert abs(dists[vid][state] - p) <= 1e-12
                         assert abs(single[state] - p) <= 1e-12
         assert impossible > 0 and wide_groups > 0
+        assert all(kinds[kind] > 0 for kind in STEP_KINDS), kinds
+
+    def test_subnormal_evidence_probability_raises_naming_it(self):
+        # P(A=T, B=T) = 1e-320 has lost most of its bits: C's posterior read
+        # 0.2999/0.7001, though C depends only on the observed B (0.3/0.7)
+        net = bayes.build_net(
+            [bayes.Variable(v, B) for v in "ABC"],
+            [
+                bayes.Cpt("A", (), (1 - 1e-200, 1e-200)),
+                bayes.Cpt("B", ("A",), (1 - 1e-120, 1e-120) * 2),
+                bayes.Cpt("C", ("B",), (0.5, 0.5, 0.3, 0.7)),
+            ],
+        )
+        evidence = {"A": "True", "B": "True"}
+        message = (r"^evidence \{'A': 'True', 'B': 'True'\} has probability 1e-320, "
+                   r"below the smallest normal float$")
+        for target in "ABC":
+            with pytest.raises(ZeroEvidenceError, match=message):
+                bayes.marginal(net, target, evidence)
+        with pytest.raises(ZeroEvidenceError, match=message):
+            bayes.posteriors(net, evidence)
+        # P(A=T) = 1e-200 is normal
+        dists = bayes.posteriors(net, {"A": "True"})
+        assert dists["C"].probabilities == bayes.marginal(net, "C", {"A": "True"}).probabilities
 
     def test_failure_net_matches_marginal(self):
         # the observed sink must come out exactly 1.0, which normalising by

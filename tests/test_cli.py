@@ -437,6 +437,21 @@ class TestPosteriors:
         assert code == 4
         assert "probability 0" in err
 
+    def test_subnormal_evidence_probability_exits_4_naming_it(self, capsys, tmp_path):
+        # P(A=T, B=T) = 1e-200 * 1e-120 is subnormal: C's posterior read
+        # F=2.9990e-01 T=7.0010e-01 against the exact 0.3/0.7
+        tiny = tmp_path / "tiny.rvm"
+        tiny.write_text(
+            'workflow "w" {\n  bayes b {\n'
+            "    node A states (F, T) cpt (1 - 1e-200, 1e-200);\n"
+            "    node B states (F, T) parents (A) cpt (1 - 1e-120, 1e-120, 1 - 1e-120, 1e-120);\n"
+            "    node C states (F, T) parents (B) cpt (0.5, 0.5, 0.3, 0.7);\n"
+            "  }\n  instance n : b { }\n  output p = n.p_C_T;\n}\n")
+        assert run(capsys, "posteriors", str(tiny), "--instance", "n",
+                   "--evidence", "A=T", "--evidence", "B=T") == (
+            4, "", "error: evidence {'A': 'T', 'B': 'T'} has probability 1e-320, "
+            "below the smallest normal float\n")
+
     def test_conflicting_evidence_exits_3_naming_both_states(self, capsys):
         code, out, err = run(
             capsys, "posteriors", CASE_STUDY, "--instance", "phi",

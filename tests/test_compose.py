@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from redvote import compose, nmr
+from redvote import bayes, compose, nmr
 from redvote.errors import SolverError, ValidationError
 
 from oracles import enum_marginal
@@ -395,6 +395,9 @@ class TestRunWorkflow:
         for node in template.nodes:
             for state, want in zip(node.states, enum_marginal(net, node.id)):
                 assert abs(outputs[f"p_{node.id}_{state}"] - want) <= 1e-12
+            # reading every node, `solve` goes through `posteriors`, not one marginal per node
+            for state, want in bayes.marginal(net, node.id).probabilities.items():
+                assert outputs[f"p_{node.id}_{state}"] == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_parametric_network_matches_hand_value(self):
         # A is True with probability q, bound from another instance's output
