@@ -2,7 +2,9 @@
 
 import collections
 import itertools
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +369,19 @@ class TestPosteriorReport:
             bayes.posterior_report(net, {"Copy": "False"})
 
 
+def _tiny_pair():
+    """A rare A (1e-200) whose child B is rarer (1e-120) whatever A is, and
+    B's child C."""
+    return bayes.build_net(
+        [bayes.Variable(v, B) for v in "ABC"],
+        [
+            bayes.Cpt("A", (), (1 - 1e-200, 1e-200)),
+            bayes.Cpt("B", ("A",), (1 - 1e-120, 1e-120) * 2),
+            bayes.Cpt("C", ("B",), (0.5, 0.5, 0.3, 0.7)),
+        ],
+    )
+
+
 STEP_KINDS = ("no table", "two or more results", "tables and results")
 
 
@@ -463,14 +478,7 @@ class TestPosteriors:
     def test_subnormal_evidence_probability_raises_naming_it(self):
         # P(A=T, B=T) = 1e-320 has lost most of its bits: C's posterior read
         # 0.2999/0.7001, though C depends only on the observed B (0.3/0.7)
-        net = bayes.build_net(
-            [bayes.Variable(v, B) for v in "ABC"],
-            [
-                bayes.Cpt("A", (), (1 - 1e-200, 1e-200)),
-                bayes.Cpt("B", ("A",), (1 - 1e-120, 1e-120) * 2),
-                bayes.Cpt("C", ("B",), (0.5, 0.5, 0.3, 0.7)),
-            ],
-        )
+        net = _tiny_pair()
         evidence = {"A": "True", "B": "True"}
         message = (r"^evidence \{'A': 'True', 'B': 'True'\} has probability 1e-320, "
                    r"below the smallest normal float$")
@@ -479,9 +487,73 @@ class TestPosteriors:
                 bayes.marginal(net, target, evidence)
         with pytest.raises(ZeroEvidenceError, match=message):
             bayes.posteriors(net, evidence)
-        # P(A=T) = 1e-200 is normal
-        dists = bayes.posteriors(net, {"A": "True"})
-        assert dists["C"].probabilities == bayes.marginal(net, "C", {"A": "True"}).probabilities
+
+    def test_subnormal_joint_probability_raises_naming_the_state(self):
+        # P(A=T) = 1e-200 and P(B=T) ~ 1e-120 are normal, but P(A=T, B=T) =
+        # 1e-320 is not: B's True read 9.99988867e-121 given A=T, not 1e-120
+        net = _tiny_pair()
+        for observed, vid in ("AB", "BA"):
+            message = (rf"^{vid}=True with evidence \{{'{observed}': 'True'\}} has "
+                       r"probability 1e-320, below the smallest normal float$")
+            with pytest.raises(ZeroEvidenceError, match=message):
+                bayes.posteriors(net, {observed: "True"})
+            with pytest.raises(ZeroEvidenceError, match=message):
+                bayes.marginal(net, vid, {observed: "True"})
+        # C's masses with A=T are normal, and an exact zero is not refused
+        assert bayes.marginal(net, "C", {"A": "True"}).probabilities == {"False": 0.5, "True": 0.5}
+        assert bayes.marginal(net, "A", {"A": "True"}).probabilities == {"False": 0.0, "True": 1.0}
+
+    def test_long_sums_are_split_and_match_enumeration(self):
+        # A -> P00 and P00..P11 -> C: eliminating P00 reads A's 2-entry result
+        # 2048 times an entry, and its adjoint adds those reads in lines of
+        # _CHAIN terms (CPython 3.11 cannot compile one chain of 3000)
+        rng = random.Random(1212)
+        parents = tuple(f"P{i:02d}" for i in range(12))
+        table = [p for _ in range(2 ** 12) for q in [rng.random()] for p in (1 - q, q)]
+        net = bayes.build_net(
+            [bayes.Variable(v, B) for v in ("A",) + parents + ("C",)],
+            [bayes.Cpt("A", (), (0.4, 0.6)), bayes.Cpt("P00", ("A",), (0.9, 0.1, 0.2, 0.8))]
+            + [bayes.Cpt(p, (), (0.3, 0.7)) for p in parents[1:]]
+            + [bayes.Cpt("C", parents, table)],
+        )
+        lines = bayes._kernel_source(net.signature).splitlines()
+        assert max(line.count(" + ") for line in lines) == bayes._CHAIN  # the name, then a chunk
+        assert any(re.match(r" (g\d+_\d+) = \1 \+ ", line) for line in lines)
+        for evidence in ({}, {"C": "True"}, {"P05": "False", "C": "False"}):
+            dists = bayes.posteriors(net, evidence)
+            for vid in net.variable_ids:
+                if vid not in evidence:
+                    for state, p in zip(B, enum_marginal(net, vid, evidence)):
+                        assert abs(dists[vid][state] - p) <= 1e-12
+
+    def test_kernel_holds_no_text_of_the_net(self):
+        # ids and labels that would run if they reached the generated code
+        ids = ["x') or __import__('os').system('exit 1') #", '"""\nraise SystemExit\n"""',
+               "__import__('os')", "sum"]
+        states = [("'", '"'), ("\n", "\\"), ("a\nb", "__import__('os')", "{0}"), ("F", "T")]
+        rng = random.Random(77)
+        variables = [bayes.Variable(vid, labels) for vid, labels in zip(ids, states)]
+        cpts = []
+        for i, var in enumerate(variables):
+            parents = tuple(ids[:i][-2:])
+            rows = math.prod(len(states[ids.index(p)]) for p in parents)
+            weights = [[rng.uniform(0.05, 0.95) for _ in var.states] for _ in range(rows)]
+            cpts.append(bayes.Cpt(var.id, parents, [w / sum(row) for row in weights for w in row]))
+        net = bayes.build_net(variables, cpts)
+        for evidence in ({}, {ids[1]: "\\"}, {ids[0]: '"', ids[2]: "{0}"}):
+            dists = bayes.posteriors(net, evidence)
+            for var in variables:
+                if var.id not in evidence:
+                    for state, p in zip(var.states, enum_marginal(net, var.id, evidence)):
+                        assert abs(dists[var.id][state] - p) <= 1e-12
+        kernel = bayes._kernel(net.signature)
+        assert kernel.__globals__ == {"sum": sum}
+        assert kernel.__code__.co_names == ("sum",)
+        source = bayes._kernel_source(net.signature)
+        assert set(source) <= set("0123456789abgp_ .,=*+():\ndefkmnrstu")
+        words = set(re.findall(r"[a-z_]\w*", source))
+        assert {w for w in words if not re.fullmatch(r"[abgp]\d+(_\d+)?", w)} == {
+            "def", "k", "return", "sum"}
 
     def test_failure_net_matches_marginal(self):
         # the observed sink must come out exactly 1.0, which normalising by
@@ -562,7 +634,7 @@ class TestPlanStructure:
                 self._check(net, target)
 
     def _check(self, net, target):
-        plan, n = bayes._plan(net.signature, target), len(net)
+        plan = bayes._plan(net.signature, target)
         card = {vid: n for vid, _, n in net.signature}
         entries = [  # slot -> the assignment {variable: state index} of each entry
             [dict(zip(parents + (vid,), states))
@@ -580,11 +652,6 @@ class TestPlanStructure:
                 reps, rest = divmod(len(index), len(table))
                 assert rest == 0
                 assert collections.Counter(index) == dict.fromkeys(range(len(table)), reps)
-                if target is None and slot >= n:  # the scatter is the read's transpose
-                    summed = [0.0] * len(table)
-                    for p, i in enumerate(index):
-                        summed[i] += p
-                    assert list(plan.scatters[slot]([float(p) for p in range(len(index))])) == summed
                 gathered = [table[i] for i in index]
                 if scope is None:
                     scope = [dict(a) for a in gathered]
@@ -599,20 +666,12 @@ class TestPlanStructure:
             if eliminated is not None:
                 assert [a[eliminated] for a in scope] == [p % group for p in range(len(scope))]
             out = [{v: k for v, k in a.items() if v != eliminated} for a in scope[::group]]
+            # entry p of the step's product expands entry p // group of its result
             for p, a in enumerate(scope):
                 assert {v: k for v, k in a.items() if v != eliminated} == out[p // group]
-            if target is None:
-                expanded = list(plan.expands[t](range(len(out))))
-                assert expanded == [p // group for p in range(len(scope))]
             entries.append(out)
         # every slot but the result is read by exactly one step
         assert reads_of == dict.fromkeys(range(len(entries) - 1), 1)
-        # only the all-variable plan carries its backward pass's reads
-        if target is None:
-            assert len(plan.expands) == len(plan.steps)
-            assert set(plan.scatters) == set(range(n, len(entries) - 1))
-        else:
-            assert (plan.expands, plan.scatters) == ((), {})
         assert entries[-1] == ([{}] if target is None
                                else [{target: k} for k in range(card[target])])
 

@@ -452,6 +452,19 @@ class TestPosteriors:
             4, "", "error: evidence {'A': 'T', 'B': 'T'} has probability 1e-320, "
             "below the smallest normal float\n")
 
+    def test_subnormal_joint_probability_exits_4_naming_the_state(self, capsys, tmp_path):
+        # P(A=T) = 1e-200 is normal, P(A=T, B=T) = 1e-320 is not: B's True
+        # read 9.99988867e-121 against the exact 1e-120
+        tiny = tmp_path / "tiny.rvm"
+        tiny.write_text(
+            'workflow "w" {\n  bayes b {\n'
+            "    node A states (F, T) cpt (1 - 1e-200, 1e-200);\n"
+            "    node B states (F, T) parents (A) cpt (1 - 1e-120, 1e-120, 1 - 1e-120, 1e-120);\n"
+            "  }\n  instance n : b { }\n  output p = n.p_B_T;\n}\n")
+        assert run(capsys, "posteriors", str(tiny), "--instance", "n", "--evidence", "A=T") == (
+            4, "", "error: B=T with evidence {'A': 'T'} has probability 1e-320, "
+            "below the smallest normal float\n")
+
     def test_conflicting_evidence_exits_3_naming_both_states(self, capsys):
         code, out, err = run(
             capsys, "posteriors", CASE_STUDY, "--instance", "phi",
@@ -640,14 +653,22 @@ def test_import_does_not_load_dataclasses_or_inspect():
     # records are collections.namedtuple subclasses, which eval one __new__ per
     # class, and __slots__ classes; dataclasses would add inspect, ast, dis and
     # tokenize to every start. A solve reads the clock through time and writes
-    # CSV only on request, so datetime and csv stay out too
+    # CSV only on request, so datetime and csv stay out too. The posteriors
+    # kernel is compiled from source by the builtin compile, so none of the
+    # compiler's library modules loads on a posteriors run either
     src = str(Path(redvote.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, redvote.cli; print([m for m in "
-             "('dataclasses', 'inspect', 'datetime', 'csv') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    probe = (
+        "import contextlib, io, sys, redvote.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'datetime', 'csv') if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = redvote.cli.main(['posteriors', sys.argv[1], '--instance', 'phi',\n"
+        "                             '--evidence', 'UNSAFE_OUTPUT=True'])\n"
+        "print(code, [m for m in ('ast', 'dis', 'inspect', 'tokenize') if m in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, CASE_STUDY], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_solve_does_not_load_numpy():
@@ -675,6 +696,24 @@ def test_solve_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", probe, *models], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_solve_and_sweep_build_no_posteriors_kernel(capsys, tmp_path):
+    # the shipped models and the shapes the benchmark generates read a subset
+    # of the failure network, through per-target plans: compiling the
+    # all-variable kernel would cost a one-shot solve more than it saves
+    text = Path(CASE_STUDY).read_text()
+    shapes = [tmp_path / f"{chain}.rvm" for chain in ("maintenance4", "maintenance8")]
+    for path in shapes:
+        path.write_text(text.replace("maintenance5", path.stem))
+    bayes._kernel.cache_clear()
+    for path in sorted(MODELS.glob("*.rvm")) + shapes:
+        assert run(capsys, "solve", str(path), "--threshold", "1e-9")[0] in (0, 5)
+        for param in ("phi.PAR_1", "mu.PAR_6"):
+            assert run(capsys, "sweep", str(path), "--param", param, "--factors", "1,0.5")[0] == 0
+    assert bayes._kernel.cache_info().misses == 0
+    run(capsys, "posteriors", CASE_STUDY, "--instance", "phi")
+    assert bayes._kernel.cache_info().misses == 1
 
 
 def test_each_module_imports_first_in_a_fresh_interpreter():
