@@ -5,14 +5,17 @@ class: a chain or a network whose rates or table entries are expressions
 over its typed inputs, and a table of what each output reads off the
 solution. The builtin classes (built in :mod:`redvote.nmr`) and those a
 `.rvm` file defines go through one path per formalism: :func:`instantiate`
-and :func:`solve`. Inputs are bound to literals or to scalar expressions
-over other instances' outputs; running the workflow solves the instances in
-topological order, range-checking each kinded input and feeding solved
-outputs forward, then evaluates the exported expressions.
+and :func:`solve`. A class states each output once, as a row of that table,
+and every output is a probability. Inputs are bound to literals or to
+scalar expressions over other instances' outputs; running the workflow
+solves the instances in topological order, range-checking each kinded
+input and feeding solved outputs forward, then evaluates the exported
+expressions.
 
 Only this results-feed-instantiation style of composition is implemented;
 operators that rewrite the composed models themselves are out of scope, as
-is any coupling through shared states or actions.
+is any coupling through shared states or actions. Every record here is a
+``namedtuple``.
 """
 
 from __future__ import annotations
@@ -28,67 +31,44 @@ from .errors import Checked, RedvoteError, SolverError, ValidationError
 KINDS = ("probability", "rate", "ratio")
 
 
-class _Record:
-    """An immutable record with its ``__slots__`` as fields, in constructor order; equality
-    is exact in type, so a ``Param("x")`` never equals a ``Literal("x")`` or a tuple."""
-
-    __slots__ = ()
-
-    def __init__(self, *values: object) -> None:
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
-        return type(self), self._values()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 # --- scalar expressions ------------------------------------------------------
 
 
-class Expr(_Record):
-    """Base class of the scalar expression AST (+, -, *, / and constants)."""
+class Expr:
+    """Base class of the scalar expression AST (+, -, *, / and constants).
+
+    Equality is exact in type, so a ``Param("x")`` never equals a
+    ``Literal("x")`` or a tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Literal(Expr, namedtuple("Literal", "value")):
+    __slots__ = ()
+
+
+class Ref(Expr, namedtuple("Ref", "instance output")):
+    """A reference to another instance's output parameter."""
 
     __slots__ = ()
 
 
-class Literal(Expr):
-    __slots__ = ("value",)
-
-
-class Ref(Expr):
-    """A reference to another instance's output parameter."""
-
-    __slots__ = ("instance", "output")
-
-
-class Param(Expr):
+class Param(Expr, namedtuple("Param", "name")):
     """A bare parameter name: a model's input, inside its rates or table entries."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
 
-class BinOp(Expr):
-    __slots__ = ("op", "left", "right")  # op is one of + - * /
+class BinOp(Expr, namedtuple("BinOp", "op left right")):  # op is one of + - * /
+    __slots__ = ()
 
 
 def expr_leaves(expr: Expr, kind: type[Ref] | type[Param]) -> Iterator[Expr]:
@@ -152,56 +132,46 @@ class InlineBayes(namedtuple("InlineBayes", "name nodes")):
 # --- model classes and workflows ---------------------------------------------
 
 
-class ParamDecl(Checked, namedtuple("ParamDecl", "name direction kind")):
-    """A model-class parameter; a ``kind`` of None means unkinded (inline-model parameters)."""
+class ParamDecl(Checked, namedtuple("ParamDecl", "name kind")):
+    """A model-class input; a ``kind`` of None means unkinded (inline-model inputs)."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, direction: str, kind: str | None = None) -> ParamDecl:
-        if direction not in ("input", "output"):
-            raise ValidationError(f"parameter direction must be input/output, got {direction!r}")
+    def __new__(cls, name: str, kind: str | None = None) -> ParamDecl:
         if kind is not None and kind not in KINDS:
             raise ValidationError(f"unknown parameter kind {kind!r}")
-        return tuple.__new__(cls, (name, direction, kind))
+        return tuple.__new__(cls, (name, kind))
 
 
-class ModelClass(_Record):
+class ModelClass(namedtuple("ModelClass", "name inputs template reads requires description")):
     """A solvable, parameterized model with a declared interface.
 
-    ``template`` is the chain or the network and ``params`` its inputs and
-    outputs. ``reads`` says what each output reads off the solution:
-    ``(output, state)`` of a chain's steady state, ``(output, node, state)``
-    of a network's marginals. ``requires`` holds ``(label, expr)`` facts of
-    the inputs: each ``expr`` must come out positive. ``description`` names
-    the class and its solver in provenance notes.
+    ``template`` is the chain or the network and ``inputs`` declares the
+    parameters its expressions read. ``reads`` names each output and says
+    what it reads off the solution: ``(output, state)`` of a chain's steady
+    state, ``(output, node, state)`` of a network's marginals; either is a
+    probability. ``requires`` holds ``(label, expr)`` facts of the inputs:
+    each ``expr`` must come out positive. ``description`` names the class
+    and its solver in provenance notes.
     """
 
-    __slots__ = ("name", "params", "template", "reads", "requires", "description")
+    __slots__ = ()
 
     @property
     def formalism(self) -> str:
         return "CTMC" if isinstance(self.template, InlineCtmc) else "BAYES"
 
-    @property
-    def inputs(self) -> tuple[ParamDecl, ...]:
-        return tuple(p for p in self.params if p.direction == "input")
-
-    @property
-    def outputs(self) -> tuple[ParamDecl, ...]:
-        return tuple(p for p in self.params if p.direction == "output")
-
-    def output_kind(self, name: str) -> str | None:
-        for p in self.outputs:
-            if p.name == name:
-                return p.kind
+    def output_kind(self, name: str) -> str:
+        if any(read[0] == name for read in self.reads):
+            return "probability"
         raise ValidationError(f"model class {self.name!r} has no output {name!r}")
 
 
-class ModelInstance(_Record):
-    __slots__ = ("name", "class_name", "bindings")
+class ModelInstance(Checked, namedtuple("ModelInstance", "name class_name bindings")):
+    __slots__ = ()
 
-    def __init__(self, name: str, class_name: str, bindings: Mapping[str, Expr]) -> None:
-        super().__init__(name, class_name, dict(bindings))
+    def __new__(cls, name: str, class_name: str, bindings: Mapping[str, Expr]) -> ModelInstance:
+        return tuple.__new__(cls, (name, class_name, dict(bindings)))
 
 
 class Export(namedtuple("Export", "name expr")):
@@ -210,14 +180,15 @@ class Export(namedtuple("Export", "name expr")):
     __slots__ = ()
 
 
-class Workflow(_Record):
+class Workflow(Checked, namedtuple("Workflow", "name classes instances exports")):
     """A named DAG of model instances plus exported output expressions."""
 
-    __slots__ = ("name", "classes", "instances", "exports")
+    __slots__ = ()
 
-    def __init__(self, name: str, classes: Iterable[ModelClass] = (),
-                 instances: Iterable[ModelInstance] = (), exports: Iterable[Export] = ()) -> None:
-        super().__init__(name, tuple(classes), tuple(instances), tuple(exports))
+    def __new__(cls, name: str, classes: Iterable[ModelClass] = (),
+                instances: Iterable[ModelInstance] = (),
+                exports: Iterable[Export] = ()) -> Workflow:
+        return tuple.__new__(cls, (name, tuple(classes), tuple(instances), tuple(exports)))
 
 
 class SolveResult(namedtuple("SolveResult", "instances exports provenance")):
@@ -245,11 +216,18 @@ def _template_exprs(template: InlineCtmc | InlineBayes) -> Iterator[tuple[tuple,
                 yield ("nodes", j), f"node {node.id!r}", expr
 
 
+def _class_exprs(cls: ModelClass) -> Iterator[tuple[tuple, str, Expr]]:
+    """The template expressions of ``cls``, then each ``requires`` fact
+    with its path in the class and its label."""
+    yield from _template_exprs(cls.template)
+    for j, (label, expr) in enumerate(cls.requires):
+        yield ("requires", j), label, expr
+
+
 def read_inputs(cls: ModelClass) -> set[str]:
     """The inputs of ``cls`` that a rate, a table entry or a ``requires``
     fact reads; the value of any other input changes no output."""
-    exprs = [e for *_, e in _template_exprs(cls.template)] + [e for _, e in cls.requires]
-    return {p.name for expr in exprs for p in expr_leaves(expr, Param)}
+    return {p.name for *_, expr in _class_exprs(cls) for p in expr_leaves(expr, Param)}
 
 
 def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
@@ -274,10 +252,8 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
         raise ValidationError(f"unknown inline template {template!r}")
     inputs = dict.fromkeys(p.name for *_, expr in _template_exprs(template)
                            for p in expr_leaves(expr, Param))
-    params = tuple(ParamDecl(name, "input") for name in inputs) + tuple(
-        ParamDecl(read[0], "output", "probability") for read in reads
-    )
-    return ModelClass(template.name, params, template, reads, (), description)
+    return ModelClass(template.name, tuple(map(ParamDecl, inputs)), template, reads, (),
+                      description)
 
 
 def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc:
@@ -346,23 +322,33 @@ def _check_net(template: InlineBayes) -> None:
 
 
 def _check_class(cls: ModelClass) -> None:
-    """A class's template, template expressions that use only the model's
-    own parameters, and parameter names declared once."""
+    """A class's template, outputs that read states of it, expressions that
+    use only the model's declared inputs, and parameter names declared once."""
     if isinstance(cls.template, InlineCtmc):
         _check_chain(cls.template)
-        what = "rate expressions"
+        readable = {(state,) for state in cls.template.states}
     else:
         _check_net(cls.template)
-        what = "table entries"
-    for path, owner, expr in _template_exprs(cls.template):
+        readable = {(node.id, state) for node in cls.template.nodes for state in node.states}
+    for j, (output, *where) in enumerate(cls.reads):
+        if tuple(where) not in readable:  # a network's reads name node and state
+            raise ValidationError(f"output {output!r} reads {'='.join(where)!r}, "
+                                  "which is not a state of the template", ("reads", j))
+    inputs = {p.name for p in cls.inputs}
+    for path, owner, expr in _class_exprs(cls):
         for ref in expr_leaves(expr, Ref):
+            what = {"rates": "rate expressions", "nodes": "table entries",
+                    "requires": "requires facts"}[path[0]]
             raise ValidationError(f"{owner} references {ref.instance}.{ref.output}; "
                                   f"{what} may only use the model's own parameters", path)
+        for param in expr_leaves(expr, Param):
+            if param.name not in inputs:
+                raise ValidationError(f"{owner} reads undeclared input {param.name!r}", path)
     declared: set[str] = set()
-    for param in cls.params:
-        if param.name in declared:
-            raise ValidationError(f"parameter {param.name!r} is declared twice")
-        declared.add(param.name)
+    for name in [p.name for p in cls.inputs] + [read[0] for read in cls.reads]:
+        if name in declared:
+            raise ValidationError(f"parameter {name!r} is declared twice")
+        declared.add(name)
 
 
 def check_records(workflow: Workflow) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from collections import namedtuple
 from typing import Mapping
 
@@ -48,9 +49,11 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _check_nonnegative(name: str, value: float) -> None:
+def _check_rate(name: str, value: float) -> None:
     if not value >= 0.0:
         raise ValidationError(f"{name} must be non-negative, got {value!r}")
+    if value == math.inf:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 class FailureParams(Checked, namedtuple(
@@ -105,7 +108,7 @@ class MaintenanceParams(Checked, namedtuple("MaintenanceParams", "par4 par5 par6
         _check_unit_interval("par5", params.par5)
         _check_unit_interval("par7", params.par7)
         for name in ("par6", "par8", "par9"):
-            _check_nonnegative(name, getattr(params, name))
+            _check_rate(name, getattr(params, name))
         return params
 
 
@@ -209,9 +212,8 @@ def _failure_class(
          ("UNCORR_A", "UNCORR_B", "Same_output_alterations", "Excl_A", "Excl_B"), unsafe)
     return compose.ModelClass(
         "failure2oo2",
-        (ParamDecl("PAR_1", "input", "probability"), ParamDecl("PAR_2", "input", "ratio"),
-         ParamDecl("PAR_3", "input", "probability"), ParamDecl("PAR_4", "output", "probability"),
-         ParamDecl("PAR_5", "output", "probability")),
+        (ParamDecl("PAR_1", "probability"), ParamDecl("PAR_2", "ratio"),
+         ParamDecl("PAR_3", "probability")),
         compose.InlineBayes("failure2oo2", tuple(nodes)),
         (("PAR_4", "UNCORR_A", "True"), ("PAR_5", "UNSAFE_OUTPUT", "True")),
         (),
@@ -341,8 +343,7 @@ def _maintenance_class(level: MaintenanceLevel) -> compose.ModelClass:
     name = f"maintenance{len(states)}"
     return compose.ModelClass(
         name,
-        tuple(ParamDecl(pname, "input", kind) for pname, kind in _MAINTENANCE_INPUTS)
-        + (ParamDecl("PAR_10", "output", "probability"),),
+        tuple(ParamDecl(pname, kind) for pname, kind in _MAINTENANCE_INPUTS),
         compose.InlineCtmc(name, states, initial,
                            tuple((src, dst, _RATES[rate]) for src, dst, rate in rows)),
         (("PAR_10", "S3"),),

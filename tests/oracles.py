@@ -398,7 +398,7 @@ def random_workflow(rng: random.Random) -> compose.Workflow:
                 bindings[decl.name] = rand_literal()
         name = f"inst{ii}"
         instances.append(compose.ModelInstance(name, cls.name, bindings))
-        available += [(name, out.name) for out in cls.outputs]
+        available += [(name, read[0]) for read in cls.reads]
 
     for ei in range(rng.randint(0, 3)):
         if not available:

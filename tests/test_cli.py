@@ -341,7 +341,7 @@ CHECKED_RECORDS = [
     (ctmc.Ctmc(("A", "B"), "A", (ctmc.Transition("A", "B", 1.0), ctmc.Transition("B", "A", 2.0))),
      {"transitions": (ctmc.Transition("A", "B", -1.0), ctmc.Transition("B", "A", 2.0))}),
     (bayes.Variable("A", ("F", "T")), {"states": ("F", "F")}),
-    (compose.ParamDecl("x", "input"), {"direction": "sideways"}),
+    (compose.ParamDecl("x"), {"kind": "speed"}),
     (nmr.DEFAULT_FAILURE_PARAMS, {"par1": 2.0}),
     (nmr.MaintenanceParams(1e-6, 1e-9, 1.0, 1e-2, 1e-4, 3.0), {"par6": -1.0}),
 ]

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import redvote
 from redvote import bayes, compose, nmr
 from redvote.errors import SolverError, ValidationError
 
@@ -83,6 +84,19 @@ def test_records_are_immutable_values_compared_by_type():
     classes = (inline_five_state_class(),)
     assert hash(compose.Workflow("w", list(classes)).classes) == hash(classes)
     assert hash(nmr.FailureParams(1e-5, 0.1, 0.1)) == hash(nmr.FailureParams(1e-5, 0.1, 0.1))
+    # every record the package exports is a tuple with named fields
+    not_records = (Exception, redvote.BayesNet, redvote.MaintenanceLevel)
+    for name in redvote.__all__:
+        kind = getattr(redvote, name)
+        if isinstance(kind, type) and not issubclass(kind, not_records):
+            assert all(hasattr(kind, a) for a in ("_fields", "_asdict", "_replace")), name
+    # and the records that coerce their fields coerce them in _replace and _make too
+    phi = workflow.instances[0]
+    pairs = list(phi.bindings.items())
+    assert phi._replace(bindings=pairs).bindings == phi.bindings == dict(pairs)
+    assert compose.ModelInstance._make(("phi", "failure2oo2", pairs)) == phi
+    assert workflow._replace(classes=list(classes)).classes == classes
+    assert compose.Workflow._make(("w", list(classes), [], [])) == compose.Workflow("w", classes)
 
 
 class TestValidation:
@@ -243,6 +257,43 @@ class TestValidation:
         with pytest.raises(ValidationError, match=re.escape(message)) as info:
             compose.validate_workflow(workflow)
         assert info.value.element == element
+
+    CHAIN = compose.InlineCtmc("c", ("A", "B"), "A",
+                               (("A", "B", compose.Param("k")), ("B", "A", compose.Literal(1.0))))
+    NET = compose.InlineBayes("c", (compose.InlineNode("N", ("F", "T"), (),
+                                                       (compose.Literal(0.5),) * 2),))
+
+    @pytest.mark.parametrize("template, inputs, reads, requires, message, element", [
+        (CHAIN, ("k",), (("Y", "A"), ("Z", "Q")), (),
+         "output 'Z' reads 'Q', which is not a state of the template", ("reads", 1)),
+        (NET, (), (("Y", "N", "X"),), (),
+         "output 'Y' reads 'N=X', which is not a state of the template", ("reads", 0)),
+        (NET, (), (("Y", "M", "T"),), (),
+         "output 'Y' reads 'M=T', which is not a state of the template", ("reads", 0)),
+        (CHAIN, (), (("Y", "A"),), (),
+         "rate A -> B reads undeclared input 'k'", ("rates", 0)),
+        (CHAIN, ("k",), (("Y", "A"),), (("x positive", compose.Param("x")),),
+         "x positive reads undeclared input 'x'", ("requires", 0)),
+        (CHAIN, ("k",), (("Y", "A"),), (("x positive", compose.Ref("x", "Y")),),
+         "x positive references x.Y; requires facts may only use the model's own parameters",
+         ("requires", 0)),
+        (CHAIN, ("k", "Y"), (("Y", "A"),), (), "parameter 'Y' is declared twice", ()),
+    ], ids=["chain-state", "net-state", "net-node", "template-input", "requires-input",
+            "requires-ref", "input-is-output"])
+    def test_class_interface_faults_rejected(self, template, inputs, reads, requires,
+                                             message, element):
+        # refused before any run, at the faulty row of the class
+        cls = compose.ModelClass("c", tuple(map(compose.ParamDecl, inputs)), template, reads,
+                                 requires, "library-built")
+        instance = compose.ModelInstance("x", "c", dict.fromkeys(inputs, compose.Literal(1.0)))
+        workflow = compose.Workflow("w", (cls,), (instance,))
+        with pytest.raises(ValidationError, match=f"^model 'c': {re.escape(message)}$") as info:
+            compose.validate_workflow(workflow)
+        assert info.value.element == ("classes", 0, *element)
+
+    @pytest.mark.parametrize("name", sorted(compose.builtin_classes()))
+    def test_builtin_classes_pass_the_class_checks(self, name):
+        compose._check_class(compose.builtin_classes()[name])
 
     def test_bare_name_in_binding_rejected(self):
         inst = compose.ModelInstance(

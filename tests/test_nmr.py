@@ -43,6 +43,12 @@ class TestParams:
         with pytest.raises(ValidationError, match="par6"):
             nmr.MaintenanceParams(par4=1e-6, par5=1e-7, par6=-1, par7=0.01, par8=0, par9=0)
 
+    @pytest.mark.parametrize("field", ["par6", "par8", "par9"])
+    def test_maintenance_rates_must_be_finite(self, field):
+        rates = {"par6": 1.0, "par8": 1e-4, "par9": 3.0, field: math.inf}
+        with pytest.raises(ValidationError, match=f"^{field} must be finite, got inf$"):
+            nmr.MaintenanceParams(par4=1e-6, par5=1e-7, par7=0.01, **rates)
+
 
 class TestFailureNetwork:
     def test_counts_24_variables_per_reference_list(self):
