@@ -41,17 +41,7 @@ from .compose import (
 from .ctmc import Ctmc, Transition, reachable_closed_class, steady_state
 from .dsl import ParseDiagnostic, ParseResult, parse, print_workflow
 from .errors import RedvoteError, SolverError, ValidationError, ZeroEvidenceError
-from .nmr import (
-    FailureInterface,
-    FailureParams,
-    HazardFigures,
-    MaintenanceLevel,
-    MaintenanceParams,
-    build_failure_bn,
-    build_maintenance_ctmc,
-    failure_interface,
-    hfr_2oo3_from_maintenance,
-)
+from .nmr import FailureParams, build_failure_bn, build_maintenance_ctmc, failure_interface
 from .report import AnalysisReport
 
 __all__ = [
@@ -62,9 +52,7 @@ __all__ = [
     # ctmc
     "Ctmc", "Transition", "reachable_closed_class", "steady_state",
     # concrete models
-    "FailureInterface", "FailureParams", "HazardFigures",
-    "MaintenanceLevel", "MaintenanceParams", "build_failure_bn",
-    "build_maintenance_ctmc", "failure_interface", "hfr_2oo3_from_maintenance",
+    "FailureParams", "build_failure_bn", "build_maintenance_ctmc", "failure_interface",
     # composition
     "BinOp", "Export", "InlineBayes", "InlineCtmc", "InlineNode", "Literal",
     "ModelClass", "ModelInstance", "Param", "ParamDecl", "Ref", "SolveResult",

@@ -390,12 +390,14 @@ def _kernel_source(signature: Signature) -> str:
     """Source of ``k(a0, ..., a{n-1})``: ``_plan(signature, None)`` over the
     ``n`` slot tables as straight-line code, returning ``P(v, evidence)``
     of each eliminated variable ``v``, the last eliminated first. Its names
-    hold slot and entry numbers only: ``a`` for slot entries, ``b`` and
-    ``p`` for a step's table-only product and product, ``g`` for a result's
-    adjoint (Darwiche 2003). Products take table reads, then result reads;
-    group sums and each adjoint entry's reads add left to right, and each
-    mass is a ``sum``, so every result is bit-identical to the step by step
-    evaluation of the same plan.
+    hold step, slot and entry numbers only: ``a`` for slot entries, ``b``
+    and ``p`` for a step's table-only product and product, ``g`` for a
+    result's adjoint (Darwiche 2003), ``l`` and ``r`` for prefix and suffix
+    products of a step's results. Products take table reads, then result
+    reads; group sums and each adjoint entry's reads add left to right, and
+    each mass is a ``sum``. A result's adjoint multiplies the step's other
+    results in step order; with three or more results it goes through their
+    prefix and suffix products, so the source stays linear in the results.
     """
     plan, n = _plan(signature, None), len(signature)
     lines, names, kept = [], {}, []  # slot -> entry names; step -> (product, base, results)
@@ -424,9 +426,18 @@ def _kernel_source(signature: Signature) -> str:
             masses.append("".join(f"sum(({', '.join(pairs[k::group])},)), " for k in range(group)))
         if base is not None:
             adjoint = list(map("{} * {}".format, adjoint, base))
-        for slot, index, _ in results:
-            others = [column for other, _, column in results if other != slot]
-            terms = list(map(" * ".join, zip(adjoint, *others)))
+        columns = [column for _, _, column in results]
+        if len(columns) < 3:
+            operands = [[adjoint, *columns[:j], *columns[j + 1:]] for j in range(len(columns))]
+        else:
+            left, right = [adjoint], [columns[-1]]
+            for j in range(1, len(columns)):
+                left.append(_emit(lines, f"l{t}_{j}", zip(left[-1], columns[j - 1]), " * "))
+            for j in reversed(range(len(columns) - 2)):
+                right.append(_emit(lines, f"r{t}_{j}", zip(columns[j + 1], right[-1]), " * "))
+            operands = [[*pair] for pair in zip(left, reversed(right))] + [[left[-1]]]
+        for (slot, index, _), parts in zip(results, operands):
+            terms = list(map(" * ".join, zip(*parts)))
             by_entry = [[] for _ in names[slot]]
             for term, entry in zip(terms, index):
                 by_entry[entry].append(term)

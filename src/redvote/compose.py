@@ -157,15 +157,6 @@ class ModelClass(namedtuple("ModelClass", "name inputs template reads requires d
 
     __slots__ = ()
 
-    @property
-    def formalism(self) -> str:
-        return "CTMC" if isinstance(self.template, InlineCtmc) else "BAYES"
-
-    def output_kind(self, name: str) -> str:
-        if any(read[0] == name for read in self.reads):
-            return "probability"
-        raise ValidationError(f"model class {self.name!r} has no output {name!r}")
-
 
 class ModelInstance(Checked, namedtuple("ModelInstance", "name class_name bindings")):
     __slots__ = ()
@@ -404,20 +395,19 @@ def _check_refs(
     what: str,
     by_name: Mapping[str, ModelInstance],
     classes: Mapping[str, ModelClass],
-) -> list[str | None]:
+) -> None:
     """Check that ``expr``, the expression of ``where``, names no bare
-    parameter and references outputs of known instances only; ``what``
-    names such expressions in the message. Returns the kinds of the outputs
-    it references, in order."""
+    parameter and references existing outputs of known instances only;
+    ``what`` names such expressions in the message."""
     for param in expr_leaves(expr, Param):
         raise ValidationError(f"{where} uses bare name {param.name!r}; {what} must "
                               "reference instance outputs as <instance>.<output>")
-    kinds = []
     for ref in expr_leaves(expr, Ref):
         if ref.instance not in by_name:
             raise ValidationError(f"{where} references unknown instance {ref.instance!r}")
-        kinds.append(classes[by_name[ref.instance].class_name].output_kind(ref.output))
-    return kinds
+        cls = classes[by_name[ref.instance].class_name]
+        if all(read[0] != ref.output for read in cls.reads):
+            raise ValidationError(f"model class {cls.name!r} has no output {ref.output!r}")
 
 
 def _check_bindings(
@@ -440,36 +430,37 @@ def _check_bindings(
         )
     for pname, expr in instance.bindings.items():
         decl = declared[pname]
-        kinds = _check_refs(expr, f"instance {instance.name!r}: binding for {pname!r}",
-                            "workflow bindings", by_name, classes)
-        if isinstance(expr, Ref) and kinds[0] and decl.kind and kinds[0] != decl.kind:
+        _check_refs(expr, f"instance {instance.name!r}: binding for {pname!r}",
+                    "workflow bindings", by_name, classes)
+        # every output is a probability
+        if isinstance(expr, Ref) and decl.kind in ("rate", "ratio"):
             raise ValidationError(
                 f"instance {instance.name!r}: input {pname!r} expects a "
-                f"{decl.kind}, but {expr.instance}.{expr.output} is a {kinds[0]}"
+                f"{decl.kind}, but {expr.instance}.{expr.output} is a probability"
             )
         if isinstance(expr, Literal):
-            _check_input(instance.name, decl, expr.value)
+            _check_literal(instance.name, decl, expr.value)
 
 
-def _check_input(
-    instance: str, decl: ParamDecl, value: float, error: type[RedvoteError] = ValidationError
-) -> None:
+def _check_input(decl: ParamDecl, value: float) -> None:
     """A value bound to an input must be finite and lie in the range of
-    ``decl.kind``: literals at validation, every kinded input at solve time."""
+    ``decl.kind``; :func:`instantiate` checks every kinded input."""
     if not math.isfinite(value):
-        raise error(
-            f"instance {instance!r}: input {decl.name!r} must be finite, got {value!r}"
-        )
+        raise ValidationError(f"input {decl.name!r} must be finite, got {value!r}")
     if decl.kind in ("probability", "ratio") and not 0.0 <= value <= 1.0:
-        raise error(
-            f"instance {instance!r}: {decl.kind} input {decl.name!r} "
-            f"must lie in [0, 1], got {value!r}"
+        raise ValidationError(
+            f"{decl.kind} input {decl.name!r} must lie in [0, 1], got {value!r}"
         )
     if decl.kind == "rate" and value < 0.0:
-        raise error(
-            f"instance {instance!r}: rate input {decl.name!r} "
-            f"must be non-negative, got {value!r}"
-        )
+        raise ValidationError(f"rate input {decl.name!r} must be non-negative, got {value!r}")
+
+
+def _check_literal(instance: str, decl: ParamDecl, value: float) -> None:
+    """:func:`_check_input` of a literal bound to ``instance``, before any solve."""
+    try:
+        _check_input(decl, value)
+    except ValidationError as exc:
+        raise ValidationError(f"instance {instance!r}: {exc}") from None
 
 
 def _topological_order(workflow: Workflow) -> tuple[str, ...]:
@@ -538,7 +529,11 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
 
 def instantiate(cls: ModelClass, values: Mapping[str, float]) -> ctmc.Ctmc | bayes.BayesNet:
     """The chain or the network of an instance of ``cls`` with inputs
-    ``values``, once each of the class's ``requires`` facts holds."""
+    ``values``, once each kinded input lies in its kind's range and each of
+    the class's ``requires`` facts holds."""
+    for decl in cls.inputs:
+        if decl.kind:
+            _check_input(decl, values[decl.name])
     for label, expr in cls.requires:
         value = eval_expr(expr, lambda leaf: values[leaf.name])
         if not value > 0.0:  # NaN fails too
@@ -602,9 +597,6 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
         cls = validated.instance_class(inst)
         values = {pname: _evaluate(expr, solved, name, pname)
                   for pname, expr in inst.bindings.items()}
-        for decl in cls.inputs:
-            if decl.kind:
-                _check_input(name, decl, values[decl.name], SolverError)
         try:
             outputs = solve(cls, values)
         except RedvoteError as exc:
@@ -627,9 +619,9 @@ def instance_net(validated: ValidatedWorkflow, result: SolveResult, name: str) -
         raise ValidationError(f"unknown instance {name!r}")
     inst = by_name[name]
     cls = validated.instance_class(inst)
-    if cls.formalism != "BAYES":
+    if isinstance(cls.template, InlineCtmc):
         raise ValidationError(
-            f"instance {name!r} is a {cls.formalism} model; posteriors need a BAYES instance"
+            f"instance {name!r} is a CTMC model; posteriors need a BAYES instance"
         )
     values = {pname: _evaluate(expr, result.instances, name, pname)
               for pname, expr in inst.bindings.items()}
@@ -674,7 +666,7 @@ def sweep(
     results: list[SolveResult] = []
     for factor in factors:
         value = binding.value * float(factor)
-        _check_input(inst_name, decl, value)
+        _check_literal(inst_name, decl, value)
         bindings = {**inst.bindings, pname: Literal(value)}
         new_inst = ModelInstance(inst_name, inst.class_name, bindings)
         instances = tuple(new_inst if i.name == inst_name else i for i in wf.instances)

@@ -45,6 +45,7 @@ failure at the element it names. Printing is deterministic, and
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from typing import Callable
@@ -433,9 +434,13 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _format_number(value: float) -> str:
+    """A literal as text that parses back to it: ``inf`` and ``nan`` would
+    parse as names and ``-0.0`` not at all, so -0.0 prints as 0.0."""
+    if not math.isfinite(value):
+        raise ValidationError(f"cannot print non-finite literal {value!r}")
     if value < 0.0:
         raise ValidationError(f"cannot print negative literal {value!r}")
-    return repr(float(value))
+    return repr(abs(float(value)))
 
 
 def format_expr(expr: compose.Expr) -> str:

@@ -9,12 +9,17 @@ Both are built once as `compose` model records: ``failure2oo2`` is an
 ``InlineBayes`` whose tables hold expressions over ``PAR_1`` to ``PAR_3``,
 and ``maintenance4/5/8`` are ``InlineCtmc`` records whose rates are
 expressions over ``PAR_4`` to ``PAR_9``. These are the workflow's builtin
-classes, instantiated and solved by the same `compose` code as a model a
-`.rvm` file defines. :func:`build_failure_bn`, :func:`failure_interface`
-and :func:`build_maintenance_ctmc` are thin functions over the records.
-The three chains share one interface, so ``maintenance4``, which has no
-unpowered state, accepts and requires ``PAR_9`` (the power-restore rate)
-but no rate of it reads that input; ``redvote sweep`` says so on stderr.
+classes (``compose.builtin_classes()``), instantiated, range-checked and
+solved by the same `compose` code as a model a `.rvm` file defines; that is
+their one API, and the 2oo3 figures are expressions over their outputs,
+such as ``3 * mu.PAR_10``. Three one-line functions over the records stay,
+because the benchmark builds and times them by name: :func:`build_failure_bn`
+and :func:`failure_interface` at a :class:`FailureParams`, whose last four
+fields are table constants rather than inputs, and
+:func:`build_maintenance_ctmc` by class name. The three chains share one
+interface, so ``maintenance4``, which has no unpowered state, accepts and
+requires ``PAR_9`` (the power-restore rate) but no rate of it reads that
+input; ``redvote sweep`` says so on stderr.
 
 A note on the maintenance rates: the correct-maintenance repair flow goes
 from the shutdown-with-fault state back to normal operation at
@@ -28,10 +33,8 @@ published hazard figures; swapping either direction does not.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
-import math
 from collections import namedtuple
 from typing import Mapping
 
@@ -42,18 +45,6 @@ from .errors import Checked, ValidationError
 BOOL_STATES = ("False", "True")
 
 UNITS = ("A", "B")
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _check_rate(name: str, value: float) -> None:
-    if not value >= 0.0:
-        raise ValidationError(f"{name} must be non-negative, got {value!r}")
-    if value == math.inf:
-        raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 class FailureParams(Checked, namedtuple(
@@ -72,73 +63,20 @@ class FailureParams(Checked, namedtuple(
         within the reference hour.
 
     The last two defaults are calibrated so the reference network reproduces
-    the published per-variable probabilities; both stay overridable.
+    the published per-variable probabilities; both stay overridable. The
+    last four fields are constants of the tables and are checked here; the
+    first three are the inputs ``PAR_1`` to ``PAR_3``, which
+    ``compose.instantiate`` checks against their kinds.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args: float, **kwargs: float) -> FailureParams:
         params = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(params._fields, params):
-            _check_unit_interval(name, value)
+        for name, value in zip(params._fields[3:], params[3:]):
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
         return params
-
-
-class MaintenanceParams(Checked, namedtuple("MaintenanceParams", "par4 par5 par6 par7 par8 par9")):
-    """Inputs of the imperfect-maintenance chains.
-
-    par4: per-hour probability of an error in one unit (leads to safe shutdown).
-    par5: per-hour hazardous-failure probability of the 2oo2 system.
-    par6: repairs per hour (inverse mean time to repair).
-    par7: ratio of maintenance interventions performed incorrectly.
-    par8: power line failures per hour (inverse mean time between failures).
-    par9: power restores per hour (inverse mean time to restore).
-
-    That the safe-shutdown rate ``2*par4 - par5`` is positive is a fact of
-    the maintenance classes, stated once in their ``requires`` and checked
-    by ``compose.instantiate``, for :func:`build_maintenance_ctmc` and for a
-    workflow instance alike.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args: float, **kwargs: float) -> MaintenanceParams:
-        params = super().__new__(cls, *args, **kwargs)
-        _check_unit_interval("par4", params.par4)
-        _check_unit_interval("par5", params.par5)
-        _check_unit_interval("par7", params.par7)
-        for name in ("par6", "par8", "par9"):
-            _check_rate(name, getattr(params, name))
-        return params
-
-
-class MaintenanceLevel(enum.Enum):
-    """Level of detail of the maintenance chain."""
-
-    FOUR_STATE = "four"
-    FIVE_STATE = "five"
-    EIGHT_STATE = "eight"
-
-
-class FailureInterface(namedtuple("FailureInterface", "par4 par5")):
-    """What the failure network hands to the maintenance chain.
-
-    par4: single-unit incorrect-output probability.
-    par5: 2oo2 hazardous-failure probability.
-    """
-
-    __slots__ = ()
-
-
-class HazardFigures(namedtuple("HazardFigures", "par10 hfr_2oo3 mtbhe_2oo3")):
-    """2oo3 hazard figures read off a maintenance steady state.
-
-    par10: steady-state probability of the hazardous state S3.
-    hfr_2oo3: hazardous failure rate, three times par10.
-    mtbhe_2oo3: mean time between hazardous events, None when the rate is 0.
-    """
-
-    __slots__ = ()
 
 
 # --- failure network ---------------------------------------------------------
@@ -242,22 +180,21 @@ def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
     return compose.instantiate(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
 
 
-def failure_interface(params: FailureParams) -> FailureInterface:
-    """Solve the failure network for the two interface probabilities.
-
-    par4 is the single-unit incorrect-output probability, par5 the 2oo2
-    hazardous-failure probability; both are exact marginals.
-    """
-    outputs = compose.solve(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
-    return FailureInterface(par4=outputs["PAR_4"], par5=outputs["PAR_5"])
+def failure_interface(params: FailureParams) -> dict[str, float]:
+    """The outputs of :func:`failure_class` at ``params``: ``PAR_4``, the
+    single-unit incorrect-output probability, and ``PAR_5``, the 2oo2
+    hazardous-failure probability; both are exact marginals."""
+    return compose.solve(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
 
 
 # --- maintenance chains ------------------------------------------------------
 
-#: Per level: states, initial state, and ``(src, dst, rate name)`` rows in transition
-#: order; each rate name is a key of ``_RATES``.
-_CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str, str], ...]]] = {
-    MaintenanceLevel.FOUR_STATE: (
+#: Per class name: the level of detail, states, initial state, and
+#: ``(src, dst, rate name)`` rows in transition order; each rate name is a key
+#: of ``_RATES``.
+_CHAINS: dict[str, tuple[str, tuple[str, ...], str, tuple[tuple[str, str, str], ...]]] = {
+    "maintenance4": (
+        "four",
         ("S0", "S1", "S2", "S3"),
         "S0",
         (
@@ -270,7 +207,8 @@ _CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str
             ("S3", "S2", "safe_shutdown"),
         ),
     ),
-    MaintenanceLevel.FIVE_STATE: (
+    "maintenance5": (
+        "five",
         ("S0", "S1", "S2", "S3", "S4"),
         "S0",
         (
@@ -286,7 +224,8 @@ _CHAINS: dict[MaintenanceLevel, tuple[tuple[str, ...], str, tuple[tuple[str, str
             ("S4", "S3", "power_restore"),
         ),
     ),
-    MaintenanceLevel.EIGHT_STATE: (
+    "maintenance8": (
+        "eight",
         ("S0p", "S0s", "S1", "S2", "S3", "S4", "S5", "S6"),
         "S0p",
         (
@@ -338,9 +277,8 @@ _MAINTENANCE_INPUTS = (("PAR_4", "probability"), ("PAR_5", "probability"), ("PAR
                        ("PAR_7", "ratio"), ("PAR_8", "rate"), ("PAR_9", "rate"))
 
 
-def _maintenance_class(level: MaintenanceLevel) -> compose.ModelClass:
-    states, initial, rows = _CHAINS[level]
-    name = f"maintenance{len(states)}"
+def _maintenance_class(name: str) -> compose.ModelClass:
+    level, states, initial, rows = _CHAINS[name]
     return compose.ModelClass(
         name,
         tuple(ParamDecl(pname, kind) for pname, kind in _MAINTENANCE_INPUTS),
@@ -349,17 +287,18 @@ def _maintenance_class(level: MaintenanceLevel) -> compose.ModelClass:
         (("PAR_10", "S3"),),
         # the one statement of this fact: without safe shutdowns the chain has no repair cycle
         (("safe-shutdown rate 2*par4 - par5", _SAFE_SHUTDOWN),),
-        f"{name} via {level.value}-state maintenance chain, solved by GTH steady state",
+        f"{name} via {level}-state maintenance chain, solved by GTH steady state",
     )
 
 
 #: The maintenance model classes ``maintenance4``, ``maintenance5`` and
-#: ``maintenance8``, by level. ``PAR_10`` reads the steady-state probability of S3.
-MAINTENANCE_CLASSES = {level: _maintenance_class(level) for level in MaintenanceLevel}
+#: ``maintenance8``, by name. ``PAR_10`` reads the steady-state probability of S3.
+MAINTENANCE_CLASSES = {name: _maintenance_class(name) for name in _CHAINS}
 
 
-def build_maintenance_ctmc(level: MaintenanceLevel, params: MaintenanceParams) -> ctmc.Ctmc:
-    """The maintenance chain at the requested level of detail.
+def build_maintenance_ctmc(name: str, values: Mapping[str, float]) -> ctmc.Ctmc:
+    """The chain of the maintenance class ``name`` with inputs ``values``
+    (``PAR_4`` to ``PAR_9``), as ``compose.instantiate`` builds it.
 
     States of the five-state reference chain:
       S0 up, no non-diagnosable fault; S1 safe shutdown, no fault;
@@ -374,25 +313,6 @@ def build_maintenance_ctmc(level: MaintenanceLevel, params: MaintenanceParams) -
     figure depends on the eight-state variant. A rate of zero denotes an
     absent transition, so its row is left out of the chain.
     """
-    if level not in MAINTENANCE_CLASSES:
-        raise ValidationError(f"unknown maintenance level {level!r}")
-    inputs = (pname for pname, _ in _MAINTENANCE_INPUTS)
-    return compose.instantiate(MAINTENANCE_CLASSES[level], dict(zip(inputs, params)))
-
-
-def hfr_2oo3_from_maintenance(distribution: Mapping[str, float]) -> HazardFigures:
-    """Hazard figures of the 2oo3 system from a maintenance steady state.
-
-    The model output is the steady-state probability of the hazardous state
-    S3; the 2oo3 hazardous failure rate is three times that figure, mirroring
-    the three-pair decomposition used for the failure model. A missing S3, or
-    one that is not a probability in [0, 1], raises :class:`ValidationError`.
-    """
-    if "S3" not in distribution:
-        raise ValidationError("maintenance distribution lacks the hazardous state S3")
-    par10 = float(distribution["S3"])
-    if not 0.0 <= par10 <= 1.0:  # NaN fails too
-        raise ValidationError(f"S3 probability {par10!r} is not in [0, 1]")
-    hfr = 3.0 * par10
-    mtbhe = 1.0 / hfr if hfr > 0.0 else None
-    return HazardFigures(par10=par10, hfr_2oo3=hfr, mtbhe_2oo3=mtbhe)
+    if name not in MAINTENANCE_CLASSES:
+        raise ValidationError(f"unknown maintenance class {name!r}")
+    return compose.instantiate(MAINTENANCE_CLASSES[name], values)

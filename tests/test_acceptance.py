@@ -31,7 +31,7 @@ from oracles import (
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
-MAINT = dict(par6=1.0, par7=1e-2, par8=1e-4, par9=3.0)
+MAINT = {"PAR_6": 1.0, "PAR_7": 1e-2, "PAR_8": 1e-4, "PAR_9": 3.0}
 
 
 class Gate:
@@ -174,25 +174,25 @@ def test_c05_composition_run_2():
 
 def test_c06_sensitivity():
     gate = Gate(6, "sensitivity ratios")
-    base = nmr.failure_interface(nmr.FailureParams(1.666e-5, 0.1, 0.1))
+    failure = compose.builtin_classes()["failure2oo2"]
 
-    tenth_par1 = nmr.failure_interface(nmr.FailureParams(1.666e-6, 0.1, 0.1))
-    gate.check_rel("par1/10: PAR_4/10", tenth_par1.par4, base.par4 / 10, 0.05)
-    gate.check_rel("par1/10: PAR_5/100", tenth_par1.par5, base.par5 / 100, 0.10)
+    def phi(par1: float, par2: float, par3: float) -> dict[str, float]:
+        return compose.solve(failure, {"PAR_1": par1, "PAR_2": par2, "PAR_3": par3})
 
-    tenth_par3 = nmr.failure_interface(nmr.FailureParams(1.666e-5, 0.1, 0.01))
-    gate.check_rel("par3/10: PAR_4 unchanged", tenth_par3.par4, base.par4, 0.0001)
-    gate.check_rel("par3/10: PAR_5/10", tenth_par3.par5, base.par5 / 10, 0.10)
+    base = phi(1.666e-5, 0.1, 0.1)
 
-    tenth_par2 = nmr.failure_interface(nmr.FailureParams(1.666e-5, 0.01, 0.1))
-    gate.check(
-        f"par2/10: PAR_4 moves {abs(tenth_par2.par4 - base.par4) / base.par4:.3%} (< 10%)",
-        abs(tenth_par2.par4 - base.par4) / base.par4 < 0.10,
-    )
-    gate.check(
-        f"par2/10: PAR_5 moves {abs(tenth_par2.par5 - base.par5) / base.par5:.3%} (< 10%)",
-        abs(tenth_par2.par5 - base.par5) / base.par5 < 0.10,
-    )
+    tenth_par1 = phi(1.666e-6, 0.1, 0.1)
+    gate.check_rel("par1/10: PAR_4/10", tenth_par1["PAR_4"], base["PAR_4"] / 10, 0.05)
+    gate.check_rel("par1/10: PAR_5/100", tenth_par1["PAR_5"], base["PAR_5"] / 100, 0.10)
+
+    tenth_par3 = phi(1.666e-5, 0.1, 0.01)
+    gate.check_rel("par3/10: PAR_4 unchanged", tenth_par3["PAR_4"], base["PAR_4"], 0.0001)
+    gate.check_rel("par3/10: PAR_5/10", tenth_par3["PAR_5"], base["PAR_5"] / 10, 0.10)
+
+    tenth_par2 = phi(1.666e-5, 0.01, 0.1)
+    for name in ("PAR_4", "PAR_5"):
+        moves = abs(tenth_par2[name] - base[name]) / base[name]
+        gate.check(f"par2/10: {name} moves {moves:.3%} (< 10%)", moves < 0.10)
     gate.finish()
 
 
@@ -227,9 +227,8 @@ def test_c08_steady_state_oracles():
     gate.check(f"50 chains GTH vs dense solve within 1e-10 (worst {worst:.3g})",
                worst <= 1e-10)
 
-    params = nmr.MaintenanceParams(par4=2e-3, par5=1e-3, par6=1.0,
-                                   par7=1e-2, par8=1e-3, par9=3.0)
-    chain = nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)
+    chain = nmr.build_maintenance_ctmc("maintenance5", {
+        "PAR_4": 2e-3, "PAR_5": 1e-3, "PAR_6": 1.0, "PAR_7": 1e-2, "PAR_8": 1e-3, "PAR_9": 3.0})
     pi = ctmc.steady_state(chain)
     sim = simulate(chain, horizon=1e6, seed=2311)
     sigmas = max(
@@ -268,9 +267,9 @@ def test_c09_structural_invariants():
     gate.check(f"CPT rows sum to 1 within 1e-9 (worst {worst_row:.3g})",
                worst_row <= 1e-9)
 
-    params = nmr.MaintenanceParams(par4=2.19e-6, par5=4.8e-13, **MAINT)
+    inputs = {"PAR_4": 2.19e-6, "PAR_5": 4.8e-13, **MAINT}
     chains = [
-        nmr.build_maintenance_ctmc(level, params) for level in nmr.MaintenanceLevel
+        nmr.build_maintenance_ctmc(name, inputs) for name in nmr.MAINTENANCE_CLASSES
     ] + [random_irreducible_chain(rng) for _ in range(10)]
     worst_gen = 0.0
     for chain in chains:

@@ -526,6 +526,27 @@ class TestPosteriors:
                     for state, p in zip(B, enum_marginal(net, vid, evidence)):
                         assert abs(dists[vid][state] - p) <= 1e-12
 
+    def test_kernel_source_is_linear_in_a_steps_results(self):
+        # n isolated roots: the last step reads n one-entry results, and each
+        # result's adjoint is the product of the n - 1 others
+        def roots(n):
+            priors = [(i % 63 + 1) / 64 for i in range(n)]  # exact in binary
+            return priors, bayes.build_net(
+                [bayes.Variable(f"R{i}", B) for i in range(n)],
+                [bayes.Cpt(f"R{i}", (), (p, 1.0 - p)) for i, p in enumerate(priors)])
+
+        (_, small), (priors, large) = roots(150), roots(300)
+        source = bayes._kernel_source(large.signature)
+        assert len(source) < 2.5 * len(bayes._kernel_source(small.signature))
+        words = set(re.findall(r"[a-z_]\w*", source))
+        assert {w for w in words if not re.fullmatch(r"[abglpr]\d+(_\d+)*", w)} == {
+            "def", "k", "return", "sum"}
+        for evidence in ({}, {"R7": "True"}):
+            dists = bayes.posteriors(large, evidence)
+            for i, p in enumerate(priors):
+                if f"R{i}" not in evidence:
+                    assert dists[f"R{i}"].probabilities == {"False": p, "True": 1.0 - p}
+
     def test_kernel_holds_no_text_of_the_net(self):
         # ids and labels that would run if they reached the generated code
         ids = ["x') or __import__('os').system('exit 1') #", '"""\nraise SystemExit\n"""',

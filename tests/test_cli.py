@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -327,7 +328,6 @@ def test_timestamp_is_utc_iso8601_to_the_second():
     (nmr.FailureParams,
      ("par1", "par2", "par3", "transient_ratio", "excl_fail", "p_activate", "p_miss"),
      {"transient_ratio": 0.9, "excl_fail": 1e-10, "p_activate": 0.1, "p_miss": 0.35}),
-    (nmr.MaintenanceParams, ("par4", "par5", "par6", "par7", "par8", "par9"), {}),
     (dsl.ParseResult, ("workflow", "diagnostics", "origin"), {"origin": "<string>"}),
 ], ids=lambda value: value.__name__ if isinstance(value, type) else "")
 def test_record_fields_and_defaults(record, fields, defaults):
@@ -342,8 +342,7 @@ CHECKED_RECORDS = [
      {"transitions": (ctmc.Transition("A", "B", -1.0), ctmc.Transition("B", "A", 2.0))}),
     (bayes.Variable("A", ("F", "T")), {"states": ("F", "F")}),
     (compose.ParamDecl("x"), {"kind": "speed"}),
-    (nmr.DEFAULT_FAILURE_PARAMS, {"par1": 2.0}),
-    (nmr.MaintenanceParams(1e-6, 1e-9, 1.0, 1e-2, 1e-4, 3.0), {"par6": -1.0}),
+    (nmr.DEFAULT_FAILURE_PARAMS, {"p_miss": 2.0}),
 ]
 
 
@@ -687,8 +686,8 @@ def test_solve_does_not_load_numpy():
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
         "            code = cli.main(argv)\n"
         "        assert code in (0, 5), (argv, code)\n"
-        "params = nmr.MaintenanceParams(2e-3, 1e-3, 1.0, 1e-2, 1e-3, 3.0)\n"
-        "nmr.build_maintenance_ctmc(nmr.MaintenanceLevel.FIVE_STATE, params)\n"
+        "nmr.build_maintenance_ctmc('maintenance5', {'PAR_4': 2e-3, 'PAR_5': 1e-3, 'PAR_6': 1.0,\n"
+        "                                            'PAR_7': 1e-2, 'PAR_8': 1e-3, 'PAR_9': 3.0})\n"
         "print('numpy' in sys.modules)\n"
     )
     models = sorted(str(p) for p in MODELS.glob("*.rvm"))
@@ -725,6 +724,19 @@ def test_each_module_imports_first_in_a_fresh_interpreter():
         done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (module, done.stderr)
+
+
+def test_benchmark_hooks_resolve_on_the_package():
+    # the benchmark wraps these attributes by name; read its table without importing it
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), str(spans))
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"]
+    assert layers
+    for module, attrs in layers.values():
+        for attr in attrs:
+            assert callable(getattr(importlib.import_module(f"redvote.{module}"), attr, None)), (
+                module, attr)
 
 
 def test_package_imports_only_the_standard_library():

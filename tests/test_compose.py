@@ -85,7 +85,7 @@ def test_records_are_immutable_values_compared_by_type():
     assert hash(compose.Workflow("w", list(classes)).classes) == hash(classes)
     assert hash(nmr.FailureParams(1e-5, 0.1, 0.1)) == hash(nmr.FailureParams(1e-5, 0.1, 0.1))
     # every record the package exports is a tuple with named fields
-    not_records = (Exception, redvote.BayesNet, redvote.MaintenanceLevel)
+    not_records = (Exception, redvote.BayesNet)
     for name in redvote.__all__:
         kind = getattr(redvote, name)
         if isinstance(kind, type) and not issubclass(kind, not_records):
@@ -339,8 +339,7 @@ class TestRunWorkflow:
         )
         result = compose.run_workflow(compose.Workflow("solo", (), (phi,), exports))
         direct = nmr.failure_interface(nmr.FailureParams(1.666e-5, 0.1, 0.1))
-        assert result.exports["par4"] == direct.par4
-        assert result.exports["par5"] == direct.par5
+        assert result.exports == {"par4": direct["PAR_4"], "par5": direct["PAR_5"]}
 
     def test_deterministic(self):
         workflow = case_study_workflow()
@@ -493,6 +492,33 @@ class TestRunWorkflow:
         with pytest.raises(SolverError, match="^division by zero$"):
             compose.eval_expr(compose.BinOp("/", compose.Literal(1.0), compose.Param("q")),
                               lambda leaf: 0.0)
+
+
+#: A library-built class whose network reads input ``x``, a probability,
+#: as ``pA = 1 - x / 8``: at ``x = 7.0`` every entry is in range.
+_EIGHTHS = compose.InlineBayes("eighths", (compose.InlineNode("A", ("F", "T"), (), (
+    compose.BinOp("-", compose.Literal(1.0),
+                  compose.BinOp("/", compose.Param("x"), compose.Literal(8.0))),
+    compose.BinOp("/", compose.Param("x"), compose.Literal(8.0)))),))
+EIGHTHS = compose.ModelClass("eighths", (compose.ParamDecl("x", "probability"),), _EIGHTHS,
+                             (("pA", "A", "F"),), (), "eighths via variable elimination")
+
+
+class TestInstantiate:
+    @pytest.mark.parametrize("name, values, message", [
+        ("maintenance5", {"PAR_4": 5.0, "PAR_5": 3.0, "PAR_6": 1.0, "PAR_7": 0.01,
+                          "PAR_8": 1e-4, "PAR_9": 3.0},
+         "probability input 'PAR_4' must lie in [0, 1], got 5.0"),
+        ("failure2oo2", {"PAR_1": 1.5, "PAR_2": 0.1, "PAR_3": 0.1},
+         "probability input 'PAR_1' must lie in [0, 1], got 1.5"),
+        ("eighths", {"x": 7.0}, "probability input 'x' must lie in [0, 1], got 7.0"),
+    ], ids=["maintenance5", "failure2oo2", "library"])
+    def test_out_of_range_kinded_input_refused(self, name, values, message):
+        # every caller of solve and instantiate gets the check, not only run_workflow
+        cls = {**compose.builtin_classes(), "eighths": EIGHTHS}[name]
+        for call in (compose.solve, compose.instantiate):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call(cls, values)
 
 
 class TestSweep:

@@ -1,11 +1,13 @@
 """Parsing, diagnostics, and canonical printing of `.rvm` files."""
 
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from redvote import compose, dsl, run_workflow
+from redvote.errors import ValidationError
 
 from oracles import random_workflow
 
@@ -281,6 +283,14 @@ class TestPrint:
             printed = dsl.print_workflow(workflow)
             reparsed = parse_ok(printed)
             assert reparsed == workflow, printed
+        # -0.0 prints as 0.0, which parses; inf and nan would parse as names
+        zero = compose.Workflow("w", exports=(compose.Export("z", compose.Literal(-0.0)),))
+        assert dsl.print_workflow(zero).count("output z = 0.0;") == 1
+        assert parse_ok(dsl.print_workflow(zero)) == zero
+        for value in (math.inf, math.nan):
+            literal = compose.Workflow("w", exports=(compose.Export("x", compose.Literal(value)),))
+            with pytest.raises(ValidationError, match="non-finite literal"):
+                dsl.print_workflow(literal)
 
     @pytest.mark.parametrize("name", sorted(compose.builtin_classes()))
     def test_builtin_record_prints_as_inline_and_reparses_equal(self, name):
