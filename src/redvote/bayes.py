@@ -14,13 +14,16 @@ fastest, the layout of a `.rvm` node's ``cpt`` list. At this size no factor
 has more than a few dozen entries, so the fixed cost of each call dominates,
 and plain sequences beat array routines, whose per-call overhead (and
 import) costs more than the arithmetic. A network's structure, its parent
-graph and the length of each table, is checked once per structure by
-:func:`check_structure`, which `compose.check_records` runs too, so a
-`.rvm` file's faults are found as it is read; :func:`build_net` then checks
-only the entries, in whole-table passes. The min-fill order and the plan,
-which reads every factor through precomputed gather indices, depend only on
-the network's structure and the target, so each is computed once per
-(structure, target) pair and reused across parameter values and evidence.
+graph and the length of each table, is checked by :func:`check_structure`,
+which `compose.check_records` runs too, so a `.rvm` file's faults are found
+as it is read. :func:`build_net` checks a structure and then the entries,
+in whole-table passes; :func:`with_tables` puts new tables into a built
+net's structure and checks only their entries, in the same passes. So
+`compose` builds each network template's structure once, and every build
+checks its entries. The min-fill order and the plan, which reads every
+factor through precomputed gather indices, depend only on the network's
+structure and the target, so each is computed once per (structure, target)
+pair and reused across parameter values and evidence.
 An observation enters as an indicator on its variable's own table
 (Darwiche 2003), not as a change of plan.
 
@@ -58,7 +61,7 @@ ROW_SUM_TOLERANCE = 1e-9
 #: The smallest normal float: a probability below it, unless 0, has lost bits.
 _TINY = 2.0 ** -1022
 
-#: Bound on the number of cached structure checks, min-fill orders and plans.
+#: Bound on the number of cached network structures, min-fill orders and plans.
 PLAN_CACHE_SIZE = 128
 
 
@@ -108,26 +111,34 @@ class Distribution(namedtuple("Distribution", "variable probabilities")):
 
 
 class BayesNet:
-    """A validated network; build through :func:`build_net`.
+    """A validated network; build through :func:`build_net` or :func:`with_tables`.
 
     Immutable after construction: every inference operation is pure, so
     concurrent queries against one net are safe.
     """
 
-    __slots__ = ("variables", "cpts", "signature", "_by_id", "_tables")
+    __slots__ = ("variables", "signature", "_by_id", "_tables")
 
     def __init__(
         self,
         variables: tuple[Variable, ...],
-        cpts: Mapping[str, Cpt],
         signature: Signature,
-        by_id: Mapping[str, Variable],
+        by_id: dict[str, Variable],
+        tables: tuple[tuple[float, ...], ...],
     ) -> None:
+        # nets of one structure share ``variables``, ``signature`` and ``by_id``
         self.variables = variables
-        self.cpts = dict(cpts)
         self.signature = signature
-        self._by_id = dict(by_id)
-        self._tables = tuple(cpts[v.id].table for v in variables)  # in variable order
+        self._by_id = by_id
+        self._tables = tables  # in variable order
+        _check_entries(signature, tables, by_id)
+
+    @property
+    def cpts(self) -> dict[str, Cpt]:
+        """Each variable's table, keyed by variable id in variable order;
+        each read builds the records afresh from the flat tables."""
+        return {vid: Cpt(vid, parents, table)
+                for (vid, parents, _), table in zip(self.signature, self._tables)}
 
     @property
     def variable_ids(self) -> tuple[str, ...]:
@@ -175,10 +186,37 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
         raise ValidationError(f"missing CPT for: {', '.join(missing)}")
 
     signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
-    check_structure(signature, tuple(len(cpt_map[var.id].table) for var in vars_))
+    tables = tuple(cpt_map[var.id].table for var in vars_)
+    check_structure(signature, tuple(map(len, tables)))
+    return BayesNet(vars_, signature, by_id, tables)
+
+
+def with_tables(net: BayesNet, tables: Sequence[Sequence[float]]) -> BayesNet:
+    """``net``'s structure with ``tables``, one per variable in variable
+    order and each as long as ``net``'s own: the network :func:`build_net`
+    would build from ``net``'s variables and these tables, its entries
+    checked the same way, without checking the structure again. The new
+    net shares ``net``'s variables, signature and variable map.
+
+    Raises:
+        ValidationError: a table count or length that differs from
+            ``net``'s, or an entry fault :func:`build_net` names.
+    """
+    if list(map(len, tables)) != list(map(len, net._tables)):
+        raise ValidationError("new tables must match the network's table count and lengths")
+    tables = tuple(tuple(map(float, table)) for table in tables)  # as a Cpt holds them
+    return BayesNet(net.variables, net.signature, net._by_id, tables)
+
+
+def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
+                   by_id: Mapping[str, Variable]) -> None:
+    """Check the entries of ``tables``, in variable order, in whole-table
+    passes: each in [0, 1], and each row's left-to-right sum off 1 by at
+    most 1e-9. A row loop names the first faulty row, and runs only on a
+    fault."""
     flats: dict[int, list[float]] = {}  # every entry, per state count
-    for vid, _, card in signature:
-        flats.setdefault(card, []).extend(cpt_map[vid].table)
+    for (_, _, card), table in zip(signature, tables):
+        flats.setdefault(card, []).extend(table)
     for card, flat in flats.items():
         sums = flat[::card]  # left to right like the row loop, not `sum` (compensated from 3.12)
         for k in range(1, card):
@@ -186,24 +224,22 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
         if (min(flat) >= 0.0 and max(flat) <= 1.0 and math.isfinite(sum(sums))  # a NaN fails here
                 and max(sums) - 1.0 <= ROW_SUM_TOLERANCE and 1.0 - min(sums) <= ROW_SUM_TOLERANCE):
             continue
-        for var in vars_:
-            cpt, count = cpt_map[var.id], var.cardinality
-            for start in range(0, len(cpt.table), count):
-                row = cpt.table[start:start + count]
-                bad = [(s, p) for s, p in zip(var.states, row) if not 0.0 <= p <= 1.0]  # NaN too
+        for (vid, parents, count), table in zip(signature, tables):
+            states = by_id[vid].states
+            for start in range(0, len(table), count):
+                row = table[start:start + count]
+                bad = [(s, p) for s, p in zip(states, row) if not 0.0 <= p <= 1.0]  # NaN too
                 if bad:
                     fault = "has its entry for state {!r} at {!r}, outside [0, 1]".format(*bad[0])
                 elif abs((total := functools.reduce(add, row, 0.0)) - 1.0) > ROW_SUM_TOLERANCE:
                     fault = f"sums to {total!r}, not 1"
                 else:
                     continue
-                combos = itertools.product(*(by_id[p].states for p in cpt.parents))
+                combos = itertools.product(*(by_id[p].states for p in parents))
                 key = next(itertools.islice(combos, start // count, None))
-                raise ValidationError(f"CPT row {key!r} for {var.id!r} {fault}")
-    return BayesNet(vars_, cpt_map, signature, by_id)
+                raise ValidationError(f"CPT row {key!r} for {vid!r} {fault}")
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)  # a sweep rebuilds one structure per point
 def check_structure(signature: Signature, sizes: tuple[int, ...]) -> None:
     """Check a network's structure: unique ids, parents of each node that are
     distinct declared nodes, an acyclic parent graph, and ``sizes[j]``, the

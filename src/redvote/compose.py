@@ -265,23 +265,44 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
     return ctmc.Ctmc(template.states, template.initial, tuple(transitions))
 
 
+#: The first successful build of each network template, keyed by the
+#: template's ``id``: hashing the failure network's template would cost 5 to
+#: 9 microseconds a build (2-core container, CPython 3.11). Each entry keeps
+#: its template alive, so no other object takes that ``id`` while the entry
+#: stands. Bounded like the plan caches.
+_NETS: dict[int, tuple[InlineBayes, bayes.BayesNet]] = {}
+
+
 def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
     """The network with its inputs set to ``values``; a node's evaluated
-    entries are its table, in the same layout. :func:`bayes.build_net`
-    checks them, so an entry outside [0, 1] or a row that does not sum to 1
+    entries are its table, in the same layout. Every build checks every
+    entry, so an entry outside [0, 1] or a row that does not sum to 1
     raises :class:`ValidationError`; a division by zero in an entry raises
-    :class:`SolverError` naming the node."""
-    variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
-    cpts = []
+    :class:`SolverError` naming the node. The structure is built and
+    checked once per template: the first build that succeeds goes through
+    :func:`bayes.build_net` and is kept, and later builds of the same
+    template object put their tables into its structure with
+    :func:`bayes.with_tables`."""
+    kept, net = _NETS.get(id(template), (None, None))
+    if kept is not template:
+        net = None
+        variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
+    tables = []
     for node in template.nodes:
         # most entries are literals, and reading them directly halves the cost
         try:
-            table = [e.value if type(e) is Literal else eval_expr(e, lambda p: values[p.name])
-                     for e in node.cpt]
+            tables.append([e.value if type(e) is Literal
+                           else eval_expr(e, lambda p: values[p.name]) for e in node.cpt])
         except SolverError as exc:
             raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
-        cpts.append(bayes.Cpt(node.id, node.parents, table))
-    return bayes.build_net(variables, cpts)
+    if net is not None:
+        return bayes.with_tables(net, tables)
+    net = bayes.build_net(variables, [bayes.Cpt(node.id, node.parents, table)
+                                      for node, table in zip(template.nodes, tables)])
+    if len(_NETS) >= bayes.PLAN_CACHE_SIZE:
+        _NETS.clear()  # one call, safe while other threads build
+    _NETS[id(template)] = template, net
+    return net
 
 
 def _check_chain(template: InlineCtmc) -> None:
@@ -407,7 +428,8 @@ def _check_refs(
             raise ValidationError(f"{where} references unknown instance {ref.instance!r}")
         cls = classes[by_name[ref.instance].class_name]
         if all(read[0] != ref.output for read in cls.reads):
-            raise ValidationError(f"model class {cls.name!r} has no output {ref.output!r}")
+            raise ValidationError(f"{where} references {ref.instance}.{ref.output}, but "
+                                  f"model class {cls.name!r} has no output {ref.output!r}")
 
 
 def _check_bindings(
@@ -416,18 +438,8 @@ def _check_bindings(
     by_name: Mapping[str, ModelInstance],
     classes: Mapping[str, ModelClass],
 ) -> None:
+    _check_names(cls, instance.bindings, f"instance {instance.name!r}")
     declared = {p.name: p for p in cls.inputs}
-    for pname in instance.bindings:
-        if pname not in declared:
-            raise ValidationError(
-                f"instance {instance.name!r} binds unknown input {pname!r} "
-                f"of class {cls.name!r}"
-            )
-    unbound = [p.name for p in cls.inputs if p.name not in instance.bindings]
-    if unbound:
-        raise ValidationError(
-            f"instance {instance.name!r} leaves inputs unbound: {', '.join(unbound)}"
-        )
     for pname, expr in instance.bindings.items():
         decl = declared[pname]
         _check_refs(expr, f"instance {instance.name!r}: binding for {pname!r}",
@@ -440,6 +452,18 @@ def _check_bindings(
             )
         if isinstance(expr, Literal):
             _check_literal(instance.name, decl, expr.value)
+
+
+def _check_names(cls: ModelClass, names: Mapping[str, object], owner: str) -> None:
+    """``names``, which ``owner`` binds, must be the inputs of ``cls``: none
+    unknown, none unbound."""
+    declared = {p.name for p in cls.inputs}
+    for pname in names:
+        if pname not in declared:
+            raise ValidationError(f"{owner} binds unknown input {pname!r} of class {cls.name!r}")
+    unbound = [p.name for p in cls.inputs if p.name not in names]
+    if unbound:
+        raise ValidationError(f"{owner} leaves inputs unbound: {', '.join(unbound)}")
 
 
 def _check_input(decl: ParamDecl, value: float) -> None:
@@ -529,8 +553,10 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
 
 def instantiate(cls: ModelClass, values: Mapping[str, float]) -> ctmc.Ctmc | bayes.BayesNet:
     """The chain or the network of an instance of ``cls`` with inputs
-    ``values``, once each kinded input lies in its kind's range and each of
-    the class's ``requires`` facts holds."""
+    ``values``, once ``values`` binds each input of ``cls`` and no other,
+    each kinded input lies in its kind's range and each of the class's
+    ``requires`` facts holds."""
+    _check_names(cls, values, "the value map")
     for decl in cls.inputs:
         if decl.kind:
             _check_input(decl, values[decl.name])

@@ -1,7 +1,9 @@
 """Workflow validation, execution, sweeps, and composition invariants."""
 
 import copy
+import math
 import pickle
+import random
 import re
 
 import pytest
@@ -10,7 +12,7 @@ import redvote
 from redvote import bayes, compose, nmr
 from redvote.errors import SolverError, ValidationError
 
-from oracles import enum_marginal
+from oracles import enum_marginal, random_net
 
 MAINT_LITERALS = {
     "PAR_6": compose.Literal(1.0),
@@ -215,6 +217,24 @@ class TestValidation:
             (compose.Export("x", compose.Ref("mu", "PAR_99")),),
         )
         with pytest.raises(ValidationError, match="no output"):
+            compose.validate_workflow(bad)
+
+    @pytest.mark.parametrize("where", ["binding", "export"])
+    def test_missing_output_error_names_its_location(self, where):
+        workflow = case_study_workflow()
+        phi, mu = workflow.instances
+        if where == "binding":
+            mu = compose.ModelInstance("mu", mu.class_name,
+                                       {**mu.bindings, "PAR_5": compose.Ref("phi", "PAR_9")})
+            message = ("instance 'mu': binding for 'PAR_5' references phi.PAR_9, "
+                       "but model class 'failure2oo2' has no output 'PAR_9'")
+            exports = workflow.exports
+        else:
+            exports = (compose.Export("X", compose.Ref("mu", "PAR_99")),)
+            message = ("export 'X' references mu.PAR_99, "
+                       "but model class 'maintenance5' has no output 'PAR_99'")
+        bad = compose.Workflow("w", (), (phi, mu), exports)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             compose.validate_workflow(bad)
 
     def test_duplicate_instance_rejected(self):
@@ -519,6 +539,155 @@ class TestInstantiate:
         for call in (compose.solve, compose.instantiate):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 call(cls, values)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"PAR_9": None}, "the value map leaves inputs unbound: PAR_9"),
+        ({"PAR_99": 1.0},
+         "the value map binds unknown input 'PAR_99' of class 'maintenance5'"),
+    ], ids=["missing", "unknown"])
+    def test_input_names_are_checked(self, change, message):
+        values = {"PAR_4": 1e-6, "PAR_5": 1e-7, "PAR_6": 1.0, "PAR_7": 0.01,
+                  "PAR_8": 1e-4, "PAR_9": 3.0, **change}
+        values = {name: value for name, value in values.items() if value is not None}
+        cls = compose.builtin_classes()["maintenance5"]
+        for call in (compose.solve, compose.instantiate):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call(cls, values)
+
+
+def _parametric(net):
+    """A template of ``net``'s structure whose entries read inputs: a binary
+    row is ``(1 - x, x)``, a wider row ``w_k / (w_0 + ... + w_{n-1})``."""
+    nodes = []
+    for var in net.variables:
+        count, cpt = var.cardinality, []
+        for r in range(len(net.cpts[var.id].table) // count):
+            if count == 2:
+                x = compose.Param(f"{var.id}_{r}")
+                cpt += [compose.BinOp("-", compose.Literal(1.0), x), x]
+            else:
+                names = [compose.Param(f"{var.id}_{r}_{k}") for k in range(count)]
+                total = names[0]
+                for name in names[1:]:
+                    total = compose.BinOp("+", total, name)
+                cpt += [compose.BinOp("/", name, total) for name in names]
+        nodes.append(compose.InlineNode(var.id, var.states, net.cpts[var.id].parents, tuple(cpt)))
+    return compose.InlineBayes("parametric", tuple(nodes))
+
+
+def _draw(rng, cls):
+    """Input values for ``_parametric``'s class; some binary rows are 0/1 gates."""
+    return {p.name: float(rng.random() < 0.5)
+            if p.name.count("_") == 1 and rng.random() < 0.2 else rng.uniform(0.01, 1.0)
+            for p in cls.inputs}
+
+
+def _cold(template, values):
+    """A build of ``template`` that finds no cached structure."""
+    compose._NETS.pop(id(template), None)
+    return compose.inline_bayes_net(template, values)
+
+
+def _cached(template):
+    return compose._NETS.get(id(template), (None,))[0] is template
+
+
+class TestStructureCache:
+    """Each template's structure is built once; every build checks its entries."""
+
+    def _assert_same_net(self, cached, cold, rng):
+        assert cached.variables == cold.variables
+        assert cached.signature == cold.signature
+        assert cached.cpts == cold.cpts
+        assert cached._tables == cold._tables
+        for vid in cold.variable_ids:
+            assert bayes.marginal(cached, vid) == bayes.marginal(cold, vid)
+        evidence = {vid: rng.choice(cold.variable(vid).states)
+                    for vid in rng.sample(cold.variable_ids, k=min(2, len(cold)))}
+        try:
+            want = bayes.posteriors(cold, evidence)
+        except SolverError as exc:  # impossible evidence
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                bayes.posteriors(cached, evidence)
+        else:
+            assert bayes.posteriors(cached, evidence) == want
+
+    def test_cached_build_equals_a_cold_build_on_the_failure_network(self):
+        rng = random.Random(2011)
+        cls = nmr.failure_class()
+        nmr.build_failure_bn(nmr.DEFAULT_FAILURE_PARAMS)
+        for _ in range(20):
+            values = {"PAR_1": 10 ** rng.uniform(-6, -4), "PAR_2": 10 ** rng.uniform(-2, -0.3),
+                      "PAR_3": 10 ** rng.uniform(-4, -1)}
+            cached = compose.instantiate(cls, values)
+            assert cached.variables is nmr.build_failure_bn(nmr.DEFAULT_FAILURE_PARAMS).variables
+            cold = _cold(cls.template, values)
+            assert cold.variables is not cached.variables
+            self._assert_same_net(cached, cold, rng)
+        # an equal template of its own is built cold, to the same net
+        twin = copy.deepcopy(cls.template)
+        assert twin == cls.template and not _cached(twin)
+        self._assert_same_net(compose.inline_bayes_net(twin, values), cold, rng)
+        assert _cached(twin) and _cached(cls.template)
+
+    def test_cached_build_equals_a_cold_build_on_random_parametric_networks(self):
+        rng = random.Random(2012)
+        for _ in range(30):
+            template = _parametric(random_net(rng, max_nodes=6, gates=0.2, max_states=4))
+            cls = compose.class_from_inline(template)
+            _cold(template, _draw(rng, cls))  # the structure, from other values
+            values = _draw(rng, cls)
+            cached = compose.inline_bayes_net(template, values)
+            self._assert_same_net(cached, _cold(template, values), rng)
+
+    #: ``A`` reads ``a``; ``B``'s first row divides by ``d``; ``C`` reads ``c0``, ``c1``.
+    FAULTY = compose.InlineBayes("faulty", (
+        compose.InlineNode("A", ("F", "T"), (), (
+            compose.BinOp("-", compose.Literal(1.0), compose.Param("a")), compose.Param("a"))),
+        compose.InlineNode("B", ("F", "T"), ("A",), (
+            compose.BinOp("/", compose.Literal(0.5), compose.Param("d")), compose.Literal(0.5),
+            compose.Literal(0.25), compose.Literal(0.75))),
+        compose.InlineNode("C", ("lo", "hi"), (), (compose.Param("c0"), compose.Param("c1"))),
+    ))
+    GOOD = {"a": 0.25, "d": 1.0, "c0": 0.5, "c1": 0.5}
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"a": 1.5}, ValidationError,
+         "CPT row () for 'A' has its entry for state 'F' at -0.5, outside [0, 1]"),
+        ({"c1": 0.5 + 2**-28}, ValidationError,
+         "CPT row () for 'C' sums to 1.0000000037252903, not 1"),
+        ({"c0": math.nan}, ValidationError,
+         "CPT row () for 'C' has its entry for state 'lo' at nan, outside [0, 1]"),
+        ({"d": 0.0}, SolverError, "node 'B': division by zero in a table entry"),
+    ], ids=["range", "row-sum", "nan", "division"])
+    def test_entry_faults_on_first_and_cached_builds(self, change, error, message):
+        values = {**self.GOOD, **change}
+        compose._NETS.pop(id(self.FAULTY), None)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            compose.inline_bayes_net(self.FAULTY, values)
+        assert not _cached(self.FAULTY)  # a failed first build is not kept
+        compose.inline_bayes_net(self.FAULTY, self.GOOD)
+        assert _cached(self.FAULTY)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            compose.inline_bayes_net(self.FAULTY, values)
+
+    def test_a_faulty_structure_is_never_cached(self):
+        # B's table has one row too few for its parent
+        template = self.FAULTY._replace(nodes=self.FAULTY.nodes[:1] + (
+            self.FAULTY.nodes[1]._replace(cpt=self.FAULTY.nodes[1].cpt[:2]),))
+        cls = compose.class_from_inline(template)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="^node 'B' needs 4 table entries, got 2$"):
+                compose.solve(cls, {"a": 0.25, "d": 1.0})
+            assert not _cached(template)
+
+    def test_with_tables_refuses_tables_of_another_shape(self):
+        net = compose.inline_bayes_net(self.FAULTY, self.GOOD)
+        tables = [list(table) for table in net._tables]
+        for bad in (tables[:2], tables + [[0.5, 0.5]], [tables[0], tables[1][:2], tables[2]]):
+            with pytest.raises(ValidationError, match="table count and lengths"):
+                bayes.with_tables(net, bad)
+        assert bayes.with_tables(net, tables).cpts == net.cpts
 
 
 class TestSweep:
