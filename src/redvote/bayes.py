@@ -16,14 +16,15 @@ and plain sequences beat array routines, whose per-call overhead (and
 import) costs more than the arithmetic. A network's structure, its parent
 graph and the length of each table, is checked by :func:`check_structure`,
 which `compose.check_records` runs too, so a `.rvm` file's faults are found
-as it is read. :func:`build_net` checks a structure and then the entries,
-in whole-table passes; :func:`with_tables` puts new tables into a built
-net's structure and checks only their entries, in the same passes. So
-`compose` builds each network template's structure once, and every build
-checks its entries. The min-fill order and the plan, which reads every
-factor through precomputed gather indices, depend only on the network's
-structure and the target, so each is computed once per (structure, target)
-pair and reused across parameter values and evidence.
+as it is read. :func:`build_net` checks a structure and then every entry,
+in whole-table passes; :func:`with_tables` replaces some of a built net's
+tables, shares the others, and checks only the new tables' entries, in the
+same passes. So `compose` builds and checks each network template once, and
+a later build evaluates and checks only the tables that read an input. The
+min-fill order and the plan, which reads every factor through precomputed
+gather indices, depend only on the network's structure and the target, so
+each is computed once per (structure, target) pair and reused across
+parameter values and evidence.
 An observation enters as an indicator on its variable's own table
 (Darwiche 2003), not as a change of plan.
 
@@ -131,7 +132,6 @@ class BayesNet:
         self.signature = signature
         self._by_id = by_id
         self._tables = tables  # in variable order
-        _check_entries(signature, tables, by_id)
 
     @property
     def cpts(self) -> dict[str, Cpt]:
@@ -188,24 +188,30 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
     signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
     tables = tuple(cpt_map[var.id].table for var in vars_)
     check_structure(signature, tuple(map(len, tables)))
+    _check_entries(signature, tables, by_id)
     return BayesNet(vars_, signature, by_id, tables)
 
 
-def with_tables(net: BayesNet, tables: Sequence[Sequence[float]]) -> BayesNet:
-    """``net``'s structure with ``tables``, one per variable in variable
-    order and each as long as ``net``'s own: the network :func:`build_net`
-    would build from ``net``'s variables and these tables, its entries
-    checked the same way, without checking the structure again. The new
-    net shares ``net``'s variables, signature and variable map.
+def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNet:
+    """``net`` with the table of each node ``signature[j]`` replaced by
+    ``tables[j]``, as long as ``net``'s own: the network :func:`build_net`
+    would build from ``net``'s variables and tables so replaced. Only the
+    new tables are checked, in the same passes, so the first entry fault
+    among them in variable order is named; every other table, and the
+    variables, signature and variable map, are ``net``'s own objects.
 
     Raises:
-        ValidationError: a table count or length that differs from
-            ``net``'s, or an entry fault :func:`build_net` names.
+        ValidationError: a ``j`` outside ``net`` or a table of another
+            length, or an entry fault :func:`build_net` names.
     """
-    if list(map(len, tables)) != list(map(len, net._tables)):
-        raise ValidationError("new tables must match the network's table count and lengths")
-    tables = tuple(tuple(map(float, table)) for table in tables)  # as a Cpt holds them
-    return BayesNet(net.variables, net.signature, net._by_id, tables)
+    new = list(net._tables)
+    for slot, table in tables.items():
+        if slot not in range(len(new)) or len(table) != len(new[slot]):
+            raise ValidationError("new tables must match the network's table count and lengths")
+        new[slot] = tuple(map(float, table))  # as a Cpt holds them
+    slots = sorted(tables)
+    _check_entries([net.signature[j] for j in slots], [new[j] for j in slots], net._by_id)
+    return BayesNet(net.variables, net.signature, net._by_id, tuple(new))
 
 
 def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
@@ -425,7 +431,7 @@ def _emit(lines: list[str], prefix: str, rows: Iterable[Sequence[str]], op: str)
 def _kernel_source(signature: Signature) -> str:
     """Source of ``k(a0, ..., a{n-1})``: ``_plan(signature, None)`` over the
     ``n`` slot tables as straight-line code, returning ``P(v, evidence)``
-    of each eliminated variable ``v``, the last eliminated first. Its names
+    of each variable ``v``, in variable order. Its names
     hold step, slot and entry numbers only: ``a`` for slot entries, ``b``
     and ``p`` for a step's table-only product and product, ``g`` for a
     result's adjoint (Darwiche 2003), ``l`` and ``r`` for prefix and suffix
@@ -453,13 +459,14 @@ def _kernel_source(signature: Signature) -> str:
         sums = [product[i:i + group] for i in range(0, len(product), group)]
         names[n + t] = _emit(lines, f"a{n + t}", sums, " + ")
         kept.append((product, base[0] if len(base) == 1 else None, results))
-    adjoints, masses = {n + len(plan.steps) - 1: ["1.0"]}, []
+    adjoints, masses = {n + len(plan.steps) - 1: ["1.0"]}, {}
     for t in reversed(range(len(plan.steps))):
         (product, base, results), group = kept[t], plan.steps[t][1]
         adjoint = [g for g in adjoints.pop(n + t) for _ in range(group)]
         if t < len(plan.order):
             pairs = list(map("{} * {}".format, adjoint, product))
-            masses.append("".join(f"sum(({', '.join(pairs[k::group])},)), " for k in range(group)))
+            masses[plan.order[t]] = "".join(
+                f"sum(({', '.join(pairs[k::group])},)), " for k in range(group))
         if base is not None:
             adjoint = list(map("{} * {}".format, adjoint, base))
         columns = [column for _, _, column in results]
@@ -478,7 +485,7 @@ def _kernel_source(signature: Signature) -> str:
             for term, entry in zip(terms, index):
                 by_entry[entry].append(term)
             adjoints[slot] = _emit(lines, f"g{slot}", by_entry, " + ")
-    lines.append(f"return {''.join(f'({mass}), ' for mass in masses)}")
+    lines.append(f"return {''.join(f'({masses[vid]}), ' for vid, _, _ in signature)}")
     return f"def k({', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
 
 
@@ -558,9 +565,8 @@ def posteriors(net: BayesNet, evidence: Evidence) -> dict[str, Distribution]:
     variable is an exact point mass.
     """
     masses = _kernel(net.signature)(*_indicated(net, evidence))
-    dists = {vid: _distribution(net._by_id[vid], mass, evidence)
-             for vid, mass in zip(reversed(_plan(net.signature, None).order), masses)}
-    return {vid: dists[vid] for vid in net.variable_ids}
+    return {var.id: _distribution(var, mass, evidence)
+            for var, mass in zip(net.variables, masses)}
 
 
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:

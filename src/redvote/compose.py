@@ -265,43 +265,48 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
     return ctmc.Ctmc(template.states, template.initial, tuple(transitions))
 
 
-#: The first successful build of each network template, keyed by the
-#: template's ``id``: hashing the failure network's template would cost 5 to
-#: 9 microseconds a build (2-core container, CPython 3.11). Each entry keeps
-#: its template alive, so no other object takes that ``id`` while the entry
-#: stands. Bounded like the plan caches.
-_NETS: dict[int, tuple[InlineBayes, bayes.BayesNet]] = {}
+#: The first successful build of each network template, and the positions
+#: of the nodes whose table reads an input, having an entry that is not a
+#: :class:`Literal`: a table of literals is the same at every build, and the
+#: kept build checked it. Keyed by the template's ``id``: hashing the failure
+#: network's template would cost 5 to 9 microseconds a build (2-core
+#: container, CPython 3.11). Each entry keeps its template alive, so no other
+#: object takes that ``id`` while the entry stands. Bounded like the plan
+#: caches.
+_NETS: dict[int, tuple[InlineBayes, bayes.BayesNet, tuple[int, ...]]] = {}
 
 
 def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
     """The network with its inputs set to ``values``; a node's evaluated
-    entries are its table, in the same layout. Every build checks every
-    entry, so an entry outside [0, 1] or a row that does not sum to 1
+    entries are its table, in the same layout. Every entry of a build is
+    checked, so an entry outside [0, 1] or a row that does not sum to 1
     raises :class:`ValidationError`; a division by zero in an entry raises
-    :class:`SolverError` naming the node. The structure is built and
-    checked once per template: the first build that succeeds goes through
-    :func:`bayes.build_net` and is kept, and later builds of the same
-    template object put their tables into its structure with
-    :func:`bayes.with_tables`."""
-    kept, net = _NETS.get(id(template), (None, None))
+    :class:`SolverError` naming the node. The first build of a template
+    that succeeds goes through :func:`bayes.build_net` and is kept; later
+    builds of the same template object evaluate only the tables that read
+    an input and put them into the kept net with :func:`bayes.with_tables`,
+    which checks only those."""
+    kept, net, slots = _NETS.get(id(template), (None, None, None))
     if kept is not template:
-        net = None
+        net, slots = None, range(len(template.nodes))
         variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
-    tables = []
-    for node in template.nodes:
+    tables = {}
+    for j in slots:
+        node = template.nodes[j]
         # most entries are literals, and reading them directly halves the cost
         try:
-            tables.append([e.value if type(e) is Literal
-                           else eval_expr(e, lambda p: values[p.name]) for e in node.cpt])
+            tables[j] = [e.value if type(e) is Literal
+                         else eval_expr(e, lambda p: values[p.name]) for e in node.cpt]
         except SolverError as exc:
             raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
     if net is not None:
         return bayes.with_tables(net, tables)
-    net = bayes.build_net(variables, [bayes.Cpt(node.id, node.parents, table)
-                                      for node, table in zip(template.nodes, tables)])
+    net = bayes.build_net(variables, [bayes.Cpt(node.id, node.parents, tables[j])
+                                      for j, node in enumerate(template.nodes)])
     if len(_NETS) >= bayes.PLAN_CACHE_SIZE:
         _NETS.clear()  # one call, safe while other threads build
-    _NETS[id(template)] = template, net
+    _NETS[id(template)] = template, net, tuple(
+        j for j, node in enumerate(template.nodes) if any(type(e) is not Literal for e in node.cpt))
     return net
 
 

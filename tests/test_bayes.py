@@ -810,6 +810,7 @@ class TestPlanCache:
     def test_posteriors_compile_one_plan_per_structure(self):
         net = nmr.build_failure_bn(nmr.FailureParams(1.6666e-5, 0.1, 0.1))
         bayes._plan.cache_clear()
+        bayes._kernel.cache_clear()  # a compiled kernel reads no plan
         for vid in net.variable_ids:
             for state in net.variable(vid).states:
                 try:

@@ -555,13 +555,17 @@ class TestInstantiate:
                 call(cls, values)
 
 
-def _parametric(net):
+def _parametric(net, rng):
     """A template of ``net``'s structure whose entries read inputs: a binary
-    row is ``(1 - x, x)``, a wider row ``w_k / (w_0 + ... + w_{n-1})``."""
+    row is ``(1 - x, x)``, a wider row ``w_k / (w_0 + ... + w_{n-1})``.
+    About a third of the nodes, drawn by ``rng``, keep ``net``'s table as
+    literals instead."""
     nodes = []
     for var in net.variables:
         count, cpt = var.cardinality, []
-        for r in range(len(net.cpts[var.id].table) // count):
+        if rng.random() < 1 / 3:
+            cpt = list(map(compose.Literal, net.cpts[var.id].table))
+        for r in range(0 if cpt else len(net.cpts[var.id].table) // count):
             if count == 2:
                 x = compose.Param(f"{var.id}_{r}")
                 cpt += [compose.BinOp("-", compose.Literal(1.0), x), x]
@@ -633,7 +637,7 @@ class TestStructureCache:
     def test_cached_build_equals_a_cold_build_on_random_parametric_networks(self):
         rng = random.Random(2012)
         for _ in range(30):
-            template = _parametric(random_net(rng, max_nodes=6, gates=0.2, max_states=4))
+            template = _parametric(random_net(rng, max_nodes=6, gates=0.2, max_states=4), rng)
             cls = compose.class_from_inline(template)
             _cold(template, _draw(rng, cls))  # the structure, from other values
             values = _draw(rng, cls)
@@ -683,11 +687,56 @@ class TestStructureCache:
 
     def test_with_tables_refuses_tables_of_another_shape(self):
         net = compose.inline_bayes_net(self.FAULTY, self.GOOD)
-        tables = [list(table) for table in net._tables]
-        for bad in (tables[:2], tables + [[0.5, 0.5]], [tables[0], tables[1][:2], tables[2]]):
+        tables = dict(enumerate(map(list, net._tables)))
+        for bad in ({3: [0.5, 0.5]}, {-1: tables[2]}, {"C": tables[2]}, {1: tables[1][:2]},
+                    {0: tables[0] + [0.5, 0.5]}):
             with pytest.raises(ValidationError, match="table count and lengths"):
                 bayes.with_tables(net, bad)
         assert bayes.with_tables(net, tables).cpts == net.cpts
+        assert bayes.with_tables(net, {}).cpts == net.cpts
+
+    def test_later_builds_evaluate_and_check_only_the_tables_that_read_an_input(
+            self, monkeypatch):
+        checked = []
+
+        def check_entries(signature, tables, by_id):
+            checked.append(len(tables))
+            return entry_check(signature, tables, by_id)
+
+        entry_check = bayes._check_entries
+        monkeypatch.setattr(bayes, "_check_entries", check_entries)
+        cls = nmr.failure_class()
+        first = _cold(cls.template, {"PAR_1": 1e-5, "PAR_2": 0.1, "PAR_3": 1e-3})
+        later = compose.instantiate(cls, {"PAR_1": 2e-5, "PAR_2": 0.2, "PAR_3": 2e-3})
+        assert checked == [24, 5]
+        shared = [a is b for a, b in zip(first._tables, later._tables)]
+        assert len(shared) == 24 and shared.count(True) == 19
+        assert [later.variables[j].id for j, kept in enumerate(shared) if not kept] == [
+            "Fault_A", "Fault_detectability_A", "Fault_B", "Fault_detectability_B",
+            "Same_output_alterations"]
+
+    def test_a_faulty_literal_table_fails_every_build_and_is_never_kept(self):
+        # B's second row, all literals, sums to 0.75; A reads an input
+        template = self.FAULTY._replace(nodes=(
+            self.FAULTY.nodes[0],
+            self.FAULTY.nodes[1]._replace(cpt=tuple(map(compose.Literal, (0.5, 0.5, 0.25, 0.5))))))
+        for a in (0.25, 0.5, 0.25):
+            with pytest.raises(ValidationError,
+                               match=r"^CPT row \('T',\) for 'B' sums to 0.75, not 1$"):
+                compose.inline_bayes_net(template, {"a": a})
+            assert not _cached(template)
+
+    def test_a_constant_expression_table_is_the_same_on_every_build(self):
+        # C's entries are expressions that read no input
+        template = self.FAULTY._replace(nodes=self.FAULTY.nodes[:2] + (
+            self.FAULTY.nodes[2]._replace(cpt=(
+                compose.BinOp("-", compose.Literal(1.0), compose.Literal(0.7)),
+                compose.BinOp("/", compose.Literal(7.0), compose.Literal(10.0)))),))
+        first = _cold(template, {"a": 0.25, "d": 1.0})
+        assert first._tables[2] == (0.30000000000000004, 0.7)
+        for a in (0.5, 0.125):
+            later = compose.inline_bayes_net(template, {"a": a, "d": 1.0})
+            assert _cached(template) and later._tables[2] == first._tables[2]
 
 
 class TestSweep:
