@@ -29,13 +29,13 @@ An observation enters as an indicator on its variable's own table
 (Darwiche 2003), not as a change of plan.
 
 :func:`marginal` runs the plan of its one target step by step.
-:func:`posteriors` runs one kernel per structure, compiled on its first
-call: the all-variable plan and its adjoint pass as straight-line Python.
-Compiling costs that call 7 to 11 ms on the failure network, 20 to 40 ms
-per 1,000 product entries (2-core container, CPython 3.11), and saves each
-later call about 0.2 ms, so it pays after 40 to 50 calls on one structure.
-A `solve` runs each per-target plan once or twice and would not recoup
-it, so :func:`marginal` stays interpreted.
+:func:`posteriors` runs one kernel per structure and pattern of exact
+zeros, compiled on its first call: the all-variable plan, its adjoint pass
+and the normalisation as straight-line Python, with each zero folded out.
+Compiling costs that call 7 to 9 ms on the failure network and 85 to 100
+ms on one child of 10 binary parents, 11 to 17 ms per 1,000 entries its
+plan reads (2-core container, CPython 3.11). A `solve` runs a per-target
+plan once or twice and would not recoup it: :func:`marginal` stays interpreted.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ Evidence = Mapping[str, str]
 
 #: Structure of a net: ``(variable id, parents, state count)`` in variable order.
 Signature = tuple[tuple[str, tuple[str, ...], int], ...]
+
+#: Positions of each table's exact zeros, in variable order.
+Zeros = tuple[tuple[int, ...], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -118,7 +121,7 @@ class BayesNet:
     concurrent queries against one net are safe.
     """
 
-    __slots__ = ("variables", "signature", "_by_id", "_tables")
+    __slots__ = ("variables", "signature", "zeros", "_by_id", "_tables")
 
     def __init__(
         self,
@@ -126,12 +129,14 @@ class BayesNet:
         signature: Signature,
         by_id: dict[str, Variable],
         tables: tuple[tuple[float, ...], ...],
+        zeros: Zeros,
     ) -> None:
         # nets of one structure share ``variables``, ``signature`` and ``by_id``
         self.variables = variables
         self.signature = signature
         self._by_id = by_id
         self._tables = tables  # in variable order
+        self.zeros = zeros
 
     @property
     def cpts(self) -> dict[str, Cpt]:
@@ -189,7 +194,7 @@ def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
     tables = tuple(cpt_map[var.id].table for var in vars_)
     check_structure(signature, tuple(map(len, tables)))
     _check_entries(signature, tables, by_id)
-    return BayesNet(vars_, signature, by_id, tables)
+    return BayesNet(vars_, signature, by_id, tables, tuple(map(_zeros, tables)))
 
 
 def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNet:
@@ -204,14 +209,20 @@ def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNe
         ValidationError: a ``j`` outside ``net`` or a table of another
             length, or an entry fault :func:`build_net` names.
     """
-    new = list(net._tables)
+    new, zeros = list(net._tables), list(net.zeros)
     for slot, table in tables.items():
         if slot not in range(len(new)) or len(table) != len(new[slot]):
             raise ValidationError("new tables must match the network's table count and lengths")
         new[slot] = tuple(map(float, table))  # as a Cpt holds them
+        zeros[slot] = _zeros(new[slot])
     slots = sorted(tables)
     _check_entries([net.signature[j] for j in slots], [new[j] for j in slots], net._by_id)
-    return BayesNet(net.variables, net.signature, net._by_id, tuple(new))
+    return BayesNet(net.variables, net.signature, net._by_id, tuple(new), tuple(zeros))
+
+
+def _zeros(table: Sequence[float]) -> tuple[int, ...]:
+    """Positions of a table's entries that are exactly 0 (or -0.0)."""
+    return tuple(i for i, p in enumerate(table) if not p) if 0.0 in table else ()
 
 
 def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
@@ -416,30 +427,46 @@ def _plan(signature: Signature, target: str | None) -> _Plan:
 _CHAIN = 200
 
 
-def _emit(lines: list[str], prefix: str, rows: Iterable[Sequence[str]], op: str) -> list[str]:
+def _emit(lines: list[str], prefix: str, rows: Iterable[Sequence], op: str) -> list:
     """Append ``{prefix}_{i} = row[0] op row[1] op ...`` for each row,
-    evaluated left to right, to ``lines``; returns the names."""
+    evaluated left to right, to ``lines``; returns the names. A term
+    ``None`` is an exact zero: a product with one is ``None``, a sum leaves
+    it out, and a row left empty gets no line and the name ``None``."""
     names = []
     for i, row in enumerate(rows):
-        names.append(name := f"{prefix}_{i}")
-        lines.append(f"{name} = {op.join(row[:_CHAIN])}")
-        for j in range(_CHAIN, len(row), _CHAIN):
-            lines.append(f"{name} = {name}{op}{op.join(row[j:j + _CHAIN])}")
+        row = [] if op == " * " and None in row else [term for term in row if term is not None]
+        names.append(name := f"{prefix}_{i}" if row else None)
+        for j in range(0, len(row), _CHAIN):
+            lines.append(f"{name} = {name + op if j else ''}{op.join(row[j:j + _CHAIN])}")
     return names
 
 
-def _kernel_source(signature: Signature) -> str:
-    """Source of ``k(a0, ..., a{n-1})``: ``_plan(signature, None)`` over the
-    ``n`` slot tables as straight-line code, returning ``P(v, evidence)``
-    of each variable ``v``, in variable order. Its names
-    hold step, slot and entry numbers only: ``a`` for slot entries, ``b``
+def _times(*factors: str | None) -> str | None:
+    """The product of ``factors``; ``None``, an exact zero, if one is."""
+    return None if None in factors else " * ".join(factors)
+
+
+def _kernel_source(signature: Signature, zeros: Zeros) -> str:
+    """Source of ``k(v, a0, ..., a{n-1})``: ``_plan(signature, None)`` over
+    the ``n`` slot tables as straight-line code, which normalises each mass
+    ``P(u, evidence)`` as :func:`_distribution` does and returns
+    ``{id: Distribution}`` over the variables ``v``; if a mass or its sum is
+    one :func:`_distribution` refuses, it returns the masses, in variable
+    order. The entries at ``zeros`` are exact zeros and are folded out: no
+    product with one, no zero term of a sum and no adjoint of a zero entry
+    (only zero products read it) is emitted. Entries are finite and in [0,
+    1], so a dropped product is ±0.0 and leaves a non-negative sum as it
+    was: results are bit for bit the unfolded ones. Its names hold step,
+    slot, entry and variable numbers only: ``a`` for slot entries, ``b``
     and ``p`` for a step's table-only product and product, ``g`` for a
     result's adjoint (Darwiche 2003), ``l`` and ``r`` for prefix and suffix
-    products of a step's results. Products take table reads, then result
-    reads; group sums and each adjoint entry's reads add left to right, and
-    each mass is a ``sum``. A result's adjoint multiplies the step's other
-    results in step order; with three or more results it goes through their
-    prefix and suffix products, so the source stays linear in the results.
+    products of a step's results, ``m`` and ``z`` for a variable's masses
+    and their sum, ``i`` and ``s`` for its id and labels. Products take
+    table reads, then result reads; group sums and each adjoint entry's
+    reads add left to right, and each mass and sum of masses is a ``sum``.
+    A result's adjoint multiplies the step's other results in step order;
+    with three or more results it goes through their prefix and suffix
+    products, so the source stays linear in the results.
     """
     plan, n = _plan(signature, None), len(signature)
     lines, names, kept = [], {}, []  # slot -> entry names; step -> (product, base, results)
@@ -447,8 +474,9 @@ def _kernel_source(signature: Signature) -> str:
         base, results = [], []
         for slot, index, _ in reads:  # table reads first, as ``_plan`` lists them
             if slot < n:
-                names[slot] = [f"a{slot}_{i}" for i in range(max(index) + 1)]
-                lines.append(f"{', '.join(names[slot])}, = a{slot}")
+                names[slot] = [None if i in zeros[slot] else f"a{slot}_{i}"
+                               for i in range(max(index) + 1)]
+                lines.append(f"{', '.join(name or '_' for name in names[slot])}, = a{slot}")
                 base.append(list(map(names[slot].__getitem__, index)))
             else:
                 results.append((slot, index, list(map(names[slot].__getitem__, index))))
@@ -459,16 +487,18 @@ def _kernel_source(signature: Signature) -> str:
         sums = [product[i:i + group] for i in range(0, len(product), group)]
         names[n + t] = _emit(lines, f"a{n + t}", sums, " + ")
         kept.append((product, base[0] if len(base) == 1 else None, results))
-    adjoints, masses = {n + len(plan.steps) - 1: ["1.0"]}, {}
+    adjoints = {n + len(plan.steps) - 1: ["1.0"]}
+    position = {vid: j for j, (vid, _, _) in enumerate(signature)}
     for t in reversed(range(len(plan.steps))):
         (product, base, results), group = kept[t], plan.steps[t][1]
         adjoint = [g for g in adjoints.pop(n + t) for _ in range(group)]
         if t < len(plan.order):
-            pairs = list(map("{} * {}".format, adjoint, product))
-            masses[plan.order[t]] = "".join(
-                f"sum(({', '.join(pairs[k::group])},)), " for k in range(group))
+            j, pairs = position[plan.order[t]], list(map(_times, adjoint, product))
+            for k in range(group):
+                terms = ", ".join(filter(None, pairs[k::group]))
+                lines.append(f"m{j}_{k} = sum(({terms},))" if terms else f"m{j}_{k} = 0.0")
         if base is not None:
-            adjoint = list(map("{} * {}".format, adjoint, base))
+            adjoint = list(map(_times, adjoint, base))
         columns = [column for _, _, column in results]
         if len(columns) < 3:
             operands = [[adjoint, *columns[:j], *columns[j + 1:]] for j in range(len(columns))]
@@ -480,21 +510,34 @@ def _kernel_source(signature: Signature) -> str:
                 right.append(_emit(lines, f"r{t}_{j}", zip(columns[j + 1], right[-1]), " * "))
             operands = [[*pair] for pair in zip(left, reversed(right))] + [[left[-1]]]
         for (slot, index, _), parts in zip(results, operands):
-            terms = list(map(" * ".join, zip(*parts)))
             by_entry = [[] for _ in names[slot]]
-            for term, entry in zip(terms, index):
-                by_entry[entry].append(term)
+            for term, entry in zip(itertools.starmap(_times, zip(*parts)), index):
+                if names[slot][entry]:  # only zero products read a zero entry's adjoint
+                    by_entry[entry].append(term)
             adjoints[slot] = _emit(lines, f"g{slot}", by_entry, " + ")
-    lines.append(f"return {''.join(f'({masses[vid]}), ' for vid, _, _ in signature)}")
-    return f"def k({', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
+    masses, labels, dists, checks = [], [], [], [f"z{j}" for j in range(n)]
+    for j, (_, _, count) in enumerate(signature):
+        states = range(count)
+        masses.append(f"({''.join(f'm{j}_{k}, ' for k in states)})")
+        labels.append(f"(i{j}, ({''.join(f's{j}_{k}, ' for k in states)}))")
+        probabilities = ", ".join(f"s{j}_{k}: m{j}_{k} / z{j}" for k in states)
+        dists.append(f"i{j}: new(D, (i{j}, {{{probabilities}}}))")
+        checks += [f"m{j}_{k} or 1.0" for k in states]
+    # the masses are finite, so ``min`` meets no NaN; a zero mass reads as 1.0
+    test = f"if not min({', '.join(checks)}) >= {_TINY!r}: return ({', '.join(masses)},)"
+    lines += [f"z{j} = sum({row})" for j, row in enumerate(masses)]
+    lines += [test, f"{', '.join(labels)}, = v", f"return {{{', '.join(dists)}}}"]
+    return f"def k(v, {', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _kernel(signature: Signature) -> Callable[..., tuple]:
-    """:func:`_kernel_source` compiled, with nothing in its globals but the
-    ``sum`` it calls."""
-    code = compile(_kernel_source(signature), "<posteriors>", "exec")
-    return types.FunctionType(code.co_consts[0], {"sum": sum})
+def _kernel(signature: Signature, zeros: Zeros) -> Callable[..., dict | tuple]:
+    """:func:`_kernel_source` compiled, with nothing in its globals but what
+    it calls. Keyed on the net's exact zeros as well as its structure, so
+    that other zeros get a kernel of their own, never a stale one."""
+    code = compile(_kernel_source(signature, zeros), "<posteriors>", "exec")
+    return types.FunctionType(code.co_consts[0],
+                              {"sum": sum, "min": min, "new": tuple.__new__, "D": Distribution})
 
 
 def _indicated(net: BayesNet, evidence: Evidence) -> list:
@@ -561,12 +604,14 @@ def posteriors(net: BayesNet, evidence: Evidence) -> dict[str, Distribution]:
 
     The kernel of the all-variable plan (:func:`_kernel`) takes the tables
     with the observations as indicators, as in :func:`marginal`, and returns
-    each variable's ``P(v, evidence)``, normalised as there, so an observed
-    variable is an exact point mass.
+    each variable's ``P(v, evidence)`` normalised as there, so an observed
+    variable is an exact point mass. If it returns the masses instead, the
+    first variable whose mass :func:`_distribution` refuses raises.
     """
-    masses = _kernel(net.signature)(*_indicated(net, evidence))
-    return {var.id: _distribution(var, mass, evidence)
-            for var, mass in zip(net.variables, masses)}
+    out = _kernel(net.signature, net.zeros)(net.variables, *_indicated(net, evidence))
+    if type(out) is dict:
+        return out
+    return {var.id: _distribution(var, mass, evidence) for var, mass in zip(net.variables, out)}
 
 
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:

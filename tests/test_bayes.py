@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redvote import bayes, nmr
+from redvote import bayes, compose, nmr
 from redvote.errors import ValidationError, ZeroEvidenceError
 
 from oracles import (
@@ -397,6 +397,28 @@ def _step_kinds(net):
     return kinds
 
 
+def _check_posteriors(net, evidence):
+    """``posteriors(net, evidence)`` against enumeration, observed variables
+    as exact point masses; ``None`` where the evidence is impossible, which
+    must raise :class:`ZeroEvidenceError`."""
+    ids = net.variable_ids
+    index = tuple(net.state_index(v, evidence[v]) if v in evidence else slice(None) for v in ids)
+    if full_joint(net)[index].sum() == 0.0:
+        with pytest.raises(ZeroEvidenceError):
+            bayes.posteriors(net, evidence)
+        return None
+    dists = bayes.posteriors(net, evidence)
+    assert list(dists) == list(ids)
+    for vid in ids:
+        states = net.variable(vid).states
+        if vid in evidence:
+            assert [dists[vid][s] for s in states] == [float(s == evidence[vid]) for s in states]
+            continue
+        for state, p in zip(states, enum_marginal(net, vid, evidence)):
+            assert abs(dists[vid][state] - p) <= 1e-12
+    return dists
+
+
 class TestPosteriors:
     def test_matches_enumeration_on_gated_nets(self):
         rng = random.Random(909)
@@ -516,7 +538,7 @@ class TestPosteriors:
             + [bayes.Cpt(p, (), (0.3, 0.7)) for p in parents[1:]]
             + [bayes.Cpt("C", parents, table)],
         )
-        lines = bayes._kernel_source(net.signature).splitlines()
+        lines = bayes._kernel_source(net.signature, net.zeros).splitlines()
         assert max(line.count(" + ") for line in lines) == bayes._CHAIN  # the name, then a chunk
         assert any(re.match(r" (g\d+_\d+) = \1 \+ ", line) for line in lines)
         for evidence in ({}, {"C": "True"}, {"P05": "False", "C": "False"}):
@@ -536,11 +558,11 @@ class TestPosteriors:
                 [bayes.Cpt(f"R{i}", (), (p, 1.0 - p)) for i, p in enumerate(priors)])
 
         (_, small), (priors, large) = roots(150), roots(300)
-        source = bayes._kernel_source(large.signature)
-        assert len(source) < 2.5 * len(bayes._kernel_source(small.signature))
-        words = set(re.findall(r"[a-z_]\w*", source))
-        assert {w for w in words if not re.fullmatch(r"[abglpr]\d+(_\d+)*", w)} == {
-            "def", "k", "return", "sum"}
+        source = bayes._kernel_source(large.signature, large.zeros)
+        assert len(source) < 2.5 * len(bayes._kernel_source(small.signature, small.zeros))
+        words = set(re.findall(r"\b[a-z_]\w*", source))
+        assert {w for w in words if not re.fullmatch(r"[abgilmprsz]\d+(_\d+)*", w)} == {
+            "def", "k", "v", "return", "sum", "if", "not", "min", "or", "new"}
         for evidence in ({}, {"R7": "True"}):
             dists = bayes.posteriors(large, evidence)
             for i, p in enumerate(priors):
@@ -567,14 +589,69 @@ class TestPosteriors:
                 if var.id not in evidence:
                     for state, p in zip(var.states, enum_marginal(net, var.id, evidence)):
                         assert abs(dists[var.id][state] - p) <= 1e-12
-        kernel = bayes._kernel(net.signature)
-        assert kernel.__globals__ == {"sum": sum}
-        assert kernel.__code__.co_names == ("sum",)
-        source = bayes._kernel_source(net.signature)
-        assert set(source) <= set("0123456789abgp_ .,=*+():\ndefkmnrstu")
-        words = set(re.findall(r"[a-z_]\w*", source))
-        assert {w for w in words if not re.fullmatch(r"[abgp]\d+(_\d+)?", w)} == {
-            "def", "k", "return", "sum"}
+        kernel = bayes._kernel(net.signature, net.zeros)
+        assert kernel.__globals__ == {
+            "sum": sum, "min": min, "new": tuple.__new__, "D": bayes.Distribution}
+        assert set(kernel.__code__.co_names) == {"sum", "min", "new", "D"}
+        assert {type(c) for c in kernel.__code__.co_consts} <= {int, float, type(None)}
+        source = bayes._kernel_source(net.signature, net.zeros)
+        assert set(source) <= set("0123456789abgimpsvz_ .,=>*+/-():{}\nDdefklnortuw")
+        words = set(re.findall(r"\b[A-Za-z_]\w*", source))
+        assert {w for w in words if not re.fullmatch(r"[abgimpsz]\d+(_\d+)?", w)} == {
+            "def", "k", "v", "return", "sum", "if", "not", "min", "or", "new", "D"}
+
+    def test_kernel_is_keyed_on_the_exact_zeros(self):
+        # at q = 0 A's True entry is an exact zero, which the kernel folds
+        # out: q = 0.3 needs a kernel of its own, and q = 0 again reuses the first
+        q, literals = compose.Param("q"), lambda *xs: tuple(map(compose.Literal, xs))
+        template = compose.InlineBayes("zeros", (
+            compose.InlineNode("A", B, (), (compose.BinOp("-", compose.Literal(1.0), q), q)),
+            compose.InlineNode("Copy", B, ("A",), literals(1, 0, 0, 1)),
+            compose.InlineNode("C", B, ("Copy",), literals(0.9, 0.1, 0.2, 0.8)),
+        ))
+        bayes._kernel.cache_clear()
+        for value, misses, impossible in ((0.0, 1, 2), (0.3, 2, 0), (0.0, 2, 2)):
+            net = compose.inline_bayes_net(template, {"q": value})
+            results = [_check_posteriors(net, evidence) for evidence in (
+                {}, {"C": "True"}, {"Copy": "False"}, {"Copy": "True"},
+                {"A": "True", "C": "False"})]
+            assert results.count(None) == impossible
+            assert bayes._kernel.cache_info().misses == misses
+
+    def test_folded_kernel_is_bit_for_bit_the_unfolded_one(self):
+        # deterministic rows put exact zeros in most tables; the kernel that
+        # folds them out must return what the same plan returns unfolded
+        rng = random.Random(2323)
+        folded = impossible = 0
+        for _ in range(40):
+            net = random_net(rng, max_nodes=6, gates=0.9, max_states=rng.choice((2, 3)))
+            folded += any(net.zeros)
+            unfolded = bayes._kernel(net.signature, ((),) * len(net))
+            ids = net.variable_ids
+            for _ in range(3):
+                observed = rng.sample(ids, k=rng.randint(0, min(2, len(ids))))
+                evidence = {v: rng.choice(net.variable(v).states) for v in observed}
+                impossible += _check_posteriors(net, evidence) is None
+                tables = bayes._indicated(net, evidence)
+                got = bayes._kernel(net.signature, net.zeros)(net.variables, *tables)
+                assert repr(got) == repr(unfolded(net.variables, *tables))
+        assert folded > 30 and impossible > 0
+
+    def test_several_subnormal_masses_raise_naming_the_first_variable(self):
+        # given A=T, both Y's and X's True masses are subnormal (1e-320 and
+        # 1e-321); the first in variable order, Y, is named
+        net = bayes.build_net(
+            [bayes.Variable(v, B) for v in "AYX"],
+            [
+                bayes.Cpt("A", (), (1 - 1e-200, 1e-200)),
+                bayes.Cpt("Y", ("A",), (1 - 1e-120, 1e-120) * 2),
+                bayes.Cpt("X", ("A",), (1 - 1e-121, 1e-121) * 2),
+            ],
+        )
+        message = (r"^Y=True with evidence \{'A': 'True'\} has probability 1e-320, "
+                   r"below the smallest normal float$")
+        with pytest.raises(ZeroEvidenceError, match=message):
+            bayes.posteriors(net, {"A": "True"})
 
     def test_failure_net_matches_marginal(self):
         # the observed sink must come out exactly 1.0, which normalising by

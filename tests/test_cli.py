@@ -464,6 +464,29 @@ class TestPosteriors:
             4, "", "error: B=T with evidence {'A': 'T'} has probability 1e-320, "
             "below the smallest normal float\n")
 
+    def test_negative_zero_entries_print_as_zero(self, capsys, tmp_path):
+        # 0 * (0 - 1) is -0.0: the kernel folds it out as it does 0.0, so Z=T
+        # has no term at all, and no posterior prints as -0.0
+        model = tmp_path / "negzero.rvm"
+        model.write_text(
+            'workflow "w" {\n  bayes b {\n'
+            "    node A states (F, T) cpt (1 - q, q);\n"
+            "    node B states (F, T) parents (A) cpt (1, 0 * (0 - 1), 0.5, 0.5);\n"
+            "    node Z states (F, T) cpt (1, 0 * (0 - 1));\n"
+            "  }\n  instance n : b { q = 0.25; }\n  output p = n.p_B_T;\n}\n")
+        for evidence, want in (
+            ([], ["A.F,0.75", "A.T,0.25", "B.F,0.875", "B.T,0.125"]),
+            (["--evidence", "B=T"], ["A.F,0.0", "A.T,1.0", "B.F,0.0", "B.T,1.0"]),
+            (["--evidence", "A=F"], ["A.F,1.0", "A.T,0.0", "B.F,1.0", "B.T,0.0"]),
+            (["--evidence", "Z=F"], ["A.F,0.75", "A.T,0.25", "B.F,0.875", "B.T,0.125"]),
+        ):
+            code, out, err = run(capsys, "posteriors", str(model), "--instance", "n",
+                                 "--format", "csv", *evidence)
+            assert (code, err) == (0, "")
+            assert [line[len("posterior."):] for line in out.splitlines()
+                    if line.startswith("posterior.")] == want + ["Z.F,1.0", "Z.T,0.0"]
+            assert "-0" not in out
+
     def test_conflicting_evidence_exits_3_naming_both_states(self, capsys):
         code, out, err = run(
             capsys, "posteriors", CASE_STUDY, "--instance", "phi",
