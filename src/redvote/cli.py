@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, bayes, compose, dsl, report
-from .errors import SolverError, ValidationError, ZeroEvidenceError
+from .errors import SolverError, ValidationError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -251,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(loaded, int):
             return loaded
         return args.func(args, *loaded)
-    except ZeroEvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

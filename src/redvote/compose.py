@@ -189,10 +189,11 @@ class SolveResult(namedtuple("SolveResult", "instances exports provenance")):
 
 
 def builtin_classes() -> dict[str, ModelClass]:
-    """The builtin model classes by name: the records :mod:`redvote.nmr` builds."""
+    """The builtin model classes by name: :data:`redvote.nmr.FAILURE_CLASS`
+    and :data:`redvote.nmr.MAINTENANCE_CLASSES`, each built once at import."""
     from . import nmr  # nmr builds its records from this module's, so not at import
 
-    return {cls.name: cls for cls in (nmr.failure_class(), *nmr.MAINTENANCE_CLASSES.values())}
+    return {cls.name: cls for cls in (nmr.FAILURE_CLASS, *nmr.MAINTENANCE_CLASSES.values())}
 
 
 def _template_exprs(template: InlineCtmc | InlineBayes) -> Iterator[tuple[tuple, str, Expr]]:

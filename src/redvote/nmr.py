@@ -5,17 +5,19 @@ single-unit error probability and the hazardous-failure probability of a
 2oo2 system, and the state-based imperfect-maintenance chains (four, five
 and eight states) whose steady state yields the 2oo3 hazardous failure rate.
 
-Both are built once as `compose` model records: ``failure2oo2`` is an
-``InlineBayes`` whose tables hold expressions over ``PAR_1`` to ``PAR_3``,
-and ``maintenance4/5/8`` are ``InlineCtmc`` records whose rates are
-expressions over ``PAR_4`` to ``PAR_9``. These are the workflow's builtin
-classes (``compose.builtin_classes()``), instantiated, range-checked and
-solved by the same `compose` code as a model a `.rvm` file defines; that is
-their one API, and the 2oo3 figures are expressions over their outputs,
-such as ``3 * mu.PAR_10``. Three one-line functions over the records stay,
-because the benchmark builds and times them by name: :func:`build_failure_bn`
-and :func:`failure_interface` at a :class:`FailureParams`, whose last four
-fields are table constants rather than inputs, and
+Both are built once, at import, as `compose` model records:
+:data:`FAILURE_CLASS` (``failure2oo2``) is an ``InlineBayes`` whose tables
+hold expressions over ``PAR_1`` to ``PAR_3`` and literals of the constants
+that :class:`FailureParams` holds as class attributes, and
+:data:`MAINTENANCE_CLASSES` (``maintenance4/5/8``) are ``InlineCtmc`` records
+whose rates are expressions over ``PAR_4`` to ``PAR_9``. These are the
+workflow's builtin classes (``compose.builtin_classes()``), instantiated,
+range-checked and solved by the same `compose` code as a model a `.rvm`
+file defines; that is their one API, and the 2oo3 figures are expressions
+over their outputs, such as ``3 * mu.PAR_10``. Three one-line functions
+over the records stay, because the benchmark builds and times them by name:
+:func:`build_failure_bn` and :func:`failure_interface` at a
+:class:`FailureParams` of the three inputs, and
 :func:`build_maintenance_ctmc` by class name. The three chains share one
 interface, so ``maintenance4``, which has no unpowered state, accepts and
 requires ``PAR_9`` (the power-restore rate) but no rate of it reads that
@@ -33,56 +35,48 @@ published hazard figures; swapping either direction does not.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from typing import Mapping
 
 from . import bayes, compose, ctmc
 from .compose import BinOp, Literal, Param, ParamDecl
-from .errors import Checked, ValidationError
+from .errors import ValidationError
 
 BOOL_STATES = ("False", "True")
 
 UNITS = ("A", "B")
 
 
-class FailureParams(Checked, namedtuple(
-        "FailureParams", "par1 par2 par3 transient_ratio excl_fail p_activate p_miss",
-        defaults=(0.9, 1e-10, 0.1, 0.35))):
-    """Inputs of the two-unit failure network.
+class FailureParams(namedtuple("FailureParams", "par1 par2 par3")):
+    """Inputs of the two-unit failure network, ``PAR_1`` to ``PAR_3``, which
+    ``compose.instantiate`` checks against their kinds.
 
     par1: per-hour fault probability of a single unit.
     par2: ratio of permanent faults that are not diagnosable.
     par3: probability that simultaneous faults produce identical outputs.
-    transient_ratio: fraction of faults that are transient rather than permanent.
-    excl_fail: failure probability of a unit's exclusion logic.
-    p_activate: probability that a transient fault activates into an
-        undetected erroneous output within the reference hour.
-    p_miss: probability that a detectable permanent fault escapes detection
-        within the reference hour.
 
-    The last two defaults are calibrated so the reference network reproduces
-    the published per-variable probabilities; both stay overridable. The
-    last four fields are constants of the tables and are checked here; the
-    first three are the inputs ``PAR_1`` to ``PAR_3``, which
-    ``compose.instantiate`` checks against their kinds.
+    The class attributes are the constants of the network's tables. The last
+    two are calibrated so the network reproduces the published per-variable
+    probabilities. To solve it at other constants, print the builtin with
+    ``dsl.print_workflow`` and edit its literals.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args: float, **kwargs: float) -> FailureParams:
-        params = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(params._fields[3:], params[3:]):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-        return params
+    #: Fraction of faults that are transient rather than permanent.
+    transient_ratio = 0.9
+    #: Failure probability of a unit's exclusion logic.
+    excl_fail = 1e-10
+    #: Probability that a transient fault activates into an undetected error in the hour.
+    p_activate = 0.1
+    #: Probability that a detectable permanent fault escapes detection in the hour.
+    p_miss = 0.35
 
 
 # --- failure network ---------------------------------------------------------
 
-#: Reference parameterization: the constants of the builtin ``failure2oo2``
-#: and of the eight-state chain's diagnosable-fault rate.
+#: Reference inputs, which the eight-state chain's diagnosable-fault rate reads.
 DEFAULT_FAILURE_PARAMS = FailureParams(par1=1.6666e-5, par2=0.1, par3=0.1)
 
 #: The inputs of ``failure2oo2``, in the field order of :class:`FailureParams`.
@@ -97,12 +91,20 @@ def _bool_row(p: float | str) -> tuple[compose.Expr, compose.Expr]:
     return Literal(1.0 - p), Literal(p)
 
 
-@functools.lru_cache(maxsize=16)
-def _failure_class(
-    transient_ratio: float, excl_fail: float, p_activate: float, p_miss: float
-) -> compose.ModelClass:
-    """``failure2oo2`` at the given values of the :class:`FailureParams`
-    fields that are not inputs; the gate rows come from their predicates."""
+def _failure_class() -> compose.ModelClass:
+    """The ``failure2oo2`` model class, whose inputs are ``PAR_1`` to
+    ``PAR_3`` and whose other table entries are the constants of
+    :class:`FailureParams`; the gate rows come from their predicates.
+
+    Per unit, a fault is transient or permanent; transient faults may
+    activate into undetected errors, permanent faults escape either because
+    they are non-diagnosable or because detection misses them in the
+    reference hour. A unit's incorrect output becomes hazardous only when
+    both units err with identical outputs or when the erring unit's
+    exclusion logic also fails. ``PAR_4`` reads ``UNCORR_A = True`` and
+    ``PAR_5`` reads ``UNSAFE_OUTPUT = True``, one marginal each.
+    """
+    const = FailureParams  # the table constants are its class attributes
     states: dict[str, tuple[str, ...]] = {}
     nodes: list[compose.InlineNode] = []
 
@@ -126,7 +128,7 @@ def _failure_class(
         undetected = f"Undetected_permanent_{unit}"
 
         add(fault, _bool_row("PAR_1"))
-        add(ftype, (Literal(transient_ratio), Literal(1.0 - transient_ratio)),
+        add(ftype, (Literal(const.transient_ratio), Literal(1.0 - const.transient_ratio)),
             var_states=("Transient", "Permanent"))
         add(detectability, _bool_row("PAR_2"), var_states=("Detectable", "Non_detectable"))
         gate(transient, (fault, ftype), lambda c: c == ("True", "Transient"))
@@ -134,11 +136,11 @@ def _failure_class(
         gate(detectable, (permanent, detectability), lambda c: c == ("True", "Detectable"))
         gate(non_detectable, (permanent, detectability),
              lambda c: c == ("True", "Non_detectable"))
-        gate(err_transient, (transient,), lambda c: p_activate if c == ("True",) else 0.0)
+        gate(err_transient, (transient,), lambda c: const.p_activate if c == ("True",) else 0.0)
         gate(undetected, (non_detectable, detectable),
-             lambda c: 1.0 if c[0] == "True" else (p_miss if c[1] == "True" else 0.0))
+             lambda c: 1.0 if c[0] == "True" else (const.p_miss if c[1] == "True" else 0.0))
         gate(f"UNCORR_{unit}", (err_transient, undetected), lambda c: "True" in c)
-        add(f"Excl_{unit}", _bool_row(excl_fail))
+        add(f"Excl_{unit}", _bool_row(const.excl_fail))
 
     add("Same_output_alterations", _bool_row("PAR_3"))
 
@@ -159,36 +161,30 @@ def _failure_class(
     )
 
 
-def failure_class(params: FailureParams | None = None) -> compose.ModelClass:
-    """The ``failure2oo2`` model class, whose inputs are ``PAR_1`` to
-    ``PAR_3``; the other fields of ``params`` (reference defaults when
-    omitted) are constants of its tables.
-
-    Per unit, a fault is transient or permanent; transient faults may
-    activate into undetected errors, permanent faults escape either because
-    they are non-diagnosable or because detection misses them in the
-    reference hour. A unit's incorrect output becomes hazardous only when
-    both units err with identical outputs or when the erring unit's
-    exclusion logic also fails. ``PAR_4`` reads ``UNCORR_A = True`` and
-    ``PAR_5`` reads ``UNSAFE_OUTPUT = True``, one marginal each.
-    """
-    return _failure_class(*(params or DEFAULT_FAILURE_PARAMS)[3:])
-
-
 def build_failure_bn(params: FailureParams) -> bayes.BayesNet:
-    """The two-unit failure network of :func:`failure_class` at ``params``."""
-    return compose.instantiate(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
+    """The two-unit failure network of :data:`FAILURE_CLASS` at ``params``."""
+    return compose.instantiate(FAILURE_CLASS, dict(zip(_FAILURE_INPUTS, params)))
 
 
 def failure_interface(params: FailureParams) -> dict[str, float]:
-    """The outputs of :func:`failure_class` at ``params``: ``PAR_4``, the
+    """The outputs of :data:`FAILURE_CLASS` at ``params``: ``PAR_4``, the
     single-unit incorrect-output probability, and ``PAR_5``, the 2oo2
     hazardous-failure probability; both are exact marginals."""
-    return compose.solve(failure_class(params), dict(zip(_FAILURE_INPUTS, params)))
+    return compose.solve(FAILURE_CLASS, dict(zip(_FAILURE_INPUTS, params)))
 
 
 # --- maintenance chains ------------------------------------------------------
 
+# States of the five-state reference chain:
+#   S0 up, no non-diagnosable fault; S1 safe shutdown, no fault;
+#   S2 shutdown with a non-diagnosable fault; S3 up with a non-diagnosable
+#   fault (the hazardous state); S4 unpowered with such a fault.
+# The four-state chain drops S4 and folds the power-cycle path into the
+# incorrect-maintenance transition. The eight-state chain additionally
+# tracks diagnosable permanent faults (S0 split into S0p/S0s plus S5/S6
+# mirroring S2/S4); its transition set is a documented reconstruction,
+# whose diagnosable-fault rate is :data:`DIAG_FAULT_RATE`. No published
+# figure depends on the eight-state variant.
 #: Per class name: the level of detail, states, initial state, and
 #: ``(src, dst, rate name)`` rows in transition order; each rate name is a key
 #: of ``_RATES``.
@@ -291,27 +287,17 @@ def _maintenance_class(name: str) -> compose.ModelClass:
     )
 
 
-#: The maintenance model classes ``maintenance4``, ``maintenance5`` and
-#: ``maintenance8``, by name. ``PAR_10`` reads the steady-state probability of S3.
+#: The builtin model classes, each built once: ``failure2oo2``, and by name
+#: the maintenance classes ``maintenance4``, ``maintenance5`` and
+#: ``maintenance8``, whose ``PAR_10`` reads the steady-state probability of S3.
+FAILURE_CLASS = _failure_class()
 MAINTENANCE_CLASSES = {name: _maintenance_class(name) for name in _CHAINS}
 
 
 def build_maintenance_ctmc(name: str, values: Mapping[str, float]) -> ctmc.Ctmc:
     """The chain of the maintenance class ``name`` with inputs ``values``
-    (``PAR_4`` to ``PAR_9``), as ``compose.instantiate`` builds it.
-
-    States of the five-state reference chain:
-      S0 up, no non-diagnosable fault; S1 safe shutdown, no fault;
-      S2 shutdown with a non-diagnosable fault; S3 up with a non-diagnosable
-      fault (the hazardous state); S4 unpowered with such a fault.
-
-    The four-state chain drops S4 and folds the power-cycle path into the
-    incorrect-maintenance transition. The eight-state chain additionally
-    tracks diagnosable permanent faults (S0 split into S0p/S0s plus S5/S6
-    mirroring S2/S4); its transition set is a documented reconstruction,
-    whose diagnosable-fault rate is :data:`DIAG_FAULT_RATE`. No published
-    figure depends on the eight-state variant. A rate of zero denotes an
-    absent transition, so its row is left out of the chain.
+    (``PAR_4`` to ``PAR_9``), as ``compose.instantiate`` builds it. A rate
+    of zero denotes an absent transition, so its row is left out of the chain.
     """
     if name not in MAINTENANCE_CLASSES:
         raise ValidationError(f"unknown maintenance class {name!r}")

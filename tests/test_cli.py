@@ -143,6 +143,30 @@ class TestSolve:
         assert "verdict" not in out
         assert "HFR_2oo3" in err and "negative" in err
 
+    @pytest.mark.parametrize("threshold, code, verdict", [("1e-12", 0, "PASS"),
+                                                          ("1e-13", 5, "FAIL")])
+    def test_a_sole_export_is_the_verdict_metric(self, capsys, tmp_path, threshold, code,
+                                                 verdict):
+        sole = tmp_path / "sole.rvm"
+        sole.write_text(Path(CASE_STUDY).read_text().replace(
+            "  output HFR_2oo3 = 3 * mu.PAR_10;\n", "").replace(
+            "  output MTBHE_2oo3 = 1 / (3 * mu.PAR_10);\n", ""))
+        got, out, _ = run(capsys, "solve", str(sole), "--format", "json",
+                          "--threshold", threshold)
+        assert got == code
+        rep = from_json(out)
+        assert list(rep.exports) == ["HR_2oo2"]
+        assert (rep.verdict_metric, rep.verdict) == ("HR_2oo2", verdict)
+
+    def test_no_verdict_metric_among_several_exports_exits_3(self, capsys, tmp_path):
+        several = tmp_path / "several.rvm"
+        several.write_text(Path(CASE_STUDY).read_text().replace(
+            "  output HFR_2oo3 = 3 * mu.PAR_10;\n", ""))
+        code, out, err = run(capsys, "solve", str(several), "--threshold", "1e-9")
+        assert code == 3
+        assert out == ""
+        assert "cannot pick a verdict metric" in err
+
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json",
                            "--threshold", "1e-9")
@@ -160,13 +184,17 @@ class TestSolve:
         assert a.digest_region() == b.digest_region()
 
     def test_csv_is_rfc4180(self, capsys):
-        code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "csv")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["name", "value"]
-        names = [row[0] for row in rows]
-        assert "phi.PAR_4" in names
-        assert "HFR_2oo3" in names
+        for threshold, want_code, verdict_rows in [
+                ((), 0, []),
+                (("--threshold", "1e-9"), 5, [["threshold", "1e-09"], ["verdict", "FAIL"]])]:
+            code, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "csv", *threshold)
+            assert code == want_code
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["name", "value"]
+            names = [row[0] for row in rows]
+            assert "phi.PAR_4" in names
+            assert "HFR_2oo3" in names
+            assert [row for row in rows if row[0] in ("threshold", "verdict")] == verdict_rows
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1"])
@@ -325,9 +353,7 @@ def test_timestamp_is_utc_iso8601_to_the_second():
     (report.SweepReport,
      ("workflow", "parameter", "tool_version", "input_digest", "generated_at",
       "export_names", "rows"), {}),
-    (nmr.FailureParams,
-     ("par1", "par2", "par3", "transient_ratio", "excl_fail", "p_activate", "p_miss"),
-     {"transient_ratio": 0.9, "excl_fail": 1e-10, "p_activate": 0.1, "p_miss": 0.35}),
+    (nmr.FailureParams, ("par1", "par2", "par3"), {}),
     (dsl.ParseResult, ("workflow", "diagnostics", "origin"), {"origin": "<string>"}),
 ], ids=lambda value: value.__name__ if isinstance(value, type) else "")
 def test_record_fields_and_defaults(record, fields, defaults):
@@ -342,7 +368,6 @@ CHECKED_RECORDS = [
      {"transitions": (ctmc.Transition("A", "B", -1.0), ctmc.Transition("B", "A", 2.0))}),
     (bayes.Variable("A", ("F", "T")), {"states": ("F", "F")}),
     (compose.ParamDecl("x"), {"kind": "speed"}),
-    (nmr.DEFAULT_FAILURE_PARAMS, {"p_miss": 2.0}),
 ]
 
 

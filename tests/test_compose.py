@@ -618,7 +618,7 @@ class TestStructureCache:
 
     def test_cached_build_equals_a_cold_build_on_the_failure_network(self):
         rng = random.Random(2011)
-        cls = nmr.failure_class()
+        cls = nmr.FAILURE_CLASS
         nmr.build_failure_bn(nmr.DEFAULT_FAILURE_PARAMS)
         for _ in range(20):
             values = {"PAR_1": 10 ** rng.uniform(-6, -4), "PAR_2": 10 ** rng.uniform(-2, -0.3),
@@ -705,7 +705,7 @@ class TestStructureCache:
 
         entry_check = bayes._check_entries
         monkeypatch.setattr(bayes, "_check_entries", check_entries)
-        cls = nmr.failure_class()
+        cls = nmr.FAILURE_CLASS
         first = _cold(cls.template, {"PAR_1": 1e-5, "PAR_2": 0.1, "PAR_3": 1e-3})
         later = compose.instantiate(cls, {"PAR_1": 2e-5, "PAR_2": 0.2, "PAR_3": 2e-3})
         assert checked == [24, 5]
@@ -737,6 +737,19 @@ class TestStructureCache:
         for a in (0.5, 0.125):
             later = compose.inline_bayes_net(template, {"a": a, "d": 1.0})
             assert _cached(template) and later._tables[2] == first._tables[2]
+
+    def test_the_cache_is_bounded_and_an_evicted_template_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(compose, "_NETS", {})  # the entries other tests read stay
+        templates = [self.FAULTY._replace(name=f"t{i}")
+                     for i in range(bayes.PLAN_CACHE_SIZE + 1)]
+        first = compose.inline_bayes_net(templates[0], self.GOOD)
+        for template in templates[1:]:
+            compose.inline_bayes_net(template, self.GOOD)
+            assert len(compose._NETS) <= bayes.PLAN_CACHE_SIZE
+        assert not _cached(templates[0])  # the last build cleared the full cache
+        rebuilt = compose.inline_bayes_net(templates[0], self.GOOD)
+        assert _cached(templates[0]) and rebuilt is not first
+        self._assert_same_net(rebuilt, first, random.Random(2013))
 
 
 class TestSweep:
