@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .bayes import (
     BayesNet,
-    Cpt,
     Distribution,
     Evidence,
+    Node,
     Variable,
     build_net,
     elimination_order,
@@ -24,7 +24,6 @@ from .compose import (
     Export,
     InlineBayes,
     InlineCtmc,
-    InlineNode,
     Literal,
     ModelClass,
     ModelInstance,
@@ -47,14 +46,14 @@ from .report import AnalysisReport
 __all__ = [
     "__version__",
     # bayes
-    "BayesNet", "Cpt", "Distribution", "Evidence", "Variable", "build_net",
+    "BayesNet", "Distribution", "Evidence", "Node", "Variable", "build_net",
     "elimination_order", "marginal", "posterior_report", "posteriors",
     # ctmc
     "Ctmc", "Transition", "reachable_closed_class", "steady_state",
     # concrete models
     "FailureParams", "build_failure_bn", "build_maintenance_ctmc", "failure_interface",
     # composition
-    "BinOp", "Export", "InlineBayes", "InlineCtmc", "InlineNode", "Literal",
+    "BinOp", "Export", "InlineBayes", "InlineCtmc", "Literal",
     "ModelClass", "ModelInstance", "Param", "ParamDecl", "Ref", "SolveResult",
     "Workflow", "builtin_classes", "run_workflow", "sweep", "validate_workflow",
     # dsl

@@ -8,23 +8,25 @@ double range, so a log-space transform would only cost reproducibility
 against brute-force enumeration; an evidence probability below the smallest
 normal float, which has lost bits, is refused rather than divided by.
 
-A table has one format from :class:`Cpt` to the solver: flat and
-row-major, parents in order with the first slowest and the child's state
-fastest, the layout of a `.rvm` node's ``cpt`` list. At this size no factor
-has more than a few dozen entries, so the fixed cost of each call dominates,
-and plain sequences beat array routines, whose per-call overhead (and
-import) costs more than the arithmetic. A network's structure, its parent
+A node is one :class:`Node` record: its id, states, parents and table. A
+table has one format from the record to the solver: flat and row-major,
+parents in order with the first slowest and the child's state fastest, the
+layout of a `.rvm` node's ``cpt`` list. At this size no factor has more than
+a few dozen entries, so the fixed cost of each call dominates, and plain
+sequences beat array routines, whose per-call overhead (and import) costs
+more than the arithmetic. A network's structure, its state labels, parent
 graph and the length of each table, is checked by :func:`check_structure`,
 which `compose.check_records` runs too, so a `.rvm` file's faults are found
-as it is read. :func:`build_net` checks a structure and then every entry,
-in whole-table passes; :func:`with_tables` replaces some of a built net's
-tables, shares the others, and checks only the new tables' entries, in the
-same passes. So `compose` builds and checks each network template once, and
-a later build evaluates and checks only the tables that read an input. The
-min-fill order and the plan, which reads every factor through precomputed
-gather indices, depend only on the network's structure and the target, so
-each is computed once per (structure, target) pair and reused across
-parameter values and evidence.
+as it is read. :func:`build_net` checks a structure and then hands every
+table to :func:`with_tables`, which converts each table to floats, notes its
+exact zeros and checks its entries in whole-table passes; a later refill
+of some of a built net's tables goes through it too, shares the others, and
+checks only the new ones. So `compose` builds and checks each network
+template once, and a later build evaluates and checks only the tables that
+read an input. The plan, which reads every factor through precomputed
+gather indices, depends only on the network's structure and the target, so
+it is computed once per (structure, target) pair, min-fill order included,
+and reused across parameter values and evidence.
 An observation enters as an indicator on its variable's own table
 (Darwiche 2003), not as a change of plan.
 
@@ -47,7 +49,7 @@ import math
 import types
 from collections import namedtuple
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import Checked, ValidationError, ZeroEvidenceError
 
@@ -65,7 +67,7 @@ ROW_SUM_TOLERANCE = 1e-9
 #: The smallest normal float: a probability below it, unless 0, has lost bits.
 _TINY = 2.0 ** -1022
 
-#: Bound on the number of cached network structures, min-fill orders and plans.
+#: Bound on the number of cached network builds, plans and kernels.
 PLAN_CACHE_SIZE = 128
 
 
@@ -89,19 +91,14 @@ class Variable(Checked, namedtuple("Variable", "id states")):
         return len(self.states)
 
 
-class Cpt(Checked, namedtuple("Cpt", "child parents table")):
-    """Conditional probability table for one child variable.
-
-    ``parents`` is a tuple of variable ids. ``table`` is the flat row-major
-    tuple of entries: one row per parent-state combination, first parent
-    slowest, each row the distribution over the child's states in their
-    order. A root has one row.
-    """
+class Node(namedtuple("Node", "id states parents cpt")):
+    """One network node: its id, its sequence of state labels, the ids of its
+    parents, and ``cpt``, the flat row-major sequence of its table's entries:
+    one row per parent-state combination, first parent slowest, each row the
+    distribution over the node's states in their order. A root has one row.
+    Building one checks nothing; :func:`build_net` checks every field."""
 
     __slots__ = ()
-
-    def __new__(cls, child: str, parents: Iterable[str], table: Iterable[float]) -> Cpt:
-        return tuple.__new__(cls, (child, tuple(parents), tuple(map(float, table))))
 
 
 class Distribution(namedtuple("Distribution", "variable probabilities")):
@@ -139,11 +136,11 @@ class BayesNet:
         self.zeros = zeros
 
     @property
-    def cpts(self) -> dict[str, Cpt]:
-        """Each variable's table, keyed by variable id in variable order;
+    def cpts(self) -> dict[str, Node]:
+        """Each variable's node, keyed by variable id in variable order;
         each read builds the records afresh from the flat tables."""
-        return {vid: Cpt(vid, parents, table)
-                for (vid, parents, _), table in zip(self.signature, self._tables)}
+        return {var.id: Node(*var, parents, table) for var, (_, parents, _), table
+                in zip(self.variables, self.signature, self._tables)}
 
     @property
     def variable_ids(self) -> tuple[str, ...]:
@@ -168,52 +165,44 @@ class BayesNet:
         return len(self.variables)
 
 
-def build_net(variables: Iterable[Variable], cpts: Iterable[Cpt]) -> BayesNet:
+def build_net(nodes: Iterable[Node]) -> BayesNet:
     """Validate and assemble a network; malformed input is rejected, never repaired.
 
     Raises:
-        ValidationError: a CPT for an undeclared variable, none or more than
-            one for a declared one, a fault :func:`check_structure` finds,
-            an entry outside [0, 1] or a row whose left-to-right sum is off 1
-            by more than 1e-9, named by a row loop that runs only on a fault.
+        ValidationError: a fault :func:`check_structure` finds, or an entry
+            fault :func:`with_tables` names.
     """
-    vars_ = tuple(variables)
-    by_id = {var.id: var for var in vars_}
-    cpt_map: dict[str, Cpt] = {}
-    for cpt in cpts:
-        if cpt.child not in by_id:
-            raise ValidationError(f"CPT child {cpt.child!r} is not a declared variable")
-        if cpt.child in cpt_map:
-            raise ValidationError(f"variable {cpt.child!r} has more than one CPT")
-        cpt_map[cpt.child] = cpt
-    missing = [v.id for v in vars_ if v.id not in cpt_map]
-    if missing:
-        raise ValidationError(f"missing CPT for: {', '.join(missing)}")
-
-    signature = tuple((var.id, cpt_map[var.id].parents, var.cardinality) for var in vars_)
-    tables = tuple(cpt_map[var.id].table for var in vars_)
-    check_structure(signature, tuple(map(len, tables)))
-    _check_entries(signature, tables, by_id)
-    return BayesNet(vars_, signature, by_id, tables, tuple(map(_zeros, tables)))
+    nodes = tuple(nodes)
+    check_structure(nodes)
+    variables = tuple(Variable(node.id, node.states) for node in nodes)
+    signature = tuple((node.id, tuple(node.parents), len(node.states)) for node in nodes)
+    # ``with_tables`` replaces every table, so the entries as given only fix the lengths
+    tables = tuple(node.cpt for node in nodes)
+    net = BayesNet(variables, signature, {var.id: var for var in variables}, tables,
+                   ((),) * len(nodes))
+    return with_tables(net, dict(enumerate(tables)))
 
 
 def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNet:
     """``net`` with the table of each node ``signature[j]`` replaced by
-    ``tables[j]``, as long as ``net``'s own: the network :func:`build_net`
-    would build from ``net``'s variables and tables so replaced. Only the
-    new tables are checked, in the same passes, so the first entry fault
-    among them in variable order is named; every other table, and the
-    variables, signature and variable map, are ``net``'s own objects.
+    ``tables[j]``, as long as ``net``'s own: the one way a table enters a
+    net, which :func:`build_net` takes for every table. Each new table is
+    converted to floats and its exact zeros are noted. Only the new tables
+    are checked, in whole-table passes, so the first entry fault among them
+    in variable order is named; every other table, and the variables,
+    signature and variable map, are ``net``'s own objects.
 
     Raises:
         ValidationError: a ``j`` outside ``net`` or a table of another
-            length, or an entry fault :func:`build_net` names.
+            length, an entry outside [0, 1] or a row whose left-to-right sum
+            is off 1 by more than 1e-9, named by a row loop that runs only
+            on a fault.
     """
     new, zeros = list(net._tables), list(net.zeros)
     for slot, table in tables.items():
         if slot not in range(len(new)) or len(table) != len(new[slot]):
             raise ValidationError("new tables must match the network's table count and lengths")
-        new[slot] = tuple(map(float, table))  # as a Cpt holds them
+        new[slot] = tuple(map(float, table))
         zeros[slot] = _zeros(new[slot])
     slots = sorted(tables)
     _check_entries([net.signature[j] for j in slots], [new[j] for j in slots], net._by_id)
@@ -257,22 +246,28 @@ def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
                 raise ValidationError(f"CPT row {key!r} for {vid!r} {fault}")
 
 
-def check_structure(signature: Signature, sizes: tuple[int, ...]) -> None:
-    """Check a network's structure: unique ids, parents of each node that are
-    distinct declared nodes, an acyclic parent graph, and ``sizes[j]``, the
-    length of node ``j``'s table, equal to its state count times the number
-    of its parents' state combinations.
+def check_structure(nodes: Sequence[Node]) -> None:
+    """Check a network's structure: each node's state labels as
+    :class:`Variable` checks them, unique ids, parents of each node that
+    are distinct declared nodes, an acyclic parent graph, and each node's
+    table length, its state count times the number of its parents' state
+    combinations.
 
     The cycle is looked for before any table length. A failure's
-    ``element`` is ``(j,)`` for the node ``signature[j]``; for a cycle,
+    ``element`` is ``(j,)`` for the node ``nodes[j]``; for a cycle,
     the first node of the path its message prints.
     """
+    for j, node in enumerate(nodes):
+        try:
+            Variable(node.id, node.states)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), (j,)) from None
     position: dict[str, int] = {}
-    for j, (vid, _, _) in enumerate(signature):
-        if vid in position:
-            raise ValidationError(f"duplicate node {vid!r}", (j,))
-        position[vid] = j
-    for j, (vid, parents, _) in enumerate(signature):
+    for j, node in enumerate(nodes):
+        if node.id in position:
+            raise ValidationError(f"duplicate node {node.id!r}", (j,))
+        position[node.id] = j
+    for j, (vid, _, parents, _) in enumerate(nodes):
         seen: set[str] = set()
         for parent in parents:
             if parent not in position:
@@ -281,16 +276,17 @@ def check_structure(signature: Signature, sizes: tuple[int, ...]) -> None:
                 raise ValidationError(f"node {vid!r} repeats parent {parent!r}", (j,))
             seen.add(parent)
     try:
-        graphlib.TopologicalSorter({vid: parents for vid, parents, _ in signature}).prepare()
+        graphlib.TopologicalSorter({node.id: node.parents for node in nodes}).prepare()
     except graphlib.CycleError as exc:
         path = exc.args[1]
         raise ValidationError(f"cycle in the parent graph: {' -> '.join(path)}",
                               (position[path[0]],)) from None
-    counts = {vid: count for vid, _, count in signature}
-    for j, ((vid, parents, count), size) in enumerate(zip(signature, sizes)):
-        expected = math.prod(counts[p] for p in parents) * count
-        if size != expected:
-            raise ValidationError(f"node {vid!r} needs {expected} table entries, got {size}", (j,))
+    counts = {node.id: len(node.states) for node in nodes}
+    for j, (vid, states, parents, cpt) in enumerate(nodes):
+        expected = math.prod(counts[p] for p in parents) * len(states)
+        if len(cpt) != expected:
+            raise ValidationError(f"node {vid!r} needs {expected} table entries, got {len(cpt)}",
+                                  (j,))
 
 
 # --- variable elimination ---------------------------------------------------
@@ -334,11 +330,10 @@ def elimination_order(net: BayesNet, query: str | Iterable[str]) -> tuple[str, .
     query_set = {query} if isinstance(query, str) else set(query)
     for vid in query_set:
         net.variable(vid)
-    return _min_fill(net.signature, frozenset(query_set))
+    return _min_fill(net.signature, query_set)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _min_fill(signature: Signature, query: frozenset[str]) -> tuple[str, ...]:
+def _min_fill(signature: Signature, query: Container[str]) -> tuple[str, ...]:
     neighbours: dict[str, set[str]] = {vid: set() for vid, _, _ in signature}
     for vid, parents, _ in signature:
         for a, b in itertools.combinations(parents + (vid,), 2):
@@ -350,21 +345,17 @@ def _min_fill(signature: Signature, query: frozenset[str]) -> tuple[str, ...]:
         # each missing edge is seen from both ends, and ``a`` is never its own neighbour
         return (sum(len(around - neighbours[a]) for a in around) - len(around)) // 2
 
-    fills = {vid: fill(vid) for vid in neighbours if vid not in query}
+    left = {vid for vid in neighbours if vid not in query}
     order: list[str] = []
-    while fills:
-        chosen = min(fills, key=lambda vid: (fills[vid], vid))
-        del fills[chosen]
+    while left:
+        chosen = min(left, key=lambda vid: (fill(vid), vid))
+        left.remove(chosen)
         order.append(chosen)
         around = neighbours.pop(chosen)
         for a in around:
             neighbours[a].discard(chosen)
             neighbours[a].update(around)
             neighbours[a].discard(a)
-        # only vertices within two hops of the eliminated one can change fill
-        for vid in around.union(*(neighbours[a] for a in around)):
-            if vid in fills:
-                fills[vid] = fill(vid)
     return tuple(order)
 
 
@@ -397,7 +388,7 @@ def _gather(layout: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], _Read
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(signature: Signature, target: str | None) -> _Plan:
     query = () if target is None else (target,)
-    order = _min_fill(signature, frozenset(query))
+    order = _min_fill(signature, query)
     card = {vid: n for vid, _, n in signature}
     # slot -> (variables, strides) of each live factor; a merged factor goes last
     live: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
@@ -566,7 +557,8 @@ def _distribution(var: Variable, mass: Sequence[float], evidence: Evidence) -> D
                 raise ZeroEvidenceError(
                     f"{var.id}={state} with evidence {dict(evidence)!r} has probability {m!r}, "
                     "below the smallest normal float")
-    return Distribution(var.id, dict(zip(var.states, map(z.__rtruediv__, mass))))
+    # ``+ 0.0`` turns a -0.0 mass into 0.0, as the kernel's ``sum`` does
+    return Distribution(var.id, dict(zip(var.states, [m / z + 0.0 for m in mass])))
 
 
 def marginal(net: BayesNet, target: str, evidence: Evidence | None = None) -> Distribution:

@@ -3,14 +3,15 @@
 A workflow is a DAG of model instances. Each instance belongs to a model
 class: a chain or a network whose rates or table entries are expressions
 over its typed inputs, and a table of what each output reads off the
-solution. The builtin classes (built in :mod:`redvote.nmr`) and those a
-`.rvm` file defines go through one path per formalism: :func:`instantiate`
-and :func:`solve`. A class states each output once, as a row of that table,
-and every output is a probability. Inputs are bound to literals or to
-scalar expressions over other instances' outputs; running the workflow
-solves the instances in topological order, range-checking each kinded
-input and feeding solved outputs forward, then evaluates the exported
-expressions.
+solution. A network's nodes are the :class:`bayes.Node` records that
+:func:`bayes.build_net` takes, with expressions for entries. The builtin
+classes (built in :mod:`redvote.nmr`) and those a `.rvm` file defines go
+through one path per formalism: :func:`instantiate` and :func:`solve`. A
+class states each output once, as a row of that table, and every output is
+a probability. Inputs are bound to literals or to scalar expressions over
+other instances' outputs; running the workflow solves the instances in
+topological order, range-checking each kinded input and feeding solved
+outputs forward, then evaluates the exported expressions.
 
 Only this results-feed-instantiation style of composition is implemented;
 operators that rewrite the composed models themselves are out of scope, as
@@ -114,17 +115,10 @@ class InlineCtmc(namedtuple("InlineCtmc", "name states initial rates")):
     __slots__ = ()
 
 
-class InlineNode(namedtuple("InlineNode", "id states parents cpt")):
-    """A network node; ``cpt`` lists its table's entries as expressions, one
-    row per parent-state combination (first parent slowest), each row in
-    the node's state order."""
-
-    __slots__ = ()
-
-
 class InlineBayes(namedtuple("InlineBayes", "name nodes")):
-    """A network of :class:`InlineNode`; table entries may reference the
-    class's input parameters."""
+    """A network of :class:`bayes.Node` records whose ``cpt`` lists its
+    table's entries as expressions, in the table's layout; an entry may
+    reference the class's input parameters."""
 
     __slots__ = ()
 
@@ -290,20 +284,16 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
     kept, net, slots = _NETS.get(id(template), (None, None, None))
     if kept is not template:
         net, slots = None, range(len(template.nodes))
-        variables = [bayes.Variable(node.id, node.states) for node in template.nodes]
     tables = {}
     for j in slots:
         node = template.nodes[j]
-        # most entries are literals, and reading them directly halves the cost
         try:
-            tables[j] = [e.value if type(e) is Literal
-                         else eval_expr(e, lambda p: values[p.name]) for e in node.cpt]
+            tables[j] = [eval_expr(e, lambda p: values[p.name]) for e in node.cpt]
         except SolverError as exc:
             raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
     if net is not None:
         return bayes.with_tables(net, tables)
-    net = bayes.build_net(variables, [bayes.Cpt(node.id, node.parents, tables[j])
-                                      for j, node in enumerate(template.nodes)])
+    net = bayes.build_net(node._replace(cpt=tables[j]) for j, node in enumerate(template.nodes))
     if len(_NETS) >= bayes.PLAN_CACHE_SIZE:
         _NETS.clear()  # one call, safe while other threads build
     _NETS[id(template)] = template, net, tuple(
@@ -324,17 +314,11 @@ def _check_chain(template: InlineCtmc) -> None:
 
 
 def _check_net(template: InlineBayes) -> None:
-    """An inline network's state labels, and its structure as
-    :func:`bayes.check_structure` checks it: the parent graph and the number
-    of entries of each table."""
-    for j, node in enumerate(template.nodes):
-        try:
-            bayes.Variable(node.id, node.states)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), ("nodes", j)) from None
+    """An inline network's structure as :func:`bayes.check_structure` checks
+    it: its state labels, the parent graph and the number of entries of each
+    table."""
     try:
-        bayes.check_structure(tuple((n.id, n.parents, len(n.states)) for n in template.nodes),
-                              tuple(len(n.cpt) for n in template.nodes))
+        bayes.check_structure(template.nodes)
     except ValidationError as exc:
         raise ValidationError(str(exc), ("nodes", *exc.element)) from None
 

@@ -171,13 +171,7 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     with probability exactly 0.
     """
     closed = reachable_closed_class(chain)
-    result = {state: 0.0 for state in chain.states}
-    if len(closed) == 1:
-        result[closed[0]] = 1.0
-        return result
     idx = [chain.index(s) for s in closed]
     rates = _rate_matrix(chain)
-    pi = _gth([[rates[i][j] for j in idx] for i in idx])
-    for state, value in zip(closed, pi):
-        result[state] = value
-    return result
+    pi = dict(zip(closed, _gth([[rates[i][j] for j in idx] for i in idx])))
+    return {state: pi.get(state, 0.0) for state in chain.states}

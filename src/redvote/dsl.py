@@ -50,7 +50,7 @@ import re
 from collections import namedtuple
 from typing import Callable
 
-from . import compose
+from . import bayes, compose
 from .errors import ValidationError
 
 KEYWORDS = frozenset({
@@ -343,7 +343,7 @@ class _Parser:
         self.positions[path] = self.advance()  # bayes
         name = self.expect_ident("a model")
         self.expect("{", "'{'")
-        nodes: list[compose.InlineNode] = []
+        nodes: list[bayes.Node] = []
         while self.current.kind != "}":
             if self.keyword() != "node":
                 found = self.current.text or "end of file"
@@ -364,7 +364,7 @@ class _Parser:
             cpt = self.parse_list(self.parse_expr)
             self.expect(";", "';'")
             self.positions[(*path, "nodes", len(nodes))] = nname
-            nodes.append(compose.InlineNode(nname.text, states, parents, cpt))
+            nodes.append(bayes.Node(nname.text, states, parents, cpt))
         self.expect("}", "'}'")
         self.templates.append(compose.InlineBayes(name.text, tuple(nodes)))
 

@@ -106,11 +106,11 @@ def _failure_class() -> compose.ModelClass:
     """
     const = FailureParams  # the table constants are its class attributes
     states: dict[str, tuple[str, ...]] = {}
-    nodes: list[compose.InlineNode] = []
+    nodes: list[bayes.Node] = []
 
     def add(var_id: str, cpt, parents: tuple[str, ...] = (), var_states=BOOL_STATES) -> None:
         states[var_id] = var_states
-        nodes.append(compose.InlineNode(var_id, var_states, parents, tuple(cpt)))
+        nodes.append(bayes.Node(var_id, var_states, parents, tuple(cpt)))
 
     def gate(var_id: str, parents: tuple[str, ...], p_true) -> None:
         combos = itertools.product(*(states[p] for p in parents))

@@ -34,7 +34,7 @@ def full_joint(net: bayes.BayesNet) -> np.ndarray:
         cpt = net.cpts[vid]
         scope = cpt.parents + (vid,)
         # the flat table has one axis per scope variable, in scope order
-        table = np.array(cpt.table).reshape([net.variable(v).cardinality for v in scope])
+        table = np.array(cpt.cpt).reshape([net.variable(v).cardinality for v in scope])
         table = table.transpose(sorted(range(len(scope)), key=lambda i: ids.index(scope[i])))
         joint = joint * table.reshape([net.variable(v).cardinality if v in scope else 1
                                        for v in ids])
@@ -55,7 +55,7 @@ def joint_probability(net: bayes.BayesNet, assignment: dict[str, str]) -> float:
         index = 0  # row-major over the parents, then the child's own state
         for v in cpt.parents + (vid,):
             index = index * net.variable(v).cardinality + net.state_index(v, assignment[v])
-        product *= cpt.table[index]
+        product *= cpt.cpt[index]
     return product
 
 
@@ -87,13 +87,9 @@ def random_net(
     a seed's binary nets, which pinned tests rely on, stay fixed."""
     n = rng.randint(1, max_nodes)
     ids = [f"V{i}" for i in range(n)]
-    variables = [
-        bayes.Variable(vid, ("False", "True") if max_states == 2
-                       else tuple(f"s{k}" for k in range(rng.randint(2, max_states))))
-        for vid in ids
-    ]
-    states = {var.id: var.states for var in variables}
-    cpts = []
+    states = {vid: ("False", "True") if max_states == 2
+              else tuple(f"s{k}" for k in range(rng.randint(2, max_states))) for vid in ids}
+    nodes = []
     for i, vid in enumerate(ids):
         pool = ids[:i]
         parents = tuple(sorted(rng.sample(pool, k=rng.randint(0, min(3, len(pool))))))
@@ -110,8 +106,8 @@ def random_net(
             else:
                 weights = [rng.uniform(0.05, 0.95) for _ in range(count)]
                 table += (w / sum(weights) for w in weights)
-        cpts.append(bayes.Cpt(vid, parents, table))
-    return bayes.build_net(variables, cpts)
+        nodes.append(bayes.Node(vid, states[vid], parents, table))
+    return bayes.build_net(nodes)
 
 
 def random_evidence(rng: random.Random, net: bayes.BayesNet, spare: str) -> dict[str, str]:
@@ -378,10 +374,8 @@ def random_workflow(rng: random.Random) -> compose.Workflow:
                 for _ in range(width):
                     p = round(rng.uniform(0.05, 0.95), 4)
                     cpt += [1.0 - p, p]
-                nodes.append(
-                    compose.InlineNode(f"X{ci}_{ni}", ("False", "True"), parents,
-                                       tuple(map(compose.Literal, cpt)))
-                )
+                nodes.append(bayes.Node(f"X{ci}_{ni}", ("False", "True"), parents,
+                                        tuple(map(compose.Literal, cpt))))
             template = compose.InlineBayes(f"net{ci}", tuple(nodes))
         classes.append(compose.class_from_inline(template))
 

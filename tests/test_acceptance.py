@@ -261,7 +261,7 @@ def test_c09_structural_invariants():
     worst_row = 0.0
     for candidate in nets:
         for var in candidate.variables:
-            table, count = candidate.cpts[var.id].table, var.cardinality
+            table, count = candidate.cpts[var.id].cpt, var.cardinality
             for start in range(0, len(table), count):
                 worst_row = max(worst_row, abs(sum(table[start:start + count]) - 1.0))
     gate.check(f"CPT rows sum to 1 within 1e-9 (worst {worst_row:.3g})",

@@ -67,6 +67,13 @@ class TestSolve:
         assert code == 2
         assert f"{bad}:1:" in err
 
+    def test_file_not_utf8_exits_2_with_position(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.rvm"
+        bad.write_bytes('workflow "café" { }'.encode("latin-1"))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{bad}:1:1: error: not valid UTF-8: ")
+
     def test_validation_error_exits_3(self, capsys, tmp_path):
         cyclic = tmp_path / "cyclic.rvm"
         cyclic.write_text(
@@ -345,6 +352,16 @@ def test_timestamp_is_utc_iso8601_to_the_second():
     assert abs((datetime.fromisoformat(stamp) - now).total_seconds()) <= 2.0
 
 
+@pytest.mark.parametrize("rate, note", [
+    (9.99e-10, "below the SIL-4 band (rate < 1e-09/h)"),
+    (1e-9, "inside the SIL-4 band [1e-09, 1e-08)/h"),
+    (9.99e-9, "inside the SIL-4 band [1e-09, 1e-08)/h"),
+    (1e-8, "above the SIL-4 band (rate >= 1e-08/h)"),
+])
+def test_sil_band_note_names_the_band(rate, note):
+    assert report.sil_band_note(rate) == note
+
+
 @pytest.mark.parametrize("record, fields, defaults", [
     (report.AnalysisReport,
      ("workflow", "tool_version", "input_digest", "generated_at", "instances", "exports",
@@ -380,13 +397,6 @@ def test_replace_and_make_run_the_constructor_checks(record, change):
         record._replace(**change)
     with pytest.raises(ValidationError):
         kind._make(change.get(name, value) for name, value in zip(record._fields, record))
-
-
-def test_cpt_replace_and_make_coerce_like_the_constructor():
-    cpt = bayes.Cpt._make(("B", ["A"], [1, 0, 0, 1]))
-    assert cpt == ("B", ("A",), (1.0, 0.0, 0.0, 1.0))
-    assert cpt._replace(table=[0, 1, 1, 0]).table == (0.0, 1.0, 1.0, 0.0)
-    assert {type(p) for p in cpt._replace(table=[0, 1, 1, 0]).table} == {float}
 
 
 class TestPosteriors:
@@ -521,6 +531,12 @@ class TestPosteriors:
         assert out == ""
         assert err == "error: conflicting evidence for UNSAFE_OUTPUT: True and False\n"
 
+    def test_evidence_without_a_state_exits_3(self, capsys):
+        code, out, err = run(capsys, "posteriors", CASE_STUDY, "--instance", "phi",
+                             "--evidence", "UNSAFE_OUTPUT")
+        assert (code, out) == (3, "")
+        assert err == "error: evidence must look like NODE=STATE, got 'UNSAFE_OUTPUT'\n"
+
     def test_repeated_evidence_is_allowed(self, capsys):
         argv = ["posteriors", CASE_STUDY, "--instance", "phi", "--format", "json",
                 "--evidence", "UNSAFE_OUTPUT=True"]
@@ -608,6 +624,10 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_no_factors_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1", "--factors", ",")
+        assert (code, out, err) == (2, "", "error: --factors is empty\n")
+
 
 class TestValidate:
     def test_valid_file_silent_zero(self, capsys):
@@ -633,6 +653,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 3
         assert "nosuch" in err
+
+    def test_binding_to_an_unknown_instance_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "dangling.rvm"
+        bad.write_text(Path(CASE_STUDY).read_text().replace("phi.PAR_4", "psi.PAR_4", 1))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (3, "")
+        assert err == ("error: instance 'mu': binding for 'PAR_4' references unknown "
+                       "instance 'psi'\n")
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvm"
@@ -785,6 +813,14 @@ def test_benchmark_hooks_resolve_on_the_package():
         for attr in attrs:
             assert callable(getattr(importlib.import_module(f"redvote.{module}"), attr, None)), (
                 module, attr)
+
+
+def test_package_parses_as_python_3_10():
+    # the oldest Python that pyproject.toml's requires-python admits
+    paths = sorted(Path(redvote.__file__).resolve().parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_package_imports_only_the_standard_library():

@@ -280,8 +280,7 @@ class TestValidation:
 
     CHAIN = compose.InlineCtmc("c", ("A", "B"), "A",
                                (("A", "B", compose.Param("k")), ("B", "A", compose.Literal(1.0))))
-    NET = compose.InlineBayes("c", (compose.InlineNode("N", ("F", "T"), (),
-                                                       (compose.Literal(0.5),) * 2),))
+    NET = compose.InlineBayes("c", (bayes.Node("N", ("F", "T"), (), (compose.Literal(0.5),) * 2),))
 
     @pytest.mark.parametrize("template, inputs, reads, requires, message, element", [
         (CHAIN, ("k",), (("Y", "A"), ("Z", "Q")), (),
@@ -448,7 +447,7 @@ class TestRunWorkflow:
     def test_inline_network_outputs_match_enumeration(self):
         # a three-state root, a 0/1 gate row, and a node outside the rest
         def literal_node(node_id, states, parents, cpt):
-            return compose.InlineNode(node_id, states, parents, tuple(map(compose.Literal, cpt)))
+            return bayes.Node(node_id, states, parents, tuple(map(compose.Literal, cpt)))
 
         template = compose.InlineBayes("net", (
             literal_node("A", ("lo", "mid", "hi"), (), (0.2, 0.5, 0.3)),
@@ -474,8 +473,8 @@ class TestRunWorkflow:
         q = compose.Param("q")
         b_rows = tuple(map(compose.Literal, (0.9, 0.1, 0.2, 0.8)))
         template = compose.InlineBayes("net", (
-            compose.InlineNode("A", ("F", "T"), (), (compose.BinOp("-", compose.Literal(1.0), q), q)),
-            compose.InlineNode("B", ("F", "T"), ("A",), b_rows),
+            bayes.Node("A", ("F", "T"), (), (compose.BinOp("-", compose.Literal(1.0), q), q)),
+            bayes.Node("B", ("F", "T"), ("A",), b_rows),
         ))
         cls = compose.class_from_inline(template)
         assert [p.name for p in cls.inputs] == ["q"]
@@ -514,9 +513,20 @@ class TestRunWorkflow:
                               lambda leaf: 0.0)
 
 
+def test_eval_expr_refuses_an_unknown_operator():
+    with pytest.raises(ValidationError, match="^unknown operator '\\^'$"):
+        compose.eval_expr(compose.BinOp("^", compose.Literal(2.0), compose.Literal(3.0)),
+                          lambda leaf: 0.0)
+
+
+def test_class_from_inline_refuses_a_record_that_is_no_template():
+    with pytest.raises(ValidationError, match="^unknown inline template "):
+        compose.class_from_inline(compose.Literal(1.0))
+
+
 #: A library-built class whose network reads input ``x``, a probability,
 #: as ``pA = 1 - x / 8``: at ``x = 7.0`` every entry is in range.
-_EIGHTHS = compose.InlineBayes("eighths", (compose.InlineNode("A", ("F", "T"), (), (
+_EIGHTHS = compose.InlineBayes("eighths", (bayes.Node("A", ("F", "T"), (), (
     compose.BinOp("-", compose.Literal(1.0),
                   compose.BinOp("/", compose.Param("x"), compose.Literal(8.0))),
     compose.BinOp("/", compose.Param("x"), compose.Literal(8.0)))),))
@@ -564,8 +574,8 @@ def _parametric(net, rng):
     for var in net.variables:
         count, cpt = var.cardinality, []
         if rng.random() < 1 / 3:
-            cpt = list(map(compose.Literal, net.cpts[var.id].table))
-        for r in range(0 if cpt else len(net.cpts[var.id].table) // count):
+            cpt = list(map(compose.Literal, net.cpts[var.id].cpt))
+        for r in range(0 if cpt else len(net.cpts[var.id].cpt) // count):
             if count == 2:
                 x = compose.Param(f"{var.id}_{r}")
                 cpt += [compose.BinOp("-", compose.Literal(1.0), x), x]
@@ -575,7 +585,7 @@ def _parametric(net, rng):
                 for name in names[1:]:
                     total = compose.BinOp("+", total, name)
                 cpt += [compose.BinOp("/", name, total) for name in names]
-        nodes.append(compose.InlineNode(var.id, var.states, net.cpts[var.id].parents, tuple(cpt)))
+        nodes.append(net.cpts[var.id]._replace(cpt=tuple(cpt)))
     return compose.InlineBayes("parametric", tuple(nodes))
 
 
@@ -646,12 +656,12 @@ class TestStructureCache:
 
     #: ``A`` reads ``a``; ``B``'s first row divides by ``d``; ``C`` reads ``c0``, ``c1``.
     FAULTY = compose.InlineBayes("faulty", (
-        compose.InlineNode("A", ("F", "T"), (), (
+        bayes.Node("A", ("F", "T"), (), (
             compose.BinOp("-", compose.Literal(1.0), compose.Param("a")), compose.Param("a"))),
-        compose.InlineNode("B", ("F", "T"), ("A",), (
+        bayes.Node("B", ("F", "T"), ("A",), (
             compose.BinOp("/", compose.Literal(0.5), compose.Param("d")), compose.Literal(0.5),
             compose.Literal(0.25), compose.Literal(0.75))),
-        compose.InlineNode("C", ("lo", "hi"), (), (compose.Param("c0"), compose.Param("c1"))),
+        bayes.Node("C", ("lo", "hi"), (), (compose.Param("c0"), compose.Param("c1"))),
     ))
     GOOD = {"a": 0.25, "d": 1.0, "c0": 0.5, "c1": 0.5}
 

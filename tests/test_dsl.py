@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,15 @@ class TestPrint:
             literal = compose.Workflow("w", exports=(compose.Export("x", compose.Literal(value)),))
             with pytest.raises(ValidationError, match="non-finite literal"):
                 dsl.print_workflow(literal)
+
+    @pytest.mark.parametrize("workflow, message", [
+        (compose.Workflow("w", exports=(compose.Export("x", compose.Literal(-1.5)),)),
+         "cannot print negative literal -1.5"),
+        (compose.Workflow('say "w"'), "workflow names cannot contain quotes or newlines"),
+    ], ids=["negative literal", "quoted name"])
+    def test_unprintable_workflow_rejected(self, workflow, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dsl.print_workflow(workflow)
 
     @pytest.mark.parametrize("name", sorted(compose.builtin_classes()))
     def test_builtin_record_prints_as_inline_and_reparses_equal(self, name):
