@@ -22,11 +22,12 @@ table to :func:`with_tables`, which converts each table to floats, notes its
 exact zeros and checks its entries in whole-table passes; a later refill
 of some of a built net's tables goes through it too, shares the others, and
 checks only the new ones. So `compose` builds and checks each network
-template once, and a later build evaluates and checks only the tables that
-read an input. The plan, which reads every factor through precomputed
-gather indices, depends only on the network's structure and the target, so
-it is computed once per (structure, target) pair, min-fill order included,
-and reused across parameter values and evidence.
+template once, and a later build evaluates, with code generated for the
+template, and checks only the tables that read an input. The plan, which
+reads every factor through precomputed gather indices, depends only on the
+network's structure and the target, so it is computed once per (structure,
+target) pair, min-fill order included, and reused across parameter values
+and evidence.
 An observation enters as an indicator on its variable's own table
 (Darwiche 2003), not as a change of plan.
 
@@ -38,6 +39,7 @@ Compiling costs that call 7 to 9 ms on the failure network and 85 to 100
 ms on one child of 10 binary parents, 11 to 17 ms per 1,000 entries its
 plan reads (2-core container, CPython 3.11). A `solve` runs a per-target
 plan once or twice and would not recoup it: :func:`marginal` stays interpreted.
+Sums add left to right, not by ``sum``, compensated from CPython 3.12.
 """
 
 from __future__ import annotations
@@ -454,7 +456,8 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
     products of a step's results, ``m`` and ``z`` for a variable's masses
     and their sum, ``i`` and ``s`` for its id and labels. Products take
     table reads, then result reads; group sums and each adjoint entry's
-    reads add left to right, and each mass and sum of masses is a ``sum``.
+    reads add left to right, and so does each mass and sum of masses, in
+    ``+`` chains split at :data:`_CHAIN` terms like every other sum.
     A result's adjoint multiplies the step's other results in step order;
     with three or more results it goes through their prefix and suffix
     products, so the source stays linear in the results.
@@ -485,9 +488,8 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
         adjoint = [g for g in adjoints.pop(n + t) for _ in range(group)]
         if t < len(plan.order):
             j, pairs = position[plan.order[t]], list(map(_times, adjoint, product))
-            for k in range(group):
-                terms = ", ".join(filter(None, pairs[k::group]))
-                lines.append(f"m{j}_{k} = sum(({terms},))" if terms else f"m{j}_{k} = 0.0")
+            chains = _emit(lines, f"m{j}", [pairs[k::group] for k in range(group)], " + ")
+            lines += [f"m{j}_{k} = 0.0" for k, name in enumerate(chains) if name is None]
         if base is not None:
             adjoint = list(map(_times, adjoint, base))
         columns = [column for _, _, column in results]
@@ -506,17 +508,17 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
                 if names[slot][entry]:  # only zero products read a zero entry's adjoint
                     by_entry[entry].append(term)
             adjoints[slot] = _emit(lines, f"g{slot}", by_entry, " + ")
-    masses, labels, dists, checks = [], [], [], [f"z{j}" for j in range(n)]
+    masses, labels, dists, checks = [], [], [], [f"z{j}_0" for j in range(n)]
     for j, (_, _, count) in enumerate(signature):
         states = range(count)
         masses.append(f"({''.join(f'm{j}_{k}, ' for k in states)})")
         labels.append(f"(i{j}, ({''.join(f's{j}_{k}, ' for k in states)}))")
-        probabilities = ", ".join(f"s{j}_{k}: m{j}_{k} / z{j}" for k in states)
+        probabilities = ", ".join(f"s{j}_{k}: m{j}_{k} / z{j}_0" for k in states)
         dists.append(f"i{j}: new(D, (i{j}, {{{probabilities}}}))")
         checks += [f"m{j}_{k} or 1.0" for k in states]
+        _emit(lines, f"z{j}", [[f"m{j}_{k}" for k in states]], " + ")
     # the masses are finite, so ``min`` meets no NaN; a zero mass reads as 1.0
     test = f"if not min({', '.join(checks)}) >= {_TINY!r}: return ({', '.join(masses)},)"
-    lines += [f"z{j} = sum({row})" for j, row in enumerate(masses)]
     lines += [test, f"{', '.join(labels)}, = v", f"return {{{', '.join(dists)}}}"]
     return f"def k(v, {', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
 
@@ -528,7 +530,7 @@ def _kernel(signature: Signature, zeros: Zeros) -> Callable[..., dict | tuple]:
     that other zeros get a kernel of their own, never a stale one."""
     code = compile(_kernel_source(signature, zeros), "<posteriors>", "exec")
     return types.FunctionType(code.co_consts[0],
-                              {"sum": sum, "min": min, "new": tuple.__new__, "D": Distribution})
+                              {"min": min, "new": tuple.__new__, "D": Distribution})
 
 
 def _indicated(net: BayesNet, evidence: Evidence) -> list:
@@ -547,7 +549,7 @@ def _indicated(net: BayesNet, evidence: Evidence) -> list:
 def _distribution(var: Variable, mass: Sequence[float], evidence: Evidence) -> Distribution:
     """``P(var, evidence)`` over its sum ``P(evidence)``, unless the sum is 0
     or subnormal, or an entry is subnormal but not 0, and so has lost bits."""
-    z = sum(mass)
+    z = functools.reduce(add, mass, 0.0)  # left to right like the kernel, not `sum`
     if not z >= _TINY:  # NaN fails too
         raise ZeroEvidenceError(
             f"evidence {dict(evidence)!r} has probability {z!r}, below the smallest normal float")
@@ -557,7 +559,7 @@ def _distribution(var: Variable, mass: Sequence[float], evidence: Evidence) -> D
                 raise ZeroEvidenceError(
                     f"{var.id}={state} with evidence {dict(evidence)!r} has probability {m!r}, "
                     "below the smallest normal float")
-    # ``+ 0.0`` turns a -0.0 mass into 0.0, as the kernel's ``sum`` does
+    # ``+ 0.0`` turns a -0.0 mass into 0.0; the kernel folds -0.0 entries out
     return Distribution(var.id, dict(zip(var.states, [m / z + 0.0 for m in mass])))
 
 

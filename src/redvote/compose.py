@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import graphlib
 import math
+import types
 from collections import deque, namedtuple
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -260,15 +261,38 @@ def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc
     return ctmc.Ctmc(template.states, template.initial, tuple(transitions))
 
 
-#: The first successful build of each network template, and the positions
-#: of the nodes whose table reads an input, having an entry that is not a
-#: :class:`Literal`: a table of literals is the same at every build, and the
-#: kept build checked it. Keyed by the template's ``id``: hashing the failure
+#: The first successful build of each network template, and its refill
+#: (:func:`_refill`). Keyed by the template's ``id``: hashing the failure
 #: network's template would cost 5 to 9 microseconds a build (2-core
 #: container, CPython 3.11). Each entry keeps its template alive, so no other
 #: object takes that ``id`` while the entry stands. Bounded like the plan
 #: caches.
-_NETS: dict[int, tuple[InlineBayes, bayes.BayesNet, tuple[int, ...]]] = {}
+_NETS: dict[int, tuple[InlineBayes, bayes.BayesNet, Callable[..., dict[int, tuple]]]] = {}
+
+
+def _refill(template: InlineBayes) -> Callable[..., dict[int, tuple]]:
+    """``r(values)``: by node position, the tables of ``template`` that read
+    an input, having an entry that is not a :class:`Literal`. Straight-line
+    code evaluates each entry with :func:`eval_expr`'s operations, operands
+    and order, but raises :class:`ZeroDivisionError` where it raises
+    :class:`SolverError`. The source holds only numbers: each literal value
+    and each parameter name that a leaf reads is a default argument."""
+    leaves, lines = [], []
+
+    def emit(expr: Expr) -> str:
+        if type(expr) is BinOp:  # the operator is looked up, never copied from the template
+            left, right = emit(expr.left), emit(expr.right)
+            lines.append(f"t{len(lines)} = {left} {dict(zip('+-*/', '+-*/'))[expr.op]} {right}")
+            return f"t{len(lines) - 1}"
+        leaves.append(expr.value if type(expr) is Literal else expr.name)
+        return f"c{len(leaves) - 1}" if type(expr) is Literal else f"v[c{len(leaves) - 1}]"
+
+    tables = [f"{j}: ({''.join(emit(e) + ', ' for e in node.cpt)})" for j, node
+              in enumerate(template.nodes) if any(type(e) is not Literal for e in node.cpt)]
+    body = "\n ".join([*lines, f"return {{{', '.join(tables)}}}"])
+    code = compile(f"def r(v{''.join(f', c{i}' for i in range(len(leaves)))}):\n {body}",
+                   "<refill>", "exec")
+    return types.FunctionType(code.co_consts[0], {}, "r", tuple(leaves))
 
 
 def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> bayes.BayesNet:
@@ -277,27 +301,27 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
     checked, so an entry outside [0, 1] or a row that does not sum to 1
     raises :class:`ValidationError`; a division by zero in an entry raises
     :class:`SolverError` naming the node. The first build of a template
-    that succeeds goes through :func:`bayes.build_net` and is kept; later
-    builds of the same template object evaluate only the tables that read
-    an input and put them into the kept net with :func:`bayes.with_tables`,
-    which checks only those."""
-    kept, net, slots = _NETS.get(id(template), (None, None, None))
-    if kept is not template:
-        net, slots = None, range(len(template.nodes))
-    tables = {}
-    for j in slots:
-        node = template.nodes[j]
+    that succeeds goes through :func:`bayes.build_net` and is kept, with
+    the template's :func:`_refill`. A later build of the same template
+    object puts the refill's tables into the kept net with
+    :func:`bayes.with_tables`, which checks only those; on a zero divisor
+    it falls back to :func:`eval_expr` on every entry, which names the node."""
+    kept, net, refill = _NETS.get(id(template), (None, None, None))
+    if kept is template:
         try:
-            tables[j] = [eval_expr(e, lambda p: values[p.name]) for e in node.cpt]
+            return bayes.with_tables(net, refill(values))
+        except ZeroDivisionError:  # eval_expr, below, names the node
+            pass
+    tables = []
+    for node in template.nodes:
+        try:
+            tables.append([eval_expr(e, lambda p: values[p.name]) for e in node.cpt])
         except SolverError as exc:
             raise SolverError(f"node {node.id!r}: {exc} in a table entry") from None
-    if net is not None:
-        return bayes.with_tables(net, tables)
-    net = bayes.build_net(node._replace(cpt=tables[j]) for j, node in enumerate(template.nodes))
+    net = bayes.build_net(node._replace(cpt=table) for node, table in zip(template.nodes, tables))
     if len(_NETS) >= bayes.PLAN_CACHE_SIZE:
         _NETS.clear()  # one call, safe while other threads build
-    _NETS[id(template)] = template, net, tuple(
-        j for j, node in enumerate(template.nodes) if any(type(e) is not Literal for e in node.cpt))
+    _NETS[id(template)] = template, net, _refill(template)
     return net
 
 

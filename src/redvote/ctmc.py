@@ -13,8 +13,10 @@ trajectory simulator, none of which ship with the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import Checked, SolverError, ValidationError
@@ -142,13 +144,14 @@ def reachable_closed_class(chain: Ctmc) -> tuple[str, ...]:
 def _gth(rates: list[list[float]]) -> list[float]:
     """Stationary vector of an irreducible rate matrix by GTH reduction.
 
-    Works on off-diagonal rates only; subtraction-free throughout.
+    Works on off-diagonal rates only; subtraction-free throughout. Sums add
+    left to right, as ``sum`` does only before CPython 3.12 (same bits on all).
     """
     r = [list(row) for row in rates]
     n = len(r)
     for k in range(n - 1, 0, -1):
         exits = r[k][:k]
-        s = sum(exits)
+        s = functools.reduce(add, exits, 0.0)
         # irreducibility of the reduced chain guarantees an exit downward
         if s <= 0.0:
             raise SolverError("GTH reduction hit a state with no exit; chain is not irreducible")
@@ -157,8 +160,8 @@ def _gth(rates: list[list[float]]) -> list[float]:
             row[:k] = [a + f * b for a, b in zip(row, exits)]
     pi = [1.0] * n
     for k in range(1, n):
-        pi[k] = sum(pi[i] * r[i][k] for i in range(k))
-    total = sum(pi)
+        pi[k] = functools.reduce(add, [pi[i] * r[i][k] for i in range(k)], 0.0)
+    total = functools.reduce(add, pi, 0.0)
     return [p / total for p in pi]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redvote import bayes, compose, nmr
+from redvote import bayes, compose, ctmc, nmr
 from redvote.errors import ValidationError, ZeroEvidenceError
 
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     full_joint,
     joint_probability,
     random_evidence,
+    random_irreducible_chain,
     random_net,
     uncorr_probability,
     unsafe_probability,
@@ -515,7 +516,8 @@ class TestPosteriors:
     def test_long_sums_are_split_and_match_enumeration(self):
         # A -> P00 and P00..P11 -> C: eliminating P00 reads A's 2-entry result
         # 2048 times an entry, and its adjoint adds those reads in lines of
-        # _CHAIN terms (CPython 3.11 cannot compile one chain of 3000)
+        # _CHAIN terms (CPython 3.11 cannot compile one chain of 3000); so do
+        # the masses of the parents, each a chain of 2048 terms
         rng = random.Random(1212)
         parents = tuple(f"P{i:02d}" for i in range(12))
         table = [p for _ in range(2 ** 12) for q in [rng.random()] for p in (1 - q, q)]
@@ -527,6 +529,7 @@ class TestPosteriors:
         lines = bayes._kernel_source(net.signature, net.zeros).splitlines()
         assert max(line.count(" + ") for line in lines) == bayes._CHAIN  # the name, then a chunk
         assert any(re.match(r" (g\d+_\d+) = \1 \+ ", line) for line in lines)
+        assert any(re.match(r" (m\d+_\d+) = \1 \+ ", line) for line in lines)
         for evidence in ({}, {"C": "True"}, {"P05": "False", "C": "False"}):
             dists = bayes.posteriors(net, evidence)
             for vid in net.variable_ids:
@@ -547,7 +550,7 @@ class TestPosteriors:
         assert len(source) < 2.5 * len(bayes._kernel_source(small.signature, small.zeros))
         words = set(re.findall(r"\b[a-z_]\w*", source))
         assert {w for w in words if not re.fullmatch(r"[abgilmprsz]\d+(_\d+)*", w)} == {
-            "def", "k", "v", "return", "sum", "if", "not", "min", "or", "new"}
+            "def", "k", "v", "return", "if", "not", "min", "or", "new"}
         for evidence in ({}, {"R7": "True"}):
             dists = bayes.posteriors(large, evidence)
             for i, p in enumerate(priors):
@@ -575,15 +578,14 @@ class TestPosteriors:
                     for state, p in zip(var.states, enum_marginal(net, var.id, evidence)):
                         assert abs(dists[var.id][state] - p) <= 1e-12
         kernel = bayes._kernel(net.signature, net.zeros)
-        assert kernel.__globals__ == {
-            "sum": sum, "min": min, "new": tuple.__new__, "D": bayes.Distribution}
-        assert set(kernel.__code__.co_names) == {"sum", "min", "new", "D"}
+        assert kernel.__globals__ == {"min": min, "new": tuple.__new__, "D": bayes.Distribution}
+        assert set(kernel.__code__.co_names) == {"min", "new", "D"}
         assert {type(c) for c in kernel.__code__.co_consts} <= {int, float, type(None)}
         source = bayes._kernel_source(net.signature, net.zeros)
         assert set(source) <= set("0123456789abgimpsvz_ .,=>*+/-():{}\nDdefklnortuw")
         words = set(re.findall(r"\b[A-Za-z_]\w*", source))
         assert {w for w in words if not re.fullmatch(r"[abgimpsz]\d+(_\d+)?", w)} == {
-            "def", "k", "v", "return", "sum", "if", "not", "min", "or", "new", "D"}
+            "def", "k", "v", "return", "if", "not", "min", "or", "new", "D"}
 
     def test_kernel_is_keyed_on_the_exact_zeros(self):
         # at q = 0 A's True entry is an exact zero, which the kernel folds
@@ -871,3 +873,35 @@ class TestPlanCache:
                 except ZeroEvidenceError:
                     pass
         assert bayes._plan.cache_info().misses == 1
+
+
+def test_figures_do_not_depend_on_the_sum_builtin(monkeypatch):
+    # `sum` of floats is compensated from CPython 3.12; every figure sum adds
+    # left to right, so a compensated `sum` in the modules changes no bit
+    rng = random.Random(3434)
+    chains = [random_irreducible_chain(rng, max_states=8) for _ in range(60)]
+    nets = [random_net(rng, max_nodes=6, gates=0.2, max_states=4) for _ in range(40)]
+    queries = [(net, random_evidence(rng, net, rng.choice(net.variable_ids))) for net in nets]
+
+    def figures():
+        out = [ctmc.steady_state(chain) for chain in chains]
+        for net, evidence in queries:
+            for run in (lambda: bayes.posteriors(net, evidence),
+                        lambda: [bayes.marginal(net, vid, evidence) for vid in net.variable_ids]):
+                try:
+                    out.append(run())
+                except ZeroEvidenceError as exc:
+                    out.append(str(exc))
+        return repr(out)
+
+    assert max(len(chain.states) for chain in chains) >= 3
+    assert max(var.cardinality for net in nets for var in net.variables) >= 3
+    bayes._kernel.cache_clear()
+    want = figures()
+    for module in (bayes, ctmc):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    try:
+        bayes._kernel.cache_clear()  # a kernel compiled now would read the patched name
+        assert figures() == want
+    finally:
+        bayes._kernel.cache_clear()

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -596,6 +597,25 @@ def _draw(rng, cls):
             for p in cls.inputs}
 
 
+def _retype(value, kind):
+    """``value`` as a ``kind``: a Fraction exactly; an int where it is integral."""
+    if kind is Fraction:
+        return Fraction(value)
+    return int(value) if kind is int and value == int(value) else value
+
+
+def _retyped(expr, kind):
+    """``expr`` with each literal's value retyped by :func:`_retype`."""
+    if isinstance(expr, compose.BinOp):
+        return expr._replace(left=_retyped(expr.left, kind), right=_retyped(expr.right, kind))
+    return compose.Literal(_retype(expr.value, kind)) if type(expr) is compose.Literal else expr
+
+
+def _bits(x):
+    """A number's type and value, a float's to the bit."""
+    return type(x), x.hex() if type(x) is float else x
+
+
 def _cold(template, values):
     """A build of ``template`` that finds no cached structure."""
     compose._NETS.pop(id(template), None)
@@ -682,8 +702,74 @@ class TestStructureCache:
         assert not _cached(self.FAULTY)  # a failed first build is not kept
         compose.inline_bayes_net(self.FAULTY, self.GOOD)
         assert _cached(self.FAULTY)
+        kept = compose._NETS[id(self.FAULTY)]
+        if error is SolverError:  # the refill's zero divisor sends the build to eval_expr
+            with pytest.raises(ZeroDivisionError):
+                kept[2](values)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             compose.inline_bayes_net(self.FAULTY, values)
+        assert compose._NETS[id(self.FAULTY)] is kept
+
+    def test_refill_is_eval_expr_in_bits_and_type(self):
+        rng = random.Random(2013)
+        failure = nmr.FAILURE_CLASS.template
+        cases = [(failure, {"PAR_1": 10 ** rng.uniform(-6, -4), "PAR_2": rng.uniform(0, 1),
+                            "PAR_3": rng.uniform(0, 1)}) for _ in range(5)]
+        for kind in (float, int, Fraction) * 8:
+            template = _parametric(random_net(rng, max_nodes=5, gates=0.3, max_states=4), rng)
+            template = template._replace(nodes=tuple(node._replace(
+                cpt=tuple(_retyped(e, kind) for e in node.cpt)) for node in template.nodes))
+            cls = compose.class_from_inline(template)
+            for _ in range(3):
+                values = {name: _retype(value, kind)
+                          for name, value in _draw(rng, cls).items()}
+                cases.append((template, values))
+        kinds = set()
+        for template, values in cases:
+            _cold(template, values)
+            got = compose._NETS[id(template)][2](values)
+            want = {j: [compose.eval_expr(e, lambda p: values[p.name]) for e in node.cpt]
+                    for j, node in enumerate(template.nodes)
+                    if any(type(e) is not compose.Literal for e in node.cpt)}
+            assert {j: list(map(_bits, t)) for j, t in got.items()} == {
+                j: list(map(_bits, t)) for j, t in want.items()}
+            kinds.update(type(entry) for table in got.values() for entry in table)
+            self._assert_same_net(compose.inline_bayes_net(template, values),
+                                  _cold(template, values), rng)
+        assert kinds == {float, int, Fraction}
+
+    def test_refill_holds_no_text_of_the_template(self):
+        class Loud(float):  # a literal value whose text would run in generated code
+            def __repr__(self):
+                return "__import__('os').system('exit 1')"
+
+            __str__ = __repr__
+
+        names = ["x') or __import__('os').system('exit 1') #", '"""\nraise SystemExit\n"""',
+                 "v", "c0", "t0", "r", "sum"]
+        x, y, v, c0, t0, r, total = map(compose.Param, names)
+        half, one, two = compose.Literal(Loud(0.5)), compose.Literal(1), ("F", "T")
+        template = compose.InlineBayes("hostile", (
+            bayes.Node("A", two, (), (compose.BinOp("-", half, x), compose.BinOp("+", half, x))),
+            bayes.Node("B", two, ("A",), (
+                y, compose.BinOp("-", one, y),
+                compose.BinOp("/", v, compose.BinOp("+", v, c0)),
+                compose.BinOp("/", c0, compose.BinOp("+", v, c0)))),
+            bayes.Node("C", two, ("B",), (t0, r, compose.BinOp("-", one, total), total)),
+        ))
+        values = dict(zip(names, (0.125, 0.5, 1.0, 3.0, 0.375, 0.625, 0.25)))
+        first = _cold(template, values)
+        refill = compose._NETS[id(template)][2]
+        code = refill.__code__
+        assert refill.__globals__ == {} and code.co_names == ()
+        assert all(re.fullmatch(r"v|[ct]\d+", name) for name in code.co_varnames)
+        for const in code.co_consts:
+            assert type(const) in (int, type(None)) or {type(c) for c in const} == {int}
+        assert refill(values) == {0: (0.375, 0.625), 1: (0.5, 0.5, 0.25, 0.75),
+                                  2: (0.375, 0.625, 0.75, 0.25)}
+        assert [type(p) for p in refill.__defaults__[:2]] == [Loud, str]
+        later = compose.inline_bayes_net(template, {**values, names[0]: 0.25})
+        assert later._tables[0] == (0.25, 0.75) and later._tables[1:] == first._tables[1:]
 
     def test_a_faulty_structure_is_never_cached(self):
         # B's table has one row too few for its parent
