@@ -244,21 +244,18 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
 
 
 def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc:
-    """The chain with its inputs set to ``values``. A rate of zero is an
-    absent transition; a negative or NaN one raises :class:`SolverError`."""
+    """The chain with its inputs set to ``values``. A rate of exactly zero
+    is an absent transition, and :class:`ctmc.Ctmc` checks every other one;
+    a division by zero in a rate raises :class:`SolverError` naming it."""
     transitions = []
     for src, dst, expr in template.rates:
         try:
             rate = eval_expr(expr, lambda leaf: values[leaf.name])
         except SolverError as exc:
             raise SolverError(f"rate {src} -> {dst}: {exc}") from None
-        if not rate >= 0.0:  # NaN fails too
-            raise SolverError(
-                f"rate {src} -> {dst} evaluated to {rate!r}; rates must be non-negative numbers"
-            )
-        if rate > 0.0:
+        if rate != 0.0:  # NaN too, for Ctmc to refuse
             transitions.append(ctmc.Transition(src, dst, rate))
-    return ctmc.Ctmc(template.states, template.initial, tuple(transitions))
+    return ctmc.Ctmc(template.states, template.initial, transitions)
 
 
 #: The first successful build of each network template, and its refill
@@ -326,11 +323,9 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
 
 
 def _check_chain(template: InlineCtmc) -> None:
-    """An inline chain's shape, every rate pair counted whatever its rate."""
+    """An inline chain's shape, every rate row counted whatever its rate."""
     try:
-        ctmc.check_structure(
-            template.states, template.initial, [(src, dst) for src, dst, _ in template.rates]
-        )
+        ctmc.check_structure(template.states, template.initial, template.rates)
     except ValidationError as exc:
         # the chain's j-th transition is the template's j-th rate
         element = tuple("rates" if part == "transitions" else part for part in exc.element)

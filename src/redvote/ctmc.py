@@ -34,7 +34,7 @@ class Ctmc(Checked, namedtuple("Ctmc", "states initial transitions")):
     state labels, the initial label, and a tuple of :class:`Transition`.
 
     Invariants enforced at construction: those of :func:`check_structure`,
-    and all rates finite and > 0.
+    and all rates finite and > 0. This is the one place a rate is checked.
     Instances are immutable; solving is a pure function.
     """
 
@@ -44,7 +44,7 @@ class Ctmc(Checked, namedtuple("Ctmc", "states initial transitions")):
         cls, states: Iterable[str], initial: str, transitions: Iterable[Transition]
     ) -> Ctmc:
         states, transitions = tuple(states), tuple(transitions)
-        check_structure(states, initial, [(tr.src, tr.dst) for tr in transitions])
+        check_structure(states, initial, transitions)
         for tr in transitions:
             if not math.isfinite(tr.rate):
                 raise ValidationError(
@@ -56,20 +56,16 @@ class Ctmc(Checked, namedtuple("Ctmc", "states initial transitions")):
                 )
         return tuple.__new__(cls, (states, initial, transitions))
 
-    def index(self, state: str) -> int:  # the state's position, not tuple.index
-        return self.states.index(state)
 
-
-def check_structure(
-    states: Sequence[str], initial: str, pairs: Sequence[tuple[str, str]]
-) -> None:
+def check_structure(states: Sequence[str], initial: str, transitions: Iterable[tuple]) -> None:
     """Check a chain's shape: at least one state, unique state labels, a
-    declared initial state, and transitions ``(src, dst)`` between two
-    distinct declared states, at most one per ordered pair.
+    declared initial state, and ``(src, dst, rate)`` records between two
+    distinct declared states, at most one per ordered pair. A record may be
+    a :class:`Transition` or a chain template's rate row.
 
-    Rates are not looked at, so a pair is checked whatever its rate. A
+    Rates are not looked at, so a record is checked whatever its rate. A
     failure's ``element`` is ``("states", j)`` or ``("transitions", j)``
-    for the offending state or pair, or empty for the other faults.
+    for the offending state or record, or empty for the other faults.
     """
     if not states:
         raise ValidationError("the chain declares no states")
@@ -83,8 +79,8 @@ def check_structure(
     if initial not in declared:
         raise ValidationError(f"initial state {initial!r} is not a declared state")
     seen: set[tuple[str, str]] = set()
-    for j, pair in enumerate(pairs):
-        src, dst = pair
+    for j, (src, dst, _) in enumerate(transitions):
+        pair = src, dst
         for end in pair:
             if end not in declared:
                 raise ValidationError(
@@ -117,7 +113,7 @@ def reachable_closed_class(chain: Ctmc) -> tuple[str, ...]:
     for a maintenance model is a modeling bug rather than a solvable input.
     """
     rates = _rate_matrix(chain)
-    start = chain.index(chain.initial)
+    start = chain.states.index(chain.initial)
 
     def closure(adjacency: Sequence[Sequence[float]]) -> set[int]:
         seen = {start}
@@ -174,7 +170,7 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     with probability exactly 0.
     """
     closed = reachable_closed_class(chain)
-    idx = [chain.index(s) for s in closed]
+    idx = [chain.states.index(s) for s in closed]
     rates = _rate_matrix(chain)
     pi = dict(zip(closed, _gth([[rates[i][j] for j in idx] for i in idx])))
     return {state: pi.get(state, 0.0) for state in chain.states}

@@ -168,6 +168,11 @@ class _Parser:
         tok = token or self.current
         return _ParseAbort(ParseDiagnostic(message, tok.line, tok.column))
 
+    def expected(self, what: str) -> _ParseAbort:
+        """An error at the current token: ``what`` was expected there."""
+        found = self.current.text or "end of file"
+        return self.error(f"expected {what}, found {found!r}")
+
     def advance(self) -> _Token:
         tok = self.current
         if tok.kind != "EOF":
@@ -176,15 +181,13 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> _Token:
         if self.current.kind != kind:
-            found = self.current.text or "end of file"
-            raise self.error(f"expected {what}, found {found!r}")
+            raise self.expected(what)
         return self.advance()
 
     def expect_ident(self, what: str) -> _Token:
         tok = self.current
         if tok.kind != "IDENT":
-            found = tok.text or "end of file"
-            raise self.error(f"expected {what}, found {found!r}")
+            raise self.expected(what)
         if tok.text in KEYWORDS:
             raise self.error(f"{tok.text!r} is a reserved word and cannot name {what}")
         return self.advance()
@@ -223,10 +226,7 @@ class _Parser:
             elif kw == "bayes":
                 self.parse_bayes()
             else:
-                found = self.current.text or "end of file"
-                raise self.error(
-                    f"expected 'instance', 'output', 'ctmc', 'bayes' or '}}', found {found!r}"
-                )
+                raise self.expected("'instance', 'output', 'ctmc', 'bayes' or '}'")
         self.expect("}", "'}'")
         if self.current.kind != "EOF":
             raise self.error(f"unexpected trailing input {self.current.text!r}")
@@ -267,8 +267,7 @@ class _Parser:
             is_builtin = True
         ref = self.current
         if ref.kind != "IDENT" or (not is_builtin and ref.text in KEYWORDS):
-            found = ref.text or "end of file"
-            raise self.error(f"expected a model class name, found {found!r}")
+            raise self.expected("a model class name")
         self.advance()
         if not is_builtin:
             self.local_refs.append(ref)
@@ -327,8 +326,7 @@ class _Parser:
                 self.expect(";", "';'")
                 rates.append((src.text, dst.text, expr))
             else:
-                found = self.current.text or "end of file"
-                raise self.error(f"expected 'state', 'rate' or '}}', found {found!r}")
+                raise self.expected("'state', 'rate' or '}'")
         self.expect("}", "'}'")
         if states and initial is None:  # a chain without states is compose's to reject
             self.faults.append(self.error(
@@ -346,8 +344,7 @@ class _Parser:
         nodes: list[bayes.Node] = []
         while self.current.kind != "}":
             if self.keyword() != "node":
-                found = self.current.text or "end of file"
-                raise self.error(f"expected 'node' or '}}', found {found!r}")
+                raise self.expected("'node' or '}'")
             self.advance()
             nname = self.expect_ident("a node")
             if self.keyword() != "states":
@@ -411,8 +408,7 @@ class _Parser:
                 output = self.expect_ident("an output parameter")
                 return compose.Ref(tok.text, output.text)
             return compose.Param(tok.text)
-        found = tok.text or "end of file"
-        raise self.error(f"expected a number, reference or '(', found {found!r}")
+        raise self.expected("a number, reference or '('")
 
 
 def parse(text: str, origin: str = "<string>") -> ParseResult:

@@ -9,12 +9,14 @@ trajectory, and the five-state chain from a hand-derived closed form.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
 import random
 import statistics
 from collections import namedtuple
+from operator import add
 
 import numpy as np
 
@@ -105,7 +107,8 @@ def random_net(
                 table += (float(k == hot) for k in range(count))
             else:
                 weights = [rng.uniform(0.05, 0.95) for _ in range(count)]
-                table += (w / sum(weights) for w in weights)
+                total = functools.reduce(add, weights, 0.0)  # left to right on every CPython
+                table += (w / total for w in weights)
         nodes.append(bayes.Node(vid, states[vid], parents, table))
     return bayes.build_net(nodes)
 

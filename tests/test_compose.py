@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import redvote
-from redvote import bayes, compose, nmr
+from redvote import bayes, compose, ctmc, dsl, nmr
 from redvote.errors import SolverError, ValidationError
 
 from oracles import enum_marginal, random_net
@@ -564,6 +564,29 @@ class TestInstantiate:
         for call in (compose.solve, compose.instantiate):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 call(cls, values)
+
+    @pytest.mark.parametrize("rate", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_a_chain_rate_is_checked_by_ctmc(self, rate):
+        # the inline chain hands every nonzero rate on, so Ctmc's check names it
+        template = compose.InlineCtmc("c", ("A", "B"), "A", (
+            ("A", "B", compose.Param("x")), ("B", "A", compose.Literal(2.0))))
+        with pytest.raises(ValidationError) as direct:
+            ctmc.Ctmc(("A", "B"), "A", (ctmc.Transition("A", "B", rate),
+                                        ctmc.Transition("B", "A", 2.0)))
+        with pytest.raises(ValidationError) as inline:
+            compose.instantiate(compose.class_from_inline(template), {"x": rate})
+        assert type(inline.value) is type(direct.value)
+        assert str(inline.value) == str(direct.value)
+
+    def test_a_zero_rate_row_is_an_absent_transition(self):
+        text = ('workflow "w" {{\n  ctmc c {{ state A init; state B; state C;\n'
+                "    rate A -> B : 2; rate B -> C : 3 * Y; rate C -> A : 5;{rows} }}\n"
+                "  instance m : c {{ Y = 0.7; }}\n  output P = m.pi_A;\n}}\n")
+        # 0 * (0 - Y) is -0.0, which is zero too
+        rows = " rate A -> C : 0; rate C -> B : 0 * (0 - Y);"
+        with_rows, without = (dsl.parse(text.format(rows=r)).workflow for r in (rows, ""))
+        assert len(with_rows.classes[0].template.rates) == 5
+        assert repr(compose.run_workflow(with_rows)) == repr(compose.run_workflow(without))
 
 
 def _parametric(net, rng):
