@@ -161,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace, data: bytes, workflow: compose.Workflow)
     validated = compose.validate_workflow(workflow)
     results = compose.sweep(validated, args.param, factors)
     inst_name, pname = args.param.split(".", 1)  # sweep has checked both
-    cls = validated.instance_class(next(i for i in workflow.instances if i.name == inst_name))
+    _, cls = validated.instances[inst_name]
     if pname not in compose.read_inputs(cls):
         print(f"note: no rate, table entry or requires expression of {cls.name!r} reads "
               f"{pname}, so the sweep leaves every figure unchanged", file=sys.stderr)

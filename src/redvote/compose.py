@@ -399,13 +399,14 @@ def check_records(workflow: Workflow) -> None:
 # --- validation ---------------------------------------------------------------
 
 
-class ValidatedWorkflow(namedtuple("ValidatedWorkflow", "workflow order class_map")):
-    """A workflow with its class map resolved and topological order cached."""
+class ValidatedWorkflow(namedtuple("ValidatedWorkflow", "order instances exports")):
+    """A workflow as running reads it: the solve ``order`` of instance
+    names, each instance with its class as ``(instance, class)`` by instance
+    name, and each export's expression by export name. The classes are
+    resolved once, by :func:`validate_workflow`; :func:`sweep` replaces one
+    entry of ``instances`` per point."""
 
     __slots__ = ()
-
-    def instance_class(self, instance: ModelInstance) -> ModelClass:
-        return self.class_map[instance.class_name]
 
 
 def _resolve_classes(workflow: Workflow) -> dict[str, ModelClass]:
@@ -420,11 +421,7 @@ def _resolve_classes(workflow: Workflow) -> dict[str, ModelClass]:
 
 
 def _check_refs(
-    expr: Expr,
-    where: str,
-    what: str,
-    by_name: Mapping[str, ModelInstance],
-    classes: Mapping[str, ModelClass],
+    expr: Expr, where: str, what: str, instances: Mapping[str, tuple[ModelInstance, ModelClass]]
 ) -> None:
     """Check that ``expr``, the expression of ``where``, names no bare
     parameter and references existing outputs of known instances only;
@@ -433,26 +430,22 @@ def _check_refs(
         raise ValidationError(f"{where} uses bare name {param.name!r}; {what} must "
                               "reference instance outputs as <instance>.<output>")
     for ref in expr_leaves(expr, Ref):
-        if ref.instance not in by_name:
+        if ref.instance not in instances:
             raise ValidationError(f"{where} references unknown instance {ref.instance!r}")
-        cls = classes[by_name[ref.instance].class_name]
+        cls = instances[ref.instance][1]
         if all(read[0] != ref.output for read in cls.reads):
             raise ValidationError(f"{where} references {ref.instance}.{ref.output}, but "
                                   f"model class {cls.name!r} has no output {ref.output!r}")
 
 
-def _check_bindings(
-    instance: ModelInstance,
-    cls: ModelClass,
-    by_name: Mapping[str, ModelInstance],
-    classes: Mapping[str, ModelClass],
-) -> None:
+def _check_bindings(instance: ModelInstance, cls: ModelClass,
+                    instances: Mapping[str, tuple[ModelInstance, ModelClass]]) -> None:
     _check_names(cls, instance.bindings, f"instance {instance.name!r}")
     declared = {p.name: p for p in cls.inputs}
     for pname, expr in instance.bindings.items():
         decl = declared[pname]
         _check_refs(expr, f"instance {instance.name!r}: binding for {pname!r}",
-                    "workflow bindings", by_name, classes)
+                    "workflow bindings", instances)
         # every output is a probability
         if isinstance(expr, Ref) and decl.kind in ("rate", "ratio"):
             raise ValidationError(
@@ -519,7 +512,8 @@ def _topological_order(workflow: Workflow) -> tuple[str, ...]:
 
 
 def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
-    """Check every workflow invariant and cache the topological solve order.
+    """Check every workflow invariant, resolve each instance's class and
+    cache the topological solve order.
 
     Raises:
         ValidationError: a fault :func:`check_records` finds, an inline
@@ -531,13 +525,14 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
     check_records(workflow)
     classes = _resolve_classes(workflow)
 
-    by_name = {inst.name: inst for inst in workflow.instances}
+    instances: dict[str, tuple[ModelInstance, ModelClass]] = {}
     for inst in workflow.instances:
         if inst.class_name not in classes:
             raise ValidationError(
                 f"instance {inst.name!r} references unknown model class or "
                 f"template {inst.class_name!r}"
             )
+        instances[inst.name] = inst, classes[inst.class_name]
 
     # a network without inputs has fixed tables, so they can be checked statically
     for cls in workflow.classes:
@@ -547,14 +542,14 @@ def validate_workflow(workflow: Workflow) -> ValidatedWorkflow:
             except RedvoteError as exc:
                 raise ValidationError(f"model {cls.name!r}: {exc}") from None
 
-    for inst in workflow.instances:
-        _check_bindings(inst, classes[inst.class_name], by_name, classes)
+    for inst, cls in instances.values():
+        _check_bindings(inst, cls, instances)
 
     for export in workflow.exports:
-        _check_refs(export.expr, f"export {export.name!r}", "exports", by_name, classes)
+        _check_refs(export.expr, f"export {export.name!r}", "exports", instances)
 
-    order = _topological_order(workflow)
-    return ValidatedWorkflow(workflow, order, classes)
+    return ValidatedWorkflow(_topological_order(workflow), instances,
+                             {export.name: export.expr for export in workflow.exports})
 
 
 # --- execution ----------------------------------------------------------------
@@ -595,17 +590,18 @@ def solve(cls: ModelClass, values: Mapping[str, float]) -> dict[str, float]:
     return {name: dists[node][state] for name, node, state in cls.reads}
 
 
-def _evaluate(
-    expr: Expr, solved: Mapping[str, Mapping[str, float]], instance: str | None, name: str
-) -> float:
-    """Evaluate over solved instance outputs the expression bound to input
-    ``name`` of ``instance``, or of the export ``name`` when ``instance`` is
-    None; a failure names the one or the other."""
-    try:
-        return eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
-    except SolverError as exc:
-        where = f"export {name!r}" if instance is None else f"instance {instance!r} input {name!r}"
-        raise SolverError(f"{where}: {exc}") from None
+def _evaluate(exprs: Mapping[str, Expr], solved: Mapping[str, Mapping[str, float]],
+              owner: str) -> dict[str, float]:
+    """Each of ``exprs`` by name, evaluated over solved instance outputs: an
+    instance's bindings, or the exports; a failure names ``owner`` and the
+    expression's name."""
+    values = {}
+    for name, expr in exprs.items():
+        try:
+            values[name] = eval_expr(expr, lambda ref: solved[ref.instance][ref.output])
+        except SolverError as exc:
+            raise SolverError(f"{owner} {name!r}: {exc}") from None
+    return values
 
 
 def _require_finite(what: str, values: Mapping[str, float]) -> None:
@@ -622,16 +618,11 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
     instance output or export, raises :class:`SolverError`.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
-    wf = validated.workflow
-    by_name = {inst.name: inst for inst in wf.instances}
-
     solved: dict[str, dict[str, float]] = {}
     notes: list[str] = []
     for name in validated.order:
-        inst = by_name[name]
-        cls = validated.instance_class(inst)
-        values = {pname: _evaluate(expr, solved, name, pname)
-                  for pname, expr in inst.bindings.items()}
+        inst, cls = validated.instances[name]
+        values = _evaluate(inst.bindings, solved, f"instance {name!r} input")
         try:
             outputs = solve(cls, values)
         except RedvoteError as exc:
@@ -640,27 +631,23 @@ def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
         solved[name] = outputs
         notes.append(f"{name}: {cls.description}")
 
-    exports = {export.name: _evaluate(export.expr, solved, None, export.name)
-               for export in wf.exports}
+    exports = _evaluate(validated.exports, solved, "export")
     _require_finite("export", exports)
     return SolveResult(instances=solved, exports=exports, provenance=tuple(notes))
 
 
 def instance_net(validated: ValidatedWorkflow, result: SolveResult, name: str) -> bayes.BayesNet:
-    """The network of the BAYES instance ``name``, its inputs evaluated over
-    ``result``, the outputs of ``run_workflow(validated)``."""
-    by_name = {inst.name: inst for inst in validated.workflow.instances}
-    if name not in by_name:
+    """The network of the BAYES instance ``name``, read with its class from
+    ``validated.instances``, its inputs evaluated over ``result``, the
+    outputs of ``run_workflow(validated)``."""
+    if name not in validated.instances:
         raise ValidationError(f"unknown instance {name!r}")
-    inst = by_name[name]
-    cls = validated.instance_class(inst)
+    inst, cls = validated.instances[name]
     if isinstance(cls.template, InlineCtmc):
         raise ValidationError(
             f"instance {name!r} is a CTMC model; posteriors need a BAYES instance"
         )
-    values = {pname: _evaluate(expr, result.instances, name, pname)
-              for pname, expr in inst.bindings.items()}
-    return instantiate(cls, values)
+    return instantiate(cls, _evaluate(inst.bindings, result.instances, f"instance {name!r} input"))
 
 
 def sweep(
@@ -672,20 +659,19 @@ def sweep(
 
     ``parameter`` is an ``instance.input`` path. Reference-bound inputs are
     derived values and cannot be swept; asking for one is an error. The
-    workflow is validated once; at each point only the scaled literal's
-    range is checked again, since nothing else changes.
+    workflow is validated once; each point checks only the scaled literal's
+    range, since nothing else changes, and swaps the swept instance's entry
+    of ``validated.instances`` for one with that literal.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
-    wf = validated.workflow
     if "." not in parameter:
         raise ValidationError(
             f"sweep parameter must look like <instance>.<input>, got {parameter!r}"
         )
     inst_name, pname = parameter.split(".", 1)
-    by_name = {inst.name: inst for inst in wf.instances}
-    if inst_name not in by_name:
+    if inst_name not in validated.instances:
         raise ValidationError(f"sweep references unknown instance {inst_name!r}")
-    inst = by_name[inst_name]
+    inst, cls = validated.instances[inst_name]
     if pname not in inst.bindings:
         raise ValidationError(
             f"instance {inst_name!r} has no binding for input {pname!r}"
@@ -695,16 +681,13 @@ def sweep(
         raise ValidationError(
             f"{parameter} is not literal-bound; a derived value cannot be swept"
         )
-
-    decl = next(p for p in validated.instance_class(inst).inputs if p.name == pname)
+    decl = next(p for p in cls.inputs if p.name == pname)
 
     results: list[SolveResult] = []
     for factor in factors:
         value = binding.value * float(factor)
         _check_literal(inst_name, decl, value)
-        bindings = {**inst.bindings, pname: Literal(value)}
-        new_inst = ModelInstance(inst_name, inst.class_name, bindings)
-        instances = tuple(new_inst if i.name == inst_name else i for i in wf.instances)
-        point = Workflow(wf.name, wf.classes, instances, wf.exports)
-        results.append(run_workflow(validated._replace(workflow=point)))
+        point = inst._replace(bindings={**inst.bindings, pname: Literal(value)})
+        instances = {**validated.instances, inst_name: (point, cls)}
+        results.append(run_workflow(validated._replace(instances=instances)))
     return results

@@ -95,12 +95,13 @@ def check_structure(states: Sequence[str], initial: str, transitions: Iterable[t
         seen.add(pair)
 
 
-def _rate_matrix(chain: Ctmc) -> list[list[float]]:
-    """Transition rates as rows of a dense matrix; absent transitions are 0."""
-    index = {state: i for i, state in enumerate(chain.states)}
+def _rate_matrix(chain: Ctmc, states: Sequence[str]) -> list[list[float]]:
+    """Rates between ``states`` as rows of a dense matrix; absent transitions are 0."""
+    index = {state: i for i, state in enumerate(states)}
     r = [[0.0] * len(index) for _ in index]
     for tr in chain.transitions:
-        r[index[tr.src]][index[tr.dst]] = tr.rate
+        if tr.src in index and tr.dst in index:
+            r[index[tr.src]][index[tr.dst]] = tr.rate
     return r
 
 
@@ -111,30 +112,31 @@ def reachable_closed_class(chain: Ctmc) -> tuple[str, ...]:
     fail is strong connectivity. A reachable state that cannot return to the
     initial state means the model leaks probability into a sub-chain, which
     for a maintenance model is a modeling bug rather than a solvable input.
+    Every rate is > 0, so each transition is an edge.
     """
-    rates = _rate_matrix(chain)
-    start = chain.states.index(chain.initial)
+    forward: dict[str, list[str]] = {state: [] for state in chain.states}
+    backward: dict[str, list[str]] = {state: [] for state in chain.states}
+    for tr in chain.transitions:
+        forward[tr.src].append(tr.dst)
+        backward[tr.dst].append(tr.src)
 
-    def closure(adjacency: Sequence[Sequence[float]]) -> set[int]:
-        seen = {start}
-        stack = [start]
+    def closure(edges: dict[str, list[str]]) -> set[str]:
+        seen, stack = {chain.initial}, [chain.initial]
         while stack:
-            for nxt, rate in enumerate(adjacency[stack.pop()]):
-                if rate > 0.0 and nxt not in seen:
+            for nxt in edges[stack.pop()]:
+                if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         return seen
 
-    forward = closure(rates)
-    backward = closure(list(zip(*rates)))
-    stranded = forward - backward
-    if stranded:
-        names = ", ".join(chain.states[i] for i in sorted(stranded))
+    reached, returning = closure(forward), closure(backward)
+    if not reached <= returning:
+        names = ", ".join(s for s in chain.states if s in reached - returning)
         raise SolverError(
             f"reachable states cannot return to {chain.initial!r}: {names}; "
             "the reachable set is not a single closed class"
         )
-    return tuple(s for i, s in enumerate(chain.states) if i in forward)
+    return tuple(s for s in chain.states if s in reached)
 
 
 def _gth(rates: list[list[float]]) -> list[float]:
@@ -170,7 +172,5 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     with probability exactly 0.
     """
     closed = reachable_closed_class(chain)
-    idx = [chain.states.index(s) for s in closed]
-    rates = _rate_matrix(chain)
-    pi = dict(zip(closed, _gth([[rates[i][j] for j in idx] for i in idx])))
+    pi = dict(zip(closed, _gth(_rate_matrix(chain, closed))))
     return {state: pi.get(state, 0.0) for state in chain.states}

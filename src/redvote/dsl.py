@@ -24,13 +24,15 @@ expressions. The grammar, with `#` comments to end of line:
 Multiplication and division bind tighter than addition and subtraction;
 operators associate left. Numbers are non-negative decimals with an
 optional exponent; no hex, no underscores, which keeps files reviewable
-line by line. Bare identifiers inside rate expressions and table entries
-are the inline model's input parameters; bindings and exports reference
-solved values as `<instance>.<output>`. Inline network tables list one
-probability row per parent-state combination (first parent varying
-slowest), each row in the node's own state order. The builtin templates
-are records of the same kind, so each prints as an inline definition that
-parses back to an equal record.
+line by line. A number is 0, or finite and at least `bayes._TINY`, the
+smallest normal double; the parser refuses any other. Bare identifiers
+inside rate expressions and table entries are the inline model's input
+parameters; bindings and exports reference solved values as
+`<instance>.<output>`. Inline network tables list one probability row
+per parent-state combination (first parent varying slowest), each row in
+the node's own state order. The builtin templates are records of the
+same kind, so each prints as an inline definition that parses back to an
+equal record.
 
 Parsing never raises for bad input: it returns a diagnostic with line and
 column instead. The parser builds the `compose` records directly and checks
@@ -395,7 +397,12 @@ class _Parser:
         tok = self.current
         if tok.kind == "NUMBER":
             self.advance()
-            return compose.Literal(float(tok.text))
+            value = float(tok.text)
+            zero = not tok.text.lower().partition("e")[0].strip("0.")
+            if not (zero or bayes._TINY <= value < math.inf):  # inf, 0.0 or a subnormal
+                raise self.error(f"number {tok.text} is out of range; a literal is 0, or "
+                                 f"finite and at least {bayes._TINY!r}", tok)
+            return compose.Literal(value)
         if tok.kind == "(":
             self.advance()
             expr = self.parse_expr()
@@ -431,11 +438,14 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 def _format_number(value: float) -> str:
     """A literal as text that parses back to it: ``inf`` and ``nan`` would
-    parse as names and ``-0.0`` not at all, so -0.0 prints as 0.0."""
+    parse as names, a subnormal would be refused and ``-0.0`` would not
+    parse at all, so -0.0 prints as 0.0."""
     if not math.isfinite(value):
         raise ValidationError(f"cannot print non-finite literal {value!r}")
     if value < 0.0:
         raise ValidationError(f"cannot print negative literal {value!r}")
+    if 0.0 < value < bayes._TINY:
+        raise ValidationError(f"cannot print literal {value!r}, below {bayes._TINY!r}")
     return repr(abs(float(value)))
 
 

@@ -132,13 +132,12 @@ class TestSolve:
         assert out == ""
         assert "transition 'A' -> 'B': rate nan must be finite" in err
 
-    def test_infinite_literal_exits_3_naming_the_input(self, capsys, tmp_path):
+    def test_infinite_literal_exits_2_at_its_position(self, capsys, tmp_path):
         infinite = tmp_path / "infinite.rvm"
         infinite.write_text(Path(CASE_STUDY).read_text().replace("PAR_6 = 1;", "PAR_6 = 1e400;"))
         code, out, err = run(capsys, "solve", str(infinite))
-        assert code == 3
-        assert out == ""
-        assert "'PAR_6' must be finite, got inf" in err
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{infinite}:13:13: error: number 1e400 is out of range")
 
     def test_negative_verdict_metric_exits_4(self, capsys, tmp_path):
         text = Path(CASE_STUDY).read_text().replace(
@@ -704,6 +703,16 @@ def test_network_structure_fault_exits_2_at_the_node(capsys, tmp_path, fault, wi
 
 def _raise_internal_error(args, data, workflow):
     raise RuntimeError("boom")
+
+
+def test_readme_library_sample_prints_the_case_study_exports(capsys):
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    sample = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sample, "README.md", "exec"), {})
+    hfr, mtbhe = map(float, capsys.readouterr().out.split())
+    _, out, _ = run(capsys, "solve", CASE_STUDY, "--format", "json")
+    exports = json.loads(out)["exports"]
+    assert (hfr, mtbhe) == (exports["HFR_2oo3"], exports["MTBHE_2oo3"])
 
 
 def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from redvote import bayes, compose, ctmc, dsl, nmr
 from redvote.errors import SolverError, ValidationError
 
 from oracles import enum_marginal, random_net
+
+SHIPPED = {path.name: dsl.parse(path.read_text()).workflow for path in
+           sorted((Path(__file__).resolve().parent.parent / "models").glob("*.rvm"))}
 
 MAINT_LITERALS = {
     "PAR_6": compose.Literal(1.0),
@@ -898,6 +902,32 @@ class TestSweep:
         plain = compose.run_workflow(workflow)
         assert swept[0].exports == plain.exports
         assert swept[0].instances == plain.instances
+
+    @pytest.mark.parametrize("model, instance, pname", [
+        (model, inst.name, pname) for model, workflow in SHIPPED.items()
+        for inst in workflow.instances for pname, expr in inst.bindings.items()
+        if isinstance(expr, compose.Literal)
+    ])
+    def test_a_point_equals_a_run_with_the_scaled_literal(self, model, instance, pname):
+        # each point swaps one instance of the validated workflow; here the
+        # scaled workflow is built and validated from scratch instead
+        workflow = SHIPPED[model]
+        validated = compose.validate_workflow(workflow)
+        for factor in (0.5, 2.0):
+            scaled = workflow._replace(instances=[
+                compose.ModelInstance(inst.name, inst.class_name, {
+                    **inst.bindings,
+                    pname: compose.Literal(inst.bindings[pname].value * factor),
+                }) if inst.name == instance else inst
+                for inst in workflow.instances
+            ])
+            try:
+                plain = compose.run_workflow(scaled)
+            except ValidationError:  # the scaled literal is outside its range
+                continue
+            (point,) = compose.sweep(validated, f"{instance}.{pname}", [factor])
+            assert point.instances == plain.instances
+            assert point.exports == plain.exports
 
     def test_reference_bound_path_rejected(self):
         with pytest.raises(ValidationError, match="cannot be swept"):

@@ -195,6 +195,17 @@ class TestSteadyState:
         pi = ctmc.steady_state(ctmc.Ctmc(("S0",), "S0", ()))
         assert pi == {"S0": 1.0}
 
+    def test_rate_matrix_built_once_per_solve(self, monkeypatch):
+        calls = []
+        build = ctmc._rate_matrix
+        monkeypatch.setattr(ctmc, "_rate_matrix", lambda *args: calls.append(1) or build(*args))
+        chain = ctmc.Ctmc(
+            ("A", "B", "C"), "A",
+            (ctmc.Transition("A", "B", 3.0), ctmc.Transition("B", "A", 1.0)),
+        )
+        assert ctmc.steady_state(chain) == {"A": 0.25, "B": 0.75, "C": 0.0}
+        assert len(calls) == 1
+
 
 class TestSimulate:
     def test_same_seed_identical(self):

@@ -124,6 +124,17 @@ class TestParse:
         assert bindings["PAR_1"] == compose.Literal(float("1.666e-5"))
         assert bindings["PAR_2"] == compose.Literal(0.1)
 
+    def test_a_literal_a_float_cannot_hold_is_refused_at_its_column(self):
+        # inf, a nonzero text that reads as 0.0, and a subnormal: none is a literal
+        for prefix, text in (("", "1e999"), ("1 + ", "1e-400"), ("2 * (1 + ", "1e-310")):
+            source = f'workflow "w" {{ output X = {prefix}{text}{")" * prefix.count("(")}; }}'
+            diag = first_error(source)
+            assert (diag.line, diag.column) == (1, source.index(text) + 1)
+            assert diag.message.startswith(f"number {text} is out of range; a literal is 0, ")
+        for text, value in (("0", 0.0), ("0e5", 0.0), ("2.2250738585072014e-308", 2.0 ** -1022)):
+            (export,) = parse_ok(f'workflow "w" {{ output X = {text}; }}').exports
+            assert export.expr == compose.Literal(value)
+
     def test_operator_precedence(self):
         workflow = parse_ok(
             'workflow "w" {\n'
@@ -296,8 +307,10 @@ class TestPrint:
     @pytest.mark.parametrize("workflow, message", [
         (compose.Workflow("w", exports=(compose.Export("x", compose.Literal(-1.5)),)),
          "cannot print negative literal -1.5"),
+        (compose.Workflow("w", exports=(compose.Export("x", compose.Literal(1e-310)),)),
+         "cannot print literal 1e-310, below 2.2250738585072014e-308"),
         (compose.Workflow('say "w"'), "workflow names cannot contain quotes or newlines"),
-    ], ids=["negative literal", "quoted name"])
+    ], ids=["negative literal", "subnormal literal", "quoted name"])
     def test_unprintable_workflow_rejected(self, workflow, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             dsl.print_workflow(workflow)
