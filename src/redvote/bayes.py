@@ -53,7 +53,7 @@ from collections import namedtuple
 from operator import add, itemgetter, mul
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
-from .errors import Checked, ValidationError, ZeroEvidenceError
+from .errors import TINY, ValidationError, ZeroEvidenceError
 
 #: Observed states, keyed by variable id.
 Evidence = Mapping[str, str]
@@ -66,31 +66,15 @@ Zeros = tuple[tuple[int, ...], ...]
 
 ROW_SUM_TOLERANCE = 1e-9
 
-#: The smallest normal float: a probability below it, unless 0, has lost bits.
-_TINY = 2.0 ** -1022
-
 #: Bound on the number of cached network builds, plans and kernels.
 PLAN_CACHE_SIZE = 128
 
 
-class Variable(Checked, namedtuple("Variable", "id states")):
-    """A finite discrete variable with an ordered tuple of state labels."""
+class Variable(namedtuple("Variable", "id states")):
+    """A finite discrete variable: its id and its tuple of state labels.
+    Building one checks nothing; :func:`build_net` checks the labels."""
 
     __slots__ = ()
-
-    def __new__(cls, id: str, states: Iterable[str]) -> Variable:
-        states = tuple(states)
-        if not id:
-            raise ValidationError("variable id must be non-empty")
-        if len(states) < 2:
-            raise ValidationError(f"variable {id!r} needs at least two states")
-        if len(set(states)) != len(states):
-            raise ValidationError(f"variable {id!r} repeats a state label")
-        return tuple.__new__(cls, (id, states))
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.states)
 
 
 class Node(namedtuple("Node", "id states parents cpt")):
@@ -176,7 +160,7 @@ def build_net(nodes: Iterable[Node]) -> BayesNet:
     """
     nodes = tuple(nodes)
     check_structure(nodes)
-    variables = tuple(Variable(node.id, node.states) for node in nodes)
+    variables = tuple(Variable(node.id, tuple(node.states)) for node in nodes)
     signature = tuple((node.id, tuple(node.parents), len(node.states)) for node in nodes)
     # ``with_tables`` replaces every table, so the entries as given only fix the lengths
     tables = tuple(node.cpt for node in nodes)
@@ -249,8 +233,8 @@ def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
 
 
 def check_structure(nodes: Sequence[Node]) -> None:
-    """Check a network's structure: each node's state labels as
-    :class:`Variable` checks them, unique ids, parents of each node that
+    """Check a network's structure: each node's id non-empty and its state
+    labels at least two and distinct, unique ids, parents of each node that
     are distinct declared nodes, an acyclic parent graph, and each node's
     table length, its state count times the number of its parents' state
     combinations.
@@ -259,11 +243,13 @@ def check_structure(nodes: Sequence[Node]) -> None:
     ``element`` is ``(j,)`` for the node ``nodes[j]``; for a cycle,
     the first node of the path its message prints.
     """
-    for j, node in enumerate(nodes):
-        try:
-            Variable(node.id, node.states)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), (j,)) from None
+    for j, (vid, states, _, _) in enumerate(nodes):
+        if not vid:
+            raise ValidationError("variable id must be non-empty", (j,))
+        if len(states) < 2:
+            raise ValidationError(f"variable {vid!r} needs at least two states", (j,))
+        if len(set(states)) != len(states):
+            raise ValidationError(f"variable {vid!r} repeats a state label", (j,))
     position: dict[str, int] = {}
     for j, node in enumerate(nodes):
         if node.id in position:
@@ -518,7 +504,7 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
         checks += [f"m{j}_{k} or 1.0" for k in states]
         _emit(lines, f"z{j}", [[f"m{j}_{k}" for k in states]], " + ")
     # the masses are finite, so ``min`` meets no NaN; a zero mass reads as 1.0
-    test = f"if not min({', '.join(checks)}) >= {_TINY!r}: return ({', '.join(masses)},)"
+    test = f"if not min({', '.join(checks)}) >= {TINY!r}: return ({', '.join(masses)},)"
     lines += [test, f"{', '.join(labels)}, = v", f"return {{{', '.join(dists)}}}"]
     return f"def k(v, {', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
 
@@ -550,12 +536,12 @@ def _distribution(var: Variable, mass: Sequence[float], evidence: Evidence) -> D
     """``P(var, evidence)`` over its sum ``P(evidence)``, unless the sum is 0
     or subnormal, or an entry is subnormal but not 0, and so has lost bits."""
     z = functools.reduce(add, mass, 0.0)  # left to right like the kernel, not `sum`
-    if not z >= _TINY:  # NaN fails too
+    if not z >= TINY:  # NaN fails too
         raise ZeroEvidenceError(
             f"evidence {dict(evidence)!r} has probability {z!r}, below the smallest normal float")
-    if min(mass) < _TINY:  # a zero is exact
+    if min(mass) < TINY:  # a zero is exact
         for state, m in zip(var.states, mass):
-            if 0.0 < m < _TINY:
+            if 0.0 < m < TINY:
                 raise ZeroEvidenceError(
                     f"{var.id}={state} with evidence {dict(evidence)!r} has probability {m!r}, "
                     "below the smallest normal float")

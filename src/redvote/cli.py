@@ -114,9 +114,7 @@ def cmd_solve(args: argparse.Namespace, data: bytes, workflow: compose.Workflow)
         return _write_report(_base_report(workflow, data, compose.run_workflow(validated)), args)
     metric = _verdict_metric(workflow)  # fail fast before solving
     result = compose.run_workflow(validated)
-    value = result.exports[metric]
-    if value < 0.0:  # run_workflow has already rejected non-finite figures
-        raise SolverError(f"verdict metric {metric} is {value!r}; a rate cannot be negative")
+    value = result.exports[metric]  # run_workflow refuses a negative or non-finite figure
     verdict = "PASS" if value <= threshold else "FAIL"
     rep = _base_report(
         workflow, data, result, threshold=threshold, verdict=verdict, verdict_metric=metric,

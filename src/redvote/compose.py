@@ -22,13 +22,14 @@ is any coupling through shared states or actions. Every record here is a
 from __future__ import annotations
 
 import graphlib
+import itertools
 import math
 import types
 from collections import deque, namedtuple
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import bayes, ctmc
-from .errors import Checked, RedvoteError, SolverError, ValidationError
+from .errors import TINY, Checked, RedvoteError, SolverError, ValidationError
 
 KINDS = ("probability", "rate", "ratio")
 
@@ -57,6 +58,15 @@ class Literal(Expr, namedtuple("Literal", "value")):
     __slots__ = ()
 
 
+#: The range of a literal, and of every reported figure, in its one wording.
+LITERAL_RANGE = f"a literal is 0, or finite and at least {TINY!r}"
+
+
+def literal_in_range(value: float) -> bool:
+    """Whether ``value`` lies in :data:`LITERAL_RANGE`; -0.0 is 0."""
+    return value == 0.0 or TINY <= value < math.inf
+
+
 class Ref(Expr, namedtuple("Ref", "instance output")):
     """A reference to another instance's output parameter."""
 
@@ -83,7 +93,9 @@ def expr_leaves(expr: Expr, kind: type[Ref] | type[Param]) -> Iterator[Expr]:
 
 
 def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
-    """Evaluate an expression; Ref and Param leaves resolve through ``lookup``."""
+    """Evaluate an expression; Ref and Param leaves resolve through ``lookup``.
+    A zero divisor, or nonzero operands whose product or quotient is 0 or
+    subnormal, raise :class:`SolverError`."""
     kind = type(expr)  # every sweep point evaluates each rate and table expression
     if kind is Literal:
         return expr.value
@@ -97,12 +109,16 @@ def eval_expr(expr: Expr, lookup: Callable[[Expr], float]) -> float:
         if expr.op == "-":
             return left - right
         if expr.op == "*":
-            return left * right
-        if expr.op == "/":
+            value = left * right
+        elif expr.op == "/":
             if right == 0.0:
                 raise SolverError("division by zero")
-            return left / right
-        raise ValidationError(f"unknown operator {expr.op!r}")
+            value = left / right
+        else:
+            raise ValidationError(f"unknown operator {expr.op!r}")
+        if value < TINY and -TINY < value and left and right:  # one comparison if positive
+            raise SolverError(f"{left!r} {expr.op} {right!r} underflows to {value!r}")
+        return value
     raise ValidationError(f"unknown expression node {expr!r}")
 
 
@@ -246,7 +262,8 @@ def class_from_inline(template: InlineCtmc | InlineBayes) -> ModelClass:
 def inline_chain(template: InlineCtmc, values: Mapping[str, float]) -> ctmc.Ctmc:
     """The chain with its inputs set to ``values``. A rate of exactly zero
     is an absent transition, and :class:`ctmc.Ctmc` checks every other one;
-    a division by zero in a rate raises :class:`SolverError` naming it."""
+    a zero divisor or an underflow in a rate raises :class:`SolverError`
+    naming it."""
     transitions = []
     for src, dst, expr in template.rates:
         try:
@@ -272,15 +289,23 @@ def _refill(template: InlineBayes) -> Callable[..., dict[int, tuple]]:
     an input, having an entry that is not a :class:`Literal`. Straight-line
     code evaluates each entry with :func:`eval_expr`'s operations, operands
     and order, but raises :class:`ZeroDivisionError` where it raises
-    :class:`SolverError`. The source holds only numbers: each literal value
-    and each parameter name that a leaf reads is a default argument."""
-    leaves, lines = [], []
+    :class:`SolverError`: on a zero divisor, and on a product or quotient of
+    nonzero operands that is 0 or subnormal. The source holds only numbers:
+    each literal value and each parameter name that a leaf reads is a
+    default argument."""
+    leaves, lines, temps, tiny = [], [], itertools.count(), ""
 
     def emit(expr: Expr) -> str:
+        nonlocal tiny
         if type(expr) is BinOp:  # the operator is looked up, never copied from the template
             left, right = emit(expr.left), emit(expr.right)
-            lines.append(f"t{len(lines)} = {left} {dict(zip('+-*/', '+-*/'))[expr.op]} {right}")
-            return f"t{len(lines) - 1}"
+            op, name = dict(zip("+-*/", "+-*/"))[expr.op], f"t{next(temps)}"
+            lines.append(f"{name} = {left} {op} {right}")
+            if op in "*/":  # eval_expr's underflow test; 0 / 0 raises with no name to look up
+                tiny = tiny or emit(Literal(TINY))
+                lines.append(f"if {name} < {tiny} and -{tiny} < {name} and {left} and {right}:"
+                             " 0 / 0")
+            return name
         leaves.append(expr.value if type(expr) is Literal else expr.name)
         return f"c{len(leaves) - 1}" if type(expr) is Literal else f"v[c{len(leaves) - 1}]"
 
@@ -296,13 +321,14 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
     """The network with its inputs set to ``values``; a node's evaluated
     entries are its table, in the same layout. Every entry of a build is
     checked, so an entry outside [0, 1] or a row that does not sum to 1
-    raises :class:`ValidationError`; a division by zero in an entry raises
-    :class:`SolverError` naming the node. The first build of a template
-    that succeeds goes through :func:`bayes.build_net` and is kept, with
-    the template's :func:`_refill`. A later build of the same template
+    raises :class:`ValidationError`; a zero divisor or an underflow in an
+    entry raises :class:`SolverError` naming the node. The first build of a
+    template that succeeds goes through :func:`bayes.build_net` and is kept,
+    with the template's :func:`_refill`. A later build of the same template
     object puts the refill's tables into the kept net with
-    :func:`bayes.with_tables`, which checks only those; on a zero divisor
-    it falls back to :func:`eval_expr` on every entry, which names the node."""
+    :func:`bayes.with_tables`, which checks only those; where the refill
+    raises it falls back to :func:`eval_expr` on every entry, which names
+    the node."""
     kept, net, refill = _NETS.get(id(template), (None, None, None))
     if kept is template:
         try:
@@ -322,35 +348,24 @@ def inline_bayes_net(template: InlineBayes, values: Mapping[str, float]) -> baye
     return net
 
 
-def _check_chain(template: InlineCtmc) -> None:
-    """An inline chain's shape, every rate row counted whatever its rate."""
-    try:
-        ctmc.check_structure(template.states, template.initial, template.rates)
-    except ValidationError as exc:
-        # the chain's j-th transition is the template's j-th rate
-        element = tuple("rates" if part == "transitions" else part for part in exc.element)
-        raise ValidationError(str(exc), element) from None
-
-
-def _check_net(template: InlineBayes) -> None:
-    """An inline network's structure as :func:`bayes.check_structure` checks
-    it: its state labels, the parent graph and the number of entries of each
-    table."""
-    try:
-        bayes.check_structure(template.nodes)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), ("nodes", *exc.element)) from None
-
-
 def _check_class(cls: ModelClass) -> None:
-    """A class's template, outputs that read states of it, expressions that
-    use only the model's declared inputs, and parameter names declared once."""
-    if isinstance(cls.template, InlineCtmc):
-        _check_chain(cls.template)
-        readable = {(state,) for state in cls.template.states}
-    else:
-        _check_net(cls.template)
-        readable = {(node.id, state) for node in cls.template.nodes for state in node.states}
+    """A class's template, as :func:`ctmc.check_structure` (every rate row
+    counted whatever its rate) or :func:`bayes.check_structure` checks it,
+    outputs that read states of it, expressions that use only the model's
+    declared inputs, and parameter names declared once."""
+    template, chain = cls.template, isinstance(cls.template, InlineCtmc)
+    try:
+        if chain:
+            ctmc.check_structure(template.states, template.initial, template.rates)
+        else:
+            bayes.check_structure(template.nodes)
+    except ValidationError as exc:
+        # a chain's j-th transition is the template's j-th rate; a network's j-th node, its own
+        element = (tuple("rates" if part == "transitions" else part for part in exc.element)
+                   if chain else ("nodes", *exc.element))
+        raise ValidationError(str(exc), element) from None
+    readable = ({(state,) for state in template.states} if chain
+                else {(node.id, state) for node in template.nodes for state in node.states})
     for j, (output, *where) in enumerate(cls.reads):
         if tuple(where) not in readable:  # a network's reads name node and state
             raise ValidationError(f"output {output!r} reads {'='.join(where)!r}, "
@@ -605,17 +620,21 @@ def _evaluate(exprs: Mapping[str, Expr], solved: Mapping[str, Mapping[str, float
 
 
 def _require_finite(what: str, values: Mapping[str, float]) -> None:
+    """Each figure of ``values`` must lie in :data:`LITERAL_RANGE`."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise SolverError(f"{what} {name!r} is {value!r}; figures must be finite")
+        if not literal_in_range(value):
+            why = ("must be finite" if not math.isfinite(value) else "cannot be negative"
+                   if value < 0.0 else "must be 0 or at least the smallest normal float")
+            raise SolverError(f"{what} {name!r} is {value!r}; figures {why}")
 
 
 def run_workflow(workflow: Workflow | ValidatedWorkflow) -> SolveResult:
     """Solve all instances in topological order and evaluate the exports.
 
     The result is fully deterministic, and identical for every admissible
-    topological order. A kinded input out of its range, or a non-finite
-    instance output or export, raises :class:`SolverError`.
+    topological order. A kinded input out of its range, or an instance
+    output or export that is not finite, is negative or is subnormal,
+    raises :class:`SolverError`.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
     solved: dict[str, dict[str, float]] = {}
@@ -659,9 +678,11 @@ def sweep(
 
     ``parameter`` is an ``instance.input`` path. Reference-bound inputs are
     derived values and cannot be swept; asking for one is an error. The
-    workflow is validated once; each point checks only the scaled literal's
-    range, since nothing else changes, and swaps the swept instance's entry
-    of ``validated.instances`` for one with that literal.
+    workflow is validated once; each point checks only the scaled literal,
+    since nothing else changes: its kind's range, then :data:`LITERAL_RANGE`
+    and, as :func:`eval_expr` does, that the product did not underflow. It
+    swaps the swept instance's entry of ``validated.instances`` for one with
+    that literal.
     """
     validated = workflow if isinstance(workflow, ValidatedWorkflow) else validate_workflow(workflow)
     if "." not in parameter:
@@ -687,6 +708,10 @@ def sweep(
     for factor in factors:
         value = binding.value * float(factor)
         _check_literal(inst_name, decl, value)
+        if not literal_in_range(value) or (not value and binding.value and factor):
+            fault = f"underflows to {value!r}" if not value else f"is {value!r}; {LITERAL_RANGE}"
+            raise ValidationError(f"instance {inst_name!r}: {parameter} scaled by {factor!r} "
+                                  + fault)
         point = inst._replace(bindings={**inst.bindings, pname: Literal(value)})
         instances = {**validated.instances, inst_name: (point, cls)}
         results.append(run_workflow(validated._replace(instances=instances)))

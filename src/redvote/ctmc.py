@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import Checked, SolverError, ValidationError
+from .errors import TINY, Checked, SolverError, ValidationError
 
 
 class Transition(namedtuple("Transition", "src dst rate")):
@@ -169,8 +169,14 @@ def steady_state(chain: Ctmc) -> dict[str, float]:
     Solves pi . Q = 0 with sum(pi) = 1 on the closed class reachable from the
     initial state. States outside that class (for instance a power-loss state
     whose inbound rate is parameterized to zero) are tolerated and reported
-    with probability exactly 0.
+    with probability exactly 0. Every state of the class has a positive
+    probability, so one that comes out below the smallest normal float, 0
+    included, has lost its bits and raises :class:`SolverError`.
     """
     closed = reachable_closed_class(chain)
     pi = dict(zip(closed, _gth(_rate_matrix(chain, closed))))
+    if min(pi.values()) < TINY:  # a NaN passes, for the caller's finite check
+        state = next(state for state, p in pi.items() if p < TINY)
+        raise SolverError(f"steady-state probability of {state!r} is {pi[state]!r}, "
+                          "below the smallest normal float")
     return {state: pi.get(state, 0.0) for state in chain.states}

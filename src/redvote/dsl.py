@@ -24,8 +24,9 @@ expressions. The grammar, with `#` comments to end of line:
 Multiplication and division bind tighter than addition and subtraction;
 operators associate left. Numbers are non-negative decimals with an
 optional exponent; no hex, no underscores, which keeps files reviewable
-line by line. A number is 0, or finite and at least `bayes._TINY`, the
-smallest normal double; the parser refuses any other. Bare identifiers
+line by line. A number lies in `compose.LITERAL_RANGE`: 0, or finite and
+at least the smallest normal double. The parser refuses any other, and a
+nonzero number that reads as 0, such as `1e-400`. Bare identifiers
 inside rate expressions and table entries are the inline model's input
 parameters; bindings and exports reference solved values as
 `<instance>.<output>`. Inline network tables list one probability row
@@ -47,7 +48,6 @@ failure at the element it names. Printing is deterministic, and
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from typing import Callable
@@ -398,10 +398,9 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.advance()
             value = float(tok.text)
-            zero = not tok.text.lower().partition("e")[0].strip("0.")
-            if not (zero or bayes._TINY <= value < math.inf):  # inf, 0.0 or a subnormal
-                raise self.error(f"number {tok.text} is out of range; a literal is 0, or "
-                                 f"finite and at least {bayes._TINY!r}", tok)
+            zero = not tok.text.lower().partition("e")[0].strip("0.")  # 0e5 is, 1e-400 is not
+            if not compose.literal_in_range(value) or not (value or zero):
+                raise self.error(f"number {tok.text} is out of range; {compose.LITERAL_RANGE}", tok)
             return compose.Literal(value)
         if tok.kind == "(":
             self.advance()
@@ -437,15 +436,12 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _format_number(value: float) -> str:
-    """A literal as text that parses back to it: ``inf`` and ``nan`` would
-    parse as names, a subnormal would be refused and ``-0.0`` would not
-    parse at all, so -0.0 prints as 0.0."""
-    if not math.isfinite(value):
-        raise ValidationError(f"cannot print non-finite literal {value!r}")
-    if value < 0.0:
-        raise ValidationError(f"cannot print negative literal {value!r}")
-    if 0.0 < value < bayes._TINY:
-        raise ValidationError(f"cannot print literal {value!r}, below {bayes._TINY!r}")
+    """A literal as text that parses back to it, so one in
+    :data:`compose.LITERAL_RANGE`: ``inf`` and ``nan`` would parse as names,
+    and a negative or subnormal one would be refused. ``-0.0`` would not
+    parse at all, so it prints as 0.0."""
+    if not compose.literal_in_range(value):
+        raise ValidationError(f"cannot print literal {value!r}; {compose.LITERAL_RANGE}")
     return repr(abs(float(value)))
 
 

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by the model, workflow and CLI layers, and
-the mixin that keeps checked records checked."""
+"""Exception hierarchy shared by the model, workflow and CLI layers, the
+mixin that keeps checked records checked, and the smallest normal float."""
 
 from __future__ import annotations
 
 from typing import Iterable
+
+#: The smallest normal float: a figure below it, unless 0, has lost bits.
+TINY = 2.0 ** -1022
 
 
 class RedvoteError(Exception):

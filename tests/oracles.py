@@ -31,14 +31,14 @@ from redvote.nmr import FailureParams
 def full_joint(net: bayes.BayesNet) -> np.ndarray:
     """Dense joint tensor with one axis per variable, in declaration order."""
     ids = list(net.variable_ids)
-    joint = np.ones(tuple(net.variable(vid).cardinality for vid in ids))
+    joint = np.ones(tuple(len(net.variable(vid).states) for vid in ids))
     for vid in ids:
         cpt = net.cpts[vid]
         scope = cpt.parents + (vid,)
         # the flat table has one axis per scope variable, in scope order
-        table = np.array(cpt.cpt).reshape([net.variable(v).cardinality for v in scope])
+        table = np.array(cpt.cpt).reshape([len(net.variable(v).states) for v in scope])
         table = table.transpose(sorted(range(len(scope)), key=lambda i: ids.index(scope[i])))
-        joint = joint * table.reshape([net.variable(v).cardinality if v in scope else 1
+        joint = joint * table.reshape([len(net.variable(v).states) if v in scope else 1
                                        for v in ids])
     return joint
 
@@ -56,7 +56,7 @@ def joint_probability(net: bayes.BayesNet, assignment: dict[str, str]) -> float:
         cpt = net.cpts[vid]
         index = 0  # row-major over the parents, then the child's own state
         for v in cpt.parents + (vid,):
-            index = index * net.variable(v).cardinality + net.state_index(v, assignment[v])
+            index = index * len(net.variable(v).states) + net.state_index(v, assignment[v])
         product *= cpt.cpt[index]
     return product
 

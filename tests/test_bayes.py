@@ -129,7 +129,7 @@ class TestBuildNet:
             planted["two tables"] += len(chosen) == 2
             for vid in chosen:
                 table, i = tables[vid], rng.randrange(len(tables[vid]))
-                count = net.variable(vid).cardinality
+                count = len(net.variable(vid).states)
                 if fault == "negative":  # the row still sums to 1
                     j = i - i % count + (i + rng.randrange(1, count)) % count
                     table[i], table[j] = values[fault], table[j] + table[i] - values[fault]
@@ -146,8 +146,8 @@ class TestBuildNet:
             for vid in ids:
                 var, parents = net.variable(vid), net.cpts[vid].parents
                 rows = itertools.product(*(net.variable(p).states for p in parents))
-                for start, key in zip(range(0, len(tables[vid]), var.cardinality), rows):
-                    row = tables[vid][start:start + var.cardinality]
+                for start, key in zip(range(0, len(tables[vid]), len(var.states)), rows):
+                    row = tables[vid][start:start + len(var.states)]
                     total = 0.0
                     for p in row:
                         total += p
@@ -194,12 +194,13 @@ class TestBuildNet:
         assert str(info.value) == f"CPT row () for 'A' sums to {forwards!r}, not 1"
 
     def test_variable_invariants(self):
+        node = bayes.Node("A", ("F", "T"), (), (0.5, 0.5))
         with pytest.raises(ValidationError, match="^variable id must be non-empty$"):
-            bayes.Variable("", B)
+            bayes.build_net([node._replace(id="")])
         with pytest.raises(ValidationError, match="at least two states"):
-            bayes.Variable("A", ("only",))
+            bayes.build_net([node._replace(states=("only",), cpt=(1.0,))])
         with pytest.raises(ValidationError, match="repeats a state"):
-            bayes.Variable("A", ("x", "x"))
+            bayes.build_net([node._replace(states=("F", "F"))])
 
 
 class TestJointProbability:
@@ -896,7 +897,7 @@ def test_figures_do_not_depend_on_the_sum_builtin(monkeypatch):
         return repr(out)
 
     assert max(len(chain.states) for chain in chains) >= 3
-    assert max(var.cardinality for net in nets for var in net.variables) >= 3
+    assert max(len(var.states) for net in nets for var in net.variables) >= 3
     bayes._kernel.cache_clear()
     want = figures()
     for module in (bayes, ctmc):

@@ -298,6 +298,30 @@ class TestSolve:
         assert run(capsys, "solve", str(bad)) == (
             4, "", "error: instance 'mu' input 'PAR_6': division by zero\n")
 
+    @pytest.mark.parametrize("model, old, new, message", [
+        (CASE_STUDY, "output HFR_2oo3 = 3 * mu.PAR_10;", "output D = phi.PAR_5 - phi.PAR_4;",
+         "export 'D' is -2.1907895196057595e-06; figures cannot be negative"),
+        (CASE_STUDY, "output HFR_2oo3 = 3 * mu.PAR_10;", "output X = 3e-308 - 2.5e-308;",
+         "export 'X' is 5.000000000000004e-309; "
+         "figures must be 0 or at least the smallest normal float"),
+        (CASE_STUDY, "output HFR_2oo3 = 3 * mu.PAR_10;",
+         "output X = 1e-300 / (3 * mu.PAR_10) * 1e-20;",
+         "export 'X': 3.0095762468054296e-294 * 1e-20 underflows to 3.009576247e-314"),
+        (CASE_STUDY, "output HFR_2oo3 = 3 * mu.PAR_10;",
+         "output X = phi.PAR_5 * 1e-300 * 1e-30;",
+         "export 'X': 4.803942403140088e-13 * 1e-300 underflows to 4.8039424031e-313"),
+        (INLINE_MAINTENANCE, "PAR_9 = 3;", "PAR_9 = 1e308;",
+         "instance 'mu': steady-state probability of 'S4' is 1.1076e-319, "
+         "below the smallest normal float"),
+    ], ids=["negative", "subnormal", "subnormal product", "underflow", "subnormal pi"])
+    def test_an_inadmissible_figure_exits_4_naming_it(self, capsys, tmp_path, model, old, new,
+                                                       message):
+        text = Path(model).read_text()
+        assert text.count(old) == 1
+        edited = tmp_path / "edited.rvm"
+        edited.write_text(text.replace(old, new))
+        assert run(capsys, "solve", str(edited)) == (4, "", f"error: {message}\n")
+
     def test_table_entry_out_of_range_is_named_with_its_value(self, capsys, tmp_path):
         parametric = tmp_path / "parametric.rvm"
         parametric.write_text(ONE_NODE.format(cpt="1 - q, q", bindings="q = 2;"))
@@ -383,7 +407,6 @@ def test_record_fields_and_defaults(record, fields, defaults):
 CHECKED_RECORDS = [
     (ctmc.Ctmc(("A", "B"), "A", (ctmc.Transition("A", "B", 1.0), ctmc.Transition("B", "A", 2.0))),
      {"transitions": (ctmc.Transition("A", "B", -1.0), ctmc.Transition("B", "A", 2.0))}),
-    (bayes.Variable("A", ("F", "T")), {"states": ("F", "F")}),
     (compose.ParamDecl("x"), {"kind": "speed"}),
 ]
 
@@ -584,6 +607,12 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert f"'PAR_6' must be finite, got {factor}" in err
+
+    def test_a_swept_literal_out_of_the_literal_range_exits_3(self, capsys):
+        # the parser refuses 1e-310 in a file; a sweep may not reach it either
+        assert run(capsys, "sweep", CASE_STUDY, "--param", "mu.PAR_6", "--factors", "1,1e-310") == (
+            3, "", "error: instance 'mu': mu.PAR_6 scaled by 1e-310 is 1e-310; a literal is 0, "
+            "or finite and at least 2.2250738585072014e-308\n")
 
     def test_json_report_keys_in_field_order(self, capsys):
         _, out, _ = run(capsys, "sweep", CASE_STUDY, "--param", "phi.PAR_1",

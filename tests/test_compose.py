@@ -12,7 +12,7 @@ import pytest
 
 import redvote
 from redvote import bayes, compose, ctmc, dsl, nmr
-from redvote.errors import SolverError, ValidationError
+from redvote.errors import TINY, SolverError, ValidationError
 
 from oracles import enum_marginal, random_net
 
@@ -517,6 +517,21 @@ class TestRunWorkflow:
             compose.eval_expr(compose.BinOp("/", compose.Literal(1.0), compose.Param("q")),
                               lambda leaf: 0.0)
 
+    @pytest.mark.parametrize("op, left, right", [
+        ("*", 1e-200, 1e-200), ("/", 1e-300, 1e10), ("*", -1e-300, 1e-10),
+    ], ids=["to zero", "subnormal", "negative"])
+    def test_eval_expr_refuses_a_nonzero_product_or_quotient_that_underflows(self, op, left,
+                                                                              right):
+        value = left * right if op == "*" else left / right
+        assert -TINY < value < TINY
+        message = f"{left!r} {op} {right!r} underflows to {value!r}"
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            compose.eval_expr(compose.BinOp(op, compose.Literal(left), compose.Param("q")),
+                              lambda leaf: right)
+        # a zero operand makes an exact zero
+        assert compose.eval_expr(compose.BinOp(op, compose.Literal(0.0), compose.Param("q")),
+                                 lambda leaf: right) == 0.0
+
 
 def test_eval_expr_refuses_an_unknown_operator():
     with pytest.raises(ValidationError, match="^unknown operator '\\^'$"):
@@ -600,7 +615,7 @@ def _parametric(net, rng):
     literals instead."""
     nodes = []
     for var in net.variables:
-        count, cpt = var.cardinality, []
+        count, cpt = len(var.states), []
         if rng.random() < 1 / 3:
             cpt = list(map(compose.Literal, net.cpts[var.id].cpt))
         for r in range(0 if cpt else len(net.cpts[var.id].cpt) // count):
@@ -720,7 +735,8 @@ class TestStructureCache:
         ({"c0": math.nan}, ValidationError,
          "CPT row () for 'C' has its entry for state 'lo' at nan, outside [0, 1]"),
         ({"d": 0.0}, SolverError, "node 'B': division by zero in a table entry"),
-    ], ids=["range", "row-sum", "nan", "division"])
+        ({"d": 1e308}, SolverError, "node 'B': 0.5 / 1e+308 underflows to 5e-309 in a table entry"),
+    ], ids=["range", "row-sum", "nan", "division", "underflow"])
     def test_entry_faults_on_first_and_cached_builds(self, change, error, message):
         values = {**self.GOOD, **change}
         compose._NETS.pop(id(self.FAULTY), None)
@@ -730,7 +746,7 @@ class TestStructureCache:
         compose.inline_bayes_net(self.FAULTY, self.GOOD)
         assert _cached(self.FAULTY)
         kept = compose._NETS[id(self.FAULTY)]
-        if error is SolverError:  # the refill's zero divisor sends the build to eval_expr
+        if error is SolverError:  # the refill's zero divisor or underflow sends it to eval_expr
             with pytest.raises(ZeroDivisionError):
                 kept[2](values)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -928,6 +944,12 @@ class TestSweep:
             (point,) = compose.sweep(validated, f"{instance}.{pname}", [factor])
             assert point.instances == plain.instances
             assert point.exports == plain.exports
+
+    def test_a_scaled_literal_that_underflows_is_refused(self):
+        # 1.666e-5 * 1e-320 is 0.0: a nonzero product may not underflow, here as in eval_expr
+        with pytest.raises(ValidationError,
+                           match="^instance 'phi': phi.PAR_1 scaled by 1e-320 underflows to 0.0$"):
+            compose.sweep(case_study_workflow(), "phi.PAR_1", [1.0, 1e-320])
 
     def test_reference_bound_path_rejected(self):
         with pytest.raises(ValidationError, match="cannot be swept"):

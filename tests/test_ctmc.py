@@ -1,6 +1,7 @@
 """Chain validation, generators, GTH steady states, and the simulator."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redvote import ctmc
-from redvote.errors import SolverError, ValidationError
+from redvote.errors import TINY, SolverError, ValidationError
 
 from oracles import (
     dense_steady_state,
@@ -194,6 +195,16 @@ class TestSteadyState:
     def test_single_state_chain(self):
         pi = ctmc.steady_state(ctmc.Ctmc(("S0",), "S0", ()))
         assert pi == {"S0": 1.0}
+
+    @pytest.mark.parametrize("r01, r10", [(1e-300, 1e10), (1e-300, 1e300)],
+                             ids=["subnormal", "zero"])
+    def test_a_probability_below_the_smallest_normal_float_raises(self, r01, r10):
+        # a state of the closed class has a positive probability; below TINY it has lost bits
+        pi_s1 = r01 / r10
+        assert pi_s1 < TINY
+        with pytest.raises(SolverError, match=re.escape(
+                f"steady-state probability of 'S1' is {pi_s1!r}, below the smallest normal float")):
+            ctmc.steady_state(_two_state(r01, r10))
 
     def test_rate_matrix_built_once_per_solve(self, monkeypatch):
         calls = []

@@ -301,14 +301,16 @@ class TestPrint:
         assert parse_ok(dsl.print_workflow(zero)) == zero
         for value in (math.inf, math.nan):
             literal = compose.Workflow("w", exports=(compose.Export("x", compose.Literal(value)),))
-            with pytest.raises(ValidationError, match="non-finite literal"):
+            with pytest.raises(ValidationError, match=f"^cannot print literal {value!r}; "):
                 dsl.print_workflow(literal)
 
     @pytest.mark.parametrize("workflow, message", [
         (compose.Workflow("w", exports=(compose.Export("x", compose.Literal(-1.5)),)),
-         "cannot print negative literal -1.5"),
+         "cannot print literal -1.5; a literal is 0, or finite and at least "
+         "2.2250738585072014e-308"),
         (compose.Workflow("w", exports=(compose.Export("x", compose.Literal(1e-310)),)),
-         "cannot print literal 1e-310, below 2.2250738585072014e-308"),
+         "cannot print literal 1e-310; a literal is 0, or finite and at least "
+         "2.2250738585072014e-308"),
         (compose.Workflow('say "w"'), "workflow names cannot contain quotes or newlines"),
     ], ids=["negative literal", "subnormal literal", "quoted name"])
     def test_unprintable_workflow_rejected(self, workflow, message):
