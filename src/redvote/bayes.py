@@ -19,7 +19,7 @@ graph and the length of each table, is checked by :func:`check_structure`,
 which `compose.check_records` runs too, so a `.rvm` file's faults are found
 as it is read. :func:`build_net` checks a structure and then hands every
 table to :func:`with_tables`, which converts each table to floats, notes its
-exact zeros and checks its entries in whole-table passes; a later refill
+exact zeros and checks its entries in one loop over the rows; a later refill
 of some of a built net's tables goes through it too, shares the others, and
 checks only the new ones. So `compose` builds and checks each network
 template once, and a later build evaluates, with code generated for the
@@ -34,10 +34,11 @@ An observation enters as an indicator on its variable's own table
 :func:`marginal` runs the plan of its one target step by step.
 :func:`posteriors` runs one kernel per structure and pattern of exact
 zeros, compiled on its first call: the all-variable plan, its adjoint pass
-and the normalisation as straight-line Python, with each zero folded out.
-Compiling costs that call 7 to 9 ms on the failure network and 85 to 100
-ms on one child of 10 binary parents, 11 to 17 ms per 1,000 entries its
-plan reads (2-core container, CPython 3.11). A `solve` runs a per-target
+and the normalisation as straight-line Python, with each zero and each
+factor 1.0 folded out and no line that only copies a value.
+Compiling costs that call a median 6 ms on the failure network and 71 ms
+on one child of 10 binary parents, 9 to 12 ms per 1,000 entries its plan
+reads (2-core container, CPython 3.11). A `solve` runs a per-target
 plan once or twice and would not recoup it: :func:`marginal` stays interpreted.
 Sums add left to right, not by ``sum``, compensated from CPython 3.12.
 """
@@ -104,20 +105,20 @@ class BayesNet:
     concurrent queries against one net are safe.
     """
 
-    __slots__ = ("variables", "signature", "zeros", "_by_id", "_tables")
+    __slots__ = ("variables", "signature", "zeros", "_slot", "_tables")
 
     def __init__(
         self,
         variables: tuple[Variable, ...],
         signature: Signature,
-        by_id: dict[str, Variable],
+        slot: dict[str, int],
         tables: tuple[tuple[float, ...], ...],
         zeros: Zeros,
     ) -> None:
-        # nets of one structure share ``variables``, ``signature`` and ``by_id``
+        # nets of one structure share ``variables``, ``signature`` and ``slot``
         self.variables = variables
         self.signature = signature
-        self._by_id = by_id
+        self._slot = slot  # variable id -> position, in id order
         self._tables = tables  # in variable order
         self.zeros = zeros
 
@@ -134,7 +135,7 @@ class BayesNet:
 
     def variable(self, var_id: str) -> Variable:
         try:
-            return self._by_id[var_id]
+            return self.variables[self._slot[var_id]]
         except KeyError:
             raise ValidationError(f"unknown variable {var_id!r}") from None
 
@@ -164,8 +165,8 @@ def build_net(nodes: Iterable[Node]) -> BayesNet:
     signature = tuple((node.id, tuple(node.parents), len(node.states)) for node in nodes)
     # ``with_tables`` replaces every table, so the entries as given only fix the lengths
     tables = tuple(node.cpt for node in nodes)
-    net = BayesNet(variables, signature, {var.id: var for var in variables}, tables,
-                   ((),) * len(nodes))
+    slot = dict(sorted((var.id, j) for j, var in enumerate(variables)))  # ids are distinct
+    net = BayesNet(variables, signature, slot, tables, ((),) * len(nodes))
     return with_tables(net, dict(enumerate(tables)))
 
 
@@ -174,15 +175,14 @@ def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNe
     ``tables[j]``, as long as ``net``'s own: the one way a table enters a
     net, which :func:`build_net` takes for every table. Each new table is
     converted to floats and its exact zeros are noted. Only the new tables
-    are checked, in whole-table passes, so the first entry fault among them
-    in variable order is named; every other table, and the variables,
+    are checked, by :func:`_check_entries`, so the first entry fault among
+    them in variable order is named; every other table, and the variables,
     signature and variable map, are ``net``'s own objects.
 
     Raises:
         ValidationError: a ``j`` outside ``net`` or a table of another
             length, an entry outside [0, 1] or a row whose left-to-right sum
-            is off 1 by more than 1e-9, named by a row loop that runs only
-            on a fault.
+            is off 1 by more than 1e-9.
     """
     new, zeros = list(net._tables), list(net.zeros)
     for slot, table in tables.items():
@@ -191,8 +191,8 @@ def with_tables(net: BayesNet, tables: Mapping[int, Sequence[float]]) -> BayesNe
         new[slot] = tuple(map(float, table))
         zeros[slot] = _zeros(new[slot])
     slots = sorted(tables)
-    _check_entries([net.signature[j] for j in slots], [new[j] for j in slots], net._by_id)
-    return BayesNet(net.variables, net.signature, net._by_id, tuple(new), tuple(zeros))
+    _check_entries([net.signature[j] for j in slots], [new[j] for j in slots], net.variable)
+    return BayesNet(net.variables, net.signature, net._slot, tuple(new), tuple(zeros))
 
 
 def _zeros(table: Sequence[float]) -> tuple[int, ...]:
@@ -201,35 +201,27 @@ def _zeros(table: Sequence[float]) -> tuple[int, ...]:
 
 
 def _check_entries(signature: Signature, tables: Sequence[Sequence[float]],
-                   by_id: Mapping[str, Variable]) -> None:
-    """Check the entries of ``tables``, in variable order, in whole-table
-    passes: each in [0, 1], and each row's left-to-right sum off 1 by at
-    most 1e-9. A row loop names the first faulty row, and runs only on a
-    fault."""
-    flats: dict[int, list[float]] = {}  # every entry, per state count
-    for (_, _, card), table in zip(signature, tables):
-        flats.setdefault(card, []).extend(table)
-    for card, flat in flats.items():
-        sums = flat[::card]  # left to right like the row loop, not `sum` (compensated from 3.12)
-        for k in range(1, card):
-            sums = list(map(add, sums, flat[k::card]))
-        if (min(flat) >= 0.0 and max(flat) <= 1.0 and math.isfinite(sum(sums))  # a NaN fails here
-                and max(sums) - 1.0 <= ROW_SUM_TOLERANCE and 1.0 - min(sums) <= ROW_SUM_TOLERANCE):
-            continue
-        for (vid, parents, count), table in zip(signature, tables):
-            states = by_id[vid].states
-            for start in range(0, len(table), count):
-                row = table[start:start + count]
-                bad = [(s, p) for s, p in zip(states, row) if not 0.0 <= p <= 1.0]  # NaN too
-                if bad:
-                    fault = "has its entry for state {!r} at {!r}, outside [0, 1]".format(*bad[0])
-                elif abs((total := functools.reduce(add, row, 0.0)) - 1.0) > ROW_SUM_TOLERANCE:
-                    fault = f"sums to {total!r}, not 1"
-                else:
+                   variable: Callable[[str], Variable]) -> None:
+    """Check the entries of ``tables`` row by row, in variable order: each
+    in [0, 1], and each row's left-to-right sum off 1 by at most 1e-9. The
+    first faulty row is named, with its first entry outside [0, 1] if it
+    has one; ``variable`` gives the labels of the node and its parents."""
+    for (vid, parents, count), table in zip(signature, tables):
+        for start in range(0, len(table), count):
+            row, total = table[start:start + count], 0.0
+            for p in row:  # left to right, not `sum` (compensated from 3.12)
+                if not 0.0 <= p <= 1.0:  # NaN too
+                    break
+                total += p
+            else:
+                if abs(total - 1.0) <= ROW_SUM_TOLERANCE:
                     continue
-                combos = itertools.product(*(by_id[p].states for p in parents))
-                key = next(itertools.islice(combos, start // count, None))
-                raise ValidationError(f"CPT row {key!r} for {vid!r} {fault}")
+            bad = [(s, p) for s, p in zip(variable(vid).states, row) if not 0.0 <= p <= 1.0]
+            fault = ("has its entry for state {!r} at {!r}, outside [0, 1]".format(*bad[0])
+                     if bad else f"sums to {total!r}, not 1")  # ``bad`` if the loop broke
+            combos = itertools.product(*(variable(p).states for p in parents))
+            key = next(itertools.islice(combos, start // count, None))
+            raise ValidationError(f"CPT row {key!r} for {vid!r} {fault}")
 
 
 def check_structure(nodes: Sequence[Node]) -> None:
@@ -410,10 +402,20 @@ def _emit(lines: list[str], prefix: str, rows: Iterable[Sequence], op: str) -> l
     """Append ``{prefix}_{i} = row[0] op row[1] op ...`` for each row,
     evaluated left to right, to ``lines``; returns the names. A term
     ``None`` is an exact zero: a product with one is ``None``, a sum leaves
-    it out, and a row left empty gets no line and the name ``None``."""
+    it out, and a row left empty gets no line and the name ``None``. A
+    product leaves out the factor ``1.0``. A row left with one term that
+    is a name or ``1.0`` gets no line: its name is that term."""
     names = []
     for i, row in enumerate(rows):
-        row = [] if op == " * " and None in row else [term for term in row if term is not None]
+        if op == " + ":
+            row = [term for term in row if term is not None] if None in row else row
+        elif None in row:
+            row = ()
+        elif "1.0" in row:
+            row = [term for term in row if term != "1.0"] or ["1.0"]
+        if len(row) == 1 and " " not in row[0]:
+            names.append(row[0])
+            continue
         names.append(name := f"{prefix}_{i}" if row else None)
         for j in range(0, len(row), _CHAIN):
             lines.append(f"{name} = {name + op if j else ''}{op.join(row[j:j + _CHAIN])}")
@@ -421,8 +423,13 @@ def _emit(lines: list[str], prefix: str, rows: Iterable[Sequence], op: str) -> l
 
 
 def _times(*factors: str | None) -> str | None:
-    """The product of ``factors``; ``None``, an exact zero, if one is."""
-    return None if None in factors else " * ".join(factors)
+    """The product of ``factors`` without the factor ``1.0``, which leaves
+    a left-to-right product as it is; ``None``, an exact zero, if one is."""
+    if None in factors:
+        return None
+    if "1.0" in factors:
+        factors = [factor for factor in factors if factor != "1.0"] or ["1.0"]
+    return " * ".join(factors)
 
 
 def _kernel_source(signature: Signature, zeros: Zeros) -> str:
@@ -435,7 +442,11 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
     product with one, no zero term of a sum and no adjoint of a zero entry
     (only zero products read it) is emitted. Entries are finite and in [0,
     1], so a dropped product is ±0.0 and leaves a non-negative sum as it
-    was: results are bit for bit the unfolded ones. Its names hold step,
+    was: results are bit for bit the unfolded ones. Products leave out
+    the root adjoint's factor ``1.0``, exact since ``x * 1.0 == x``, and a
+    row that comes down to one name or to ``1.0`` gets no line (:func:`_emit`):
+    so a value's name may be another row's name or a literal, and a mass
+    folded out entirely is ``0.0``. Names hold step,
     slot, entry and variable numbers only: ``a`` for slot entries, ``b``
     and ``p`` for a step's table-only product and product, ``g`` for a
     result's adjoint (Darwiche 2003), ``l`` and ``r`` for prefix and suffix
@@ -467,7 +478,7 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
         sums = [product[i:i + group] for i in range(0, len(product), group)]
         names[n + t] = _emit(lines, f"a{n + t}", sums, " + ")
         kept.append((product, base[0] if len(base) == 1 else None, results))
-    adjoints = {n + len(plan.steps) - 1: ["1.0"]}
+    adjoints, masses = {n + len(plan.steps) - 1: ["1.0"]}, [None] * n
     position = {vid: j for j, (vid, _, _) in enumerate(signature)}
     for t in reversed(range(len(plan.steps))):
         (product, base, results), group = kept[t], plan.steps[t][1]
@@ -475,7 +486,7 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
         if t < len(plan.order):
             j, pairs = position[plan.order[t]], list(map(_times, adjoint, product))
             chains = _emit(lines, f"m{j}", [pairs[k::group] for k in range(group)], " + ")
-            lines += [f"m{j}_{k} = 0.0" for k, name in enumerate(chains) if name is None]
+            masses[j] = [name or "0.0" for name in chains]
         if base is not None:
             adjoint = list(map(_times, adjoint, base))
         columns = [column for _, _, column in results]
@@ -494,17 +505,16 @@ def _kernel_source(signature: Signature, zeros: Zeros) -> str:
                 if names[slot][entry]:  # only zero products read a zero entry's adjoint
                     by_entry[entry].append(term)
             adjoints[slot] = _emit(lines, f"g{slot}", by_entry, " + ")
-    masses, labels, dists, checks = [], [], [], [f"z{j}_0" for j in range(n)]
+    labels, dists, checks = [], [], [f"z{j}_0" for j in range(n)]
     for j, (_, _, count) in enumerate(signature):
-        states = range(count)
-        masses.append(f"({''.join(f'm{j}_{k}, ' for k in states)})")
-        labels.append(f"(i{j}, ({''.join(f's{j}_{k}, ' for k in states)}))")
-        probabilities = ", ".join(f"s{j}_{k}: m{j}_{k} / z{j}_0" for k in states)
+        labels.append(f"(i{j}, ({''.join(f's{j}_{k}, ' for k in range(count))}))")
+        probabilities = ", ".join(f"s{j}_{k}: {m} / z{j}_0" for k, m in enumerate(masses[j]))
         dists.append(f"i{j}: new(D, (i{j}, {{{probabilities}}}))")
-        checks += [f"m{j}_{k} or 1.0" for k in states]
-        _emit(lines, f"z{j}", [[f"m{j}_{k}" for k in states]], " + ")
+        checks += [f"{m} or 1.0" for m in masses[j]]
+        _emit(lines, f"z{j}", [masses[j]], " + ")
     # the masses are finite, so ``min`` meets no NaN; a zero mass reads as 1.0
-    test = f"if not min({', '.join(checks)}) >= {TINY!r}: return ({', '.join(masses)},)"
+    tuples = ", ".join(f"({''.join(f'{m}, ' for m in row)})" for row in masses)
+    test = f"if not min({', '.join(checks)}) >= {TINY!r}: return ({tuples},)"
     lines += [test, f"{', '.join(labels)}, = v", f"return {{{', '.join(dists)}}}"]
     return f"def k(v, {', '.join(f'a{slot}' for slot in range(n))}):\n " + "\n ".join(lines)
 
@@ -522,13 +532,12 @@ def _kernel(signature: Signature, zeros: Zeros) -> Callable[..., dict | tuple]:
 def _indicated(net: BayesNet, evidence: Evidence) -> list:
     """The slot tables, each observation ``v = k`` entering as the indicator
     of ``k`` on ``v``'s table: the entries of ``v``'s other states are zeroed."""
-    ev_idx = {vid: net.state_index(vid, state) for vid, state in evidence.items()}
     tables = list(net._tables)
-    for slot, (vid, _, count) in enumerate(net.signature):
-        if vid in ev_idx:
-            k, table = ev_idx[vid], tables[slot]
-            tables[slot] = [0.0] * len(table)
-            tables[slot][k::count] = table[k::count]
+    for vid, state in evidence.items():
+        k, slot = net.state_index(vid, state), net._slot[vid]
+        count, table = net.signature[slot][2], tables[slot]
+        tables[slot] = [0.0] * len(table)
+        tables[slot][k::count] = table[k::count]
     return tables
 
 
@@ -595,7 +604,7 @@ def posteriors(net: BayesNet, evidence: Evidence) -> dict[str, Distribution]:
 
 
 def posterior_report(net: BayesNet, evidence: Evidence) -> list[Distribution]:
-    """Posterior of every non-evidence variable, ordered by variable id: a
-    filter of :func:`posteriors`."""
+    """Posterior of every non-evidence variable, ordered by variable id, as
+    the net's variable map is: a filter of :func:`posteriors`."""
     dists = posteriors(net, evidence)
-    return [dists[vid] for vid in sorted(dists) if vid not in evidence]
+    return [dists[vid] for vid in net._slot if vid not in evidence]

@@ -10,7 +10,6 @@ threshold. Set ``REDVOTE_NO_COLOR`` to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -106,8 +105,8 @@ def _base_report(
 
 def cmd_solve(args: argparse.Namespace, data: bytes, workflow: compose.Workflow) -> int:
     threshold = args.threshold
-    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
-        print(f"error: --threshold must be finite and >= 0, got {threshold!r}", file=sys.stderr)
+    if threshold is not None and not compose.literal_in_range(threshold):
+        print(f"error: --threshold is {threshold!r}; {compose.LITERAL_RANGE}", file=sys.stderr)
         return EXIT_PARSE
     validated = compose.validate_workflow(workflow)
     if threshold is None:

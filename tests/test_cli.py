@@ -204,14 +204,16 @@ class TestSolve:
             assert [row for row in rows if row[0] in ("threshold", "verdict")] == verdict_rows
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "1e-310", "5e-324"])
     def test_meaningless_threshold_exits_2(self, capsys, threshold, fmt):
-        # '=' keeps argparse from reading "-inf" as an option
+        # '=' keeps argparse from reading "-inf" as an option; a subnormal
+        # bound is refused as a subnormal literal is
         code, out, err = run(capsys, "solve", CASE_STUDY, "--format", fmt,
                              f"--threshold={threshold}")
         assert code == 2
         assert out == ""
-        assert err == f"error: --threshold must be finite and >= 0, got {float(threshold)!r}\n"
+        assert err == (f"error: --threshold is {float(threshold)!r}; a literal is 0, "
+                       "or finite and at least 2.2250738585072014e-308\n")
 
     @pytest.mark.parametrize("threshold", ["-1e-9", "-inf"])
     def test_negative_threshold_as_its_own_argument_exits_2(self, capsys, threshold):
@@ -219,7 +221,8 @@ class TestSolve:
         code, out, err = run(capsys, "solve", CASE_STUDY, "--threshold", threshold)
         assert code == 2
         assert out == ""
-        assert err == f"error: --threshold must be finite and >= 0, got {float(threshold)!r}\n"
+        assert err == (f"error: --threshold is {float(threshold)!r}; a literal is 0, "
+                       "or finite and at least 2.2250738585072014e-308\n")
 
     def test_builtin_and_inline_maintenance_agree_bitwise(self, capsys):
         figures = []

@@ -838,9 +838,9 @@ class TestStructureCache:
             self, monkeypatch):
         checked = []
 
-        def check_entries(signature, tables, by_id):
+        def check_entries(signature, tables, variable):
             checked.append(len(tables))
-            return entry_check(signature, tables, by_id)
+            return entry_check(signature, tables, variable)
 
         entry_check = bayes._check_entries
         monkeypatch.setattr(bayes, "_check_entries", check_entries)
